@@ -14,10 +14,10 @@ the *population* of abandoned connections relative to the live ones; in
 steady state ``abandoned ≈ (throughput / ops_per_conn) × 2×idle_timeout``.
 The paper reaches that steady state over minutes with a 10 s timeout;
 simulating minutes of a saturated server is wasteful, so the experiment
-driver compresses the timeout by ``TIME_COMPRESSION`` (10×: 10 s → 1 s)
+driver compresses the timeout by ``TIME_COMPRESSION`` (5×: 10 s → 2 s)
 **and** divides ``ops_per_conn`` by the same factor, which preserves the
 abandoned-to-live ratio exactly.  The cost is that connection *setup*
-events run 10× more frequently than the paper's (a few percent of CPU,
+events run 5× more frequently than the paper's (a few percent of CPU,
 in the same direction for every TCP series).  Experiments about the
 timeout itself (Tab. S2) override this.
 """

@@ -118,8 +118,7 @@ class FaultInjector:
         proc = procs.get(index)
         if proc is None:
             raise FaultPlanError(
-                f"{type(self.proxy).__name__} has no worker {index} "
-                "(worker faults need a process-per-worker architecture)")
+                f"{type(self.proxy).__name__} has no worker {index}")
         return proc
 
     def _channel(self, event: IpcStall):

@@ -12,11 +12,11 @@ Three triggers, checked every period:
   pending work for it.  The work-pending gate keeps an idle worker —
   legitimately silent for seconds — from tripping the timeout.
 
-Recovery itself is the architecture's job
-(``BaseProxyServer.restart_worker``): kill what is left of the process,
-drain its channels, close its descriptor table, invalidate its fd-cache,
-re-dispatch the connections it owned, spawn a replacement.  The watchdog
-only decides *when*, and records every restart in :attr:`restarts`.
+Recovery itself is the proxy's job (``BaseProxyServer.restart_worker``,
+one template for every architecture): kill what is left of the process,
+reap what it held, spawn a replacement, re-home the connections it
+owned.  The watchdog only decides *when*, and records every restart in
+:attr:`restarts`.
 
 Like the detector, ticks are plain engine callbacks with zero simulated
 cost — enabling the watchdog never perturbs a fault-free run.
@@ -41,9 +41,6 @@ class Watchdog:
     def __init__(self, proxy, period_us: float = DEFAULT_PERIOD_US,
                  hang_timeout_us: float = DEFAULT_HANG_TIMEOUT_US,
                  detector=None, tracer=None) -> None:
-        if not getattr(proxy, "supports_restart", False):
-            raise ValueError(
-                f"{type(proxy).__name__} does not support worker restart")
         self.proxy = proxy
         self.engine = proxy.engine
         self.period_us = period_us

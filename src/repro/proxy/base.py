@@ -13,7 +13,11 @@ from repro.sip.location import LocationService
 
 class BaseProxyServer:
     """State common to every architecture: the SIP core and its shared
-    (shm) structures, plus the retransmission/GC timer process."""
+    (shm) structures, worker spawn/heartbeat/restart, and the
+    retransmission/GC timer process."""
+
+    #: worker ``index`` runs as process ``f"{worker_stem}-{index}"``
+    worker_stem = "worker"
 
     def __init__(self, machine, config, costs: Optional[CostModel] = None):
         config.validate()
@@ -44,12 +48,12 @@ class BaseProxyServer:
                                            config.overload_params)
         self.core.controller = self.controller
         self.processes: List = []
+        #: the worker processes by index (a subset of :attr:`processes`)
+        self.workers: List = []
         self.started = False
         #: per-worker liveness stamps, written at the top of each worker
         #: loop iteration (zero simulated cost); the watchdog's hang check
         self.worker_heartbeat_us: List[float] = [0.0] * config.workers
-        #: set by architectures implementing :meth:`restart_worker`
-        self.supports_restart = False
 
     # ------------------------------------------------------------------
     def start(self) -> "BaseProxyServer":
@@ -67,6 +71,22 @@ class BaseProxyServer:
         return self
 
     def _spawn_processes(self) -> None:
+        """Workers in index order, then the timer process.  Spawn order
+        is start order and feeds the scheduler's tie-breaks, so flavors
+        with a connection manager spawn it first and then call this."""
+        for index in range(self.config.workers):
+            self.workers.append(self._spawn_worker(index))
+        self.processes.extend(self.workers)
+        self.processes.append(self.machine.spawn(
+            self._timer_body(), "timer-proc", nice=self.config.worker_nice))
+
+    def _spawn_worker(self, index: int):
+        return self.machine.spawn(self._worker_body(index),
+                                  f"{self.worker_stem}-{index}",
+                                  nice=self.config.worker_nice)
+
+    def _worker_body(self, index: int):
+        """Generator: worker ``index``'s event loop."""
         raise NotImplementedError
 
     def stop(self) -> None:
@@ -85,9 +105,8 @@ class BaseProxyServer:
     # fault-injection / watchdog surface (see :mod:`repro.faults`)
     # ------------------------------------------------------------------
     def worker_processes(self):
-        """``[(index, KernelProcess), ...]`` for restartable workers;
-        architectures without a process-per-worker model return []."""
-        return []
+        """``[(index, KernelProcess), ...]`` for the current workers."""
+        return list(enumerate(self.workers))
 
     def worker_work_pending(self, index: int) -> bool:
         """Whether worker ``index`` has undrained input (the watchdog's
@@ -110,10 +129,44 @@ class BaseProxyServer:
         raise ValueError(f"no worker {index} to crash")
 
     def restart_worker(self, index: int):
-        """Replace a dead/hung worker; architectures that support it
-        return a JSON-ready summary of the repair."""
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot restart workers")
+        """Replace a dead/hung worker: reap the process, clean up what it
+        held (:meth:`_reap_worker`), spawn a namesake successor and give
+        it back the dead worker's load (:meth:`_rehome`).  Returns a
+        JSON-ready summary of the repair."""
+        who = f"{self.worker_stem}-{index}"
+        old = self.workers[index]
+        old.kill()
+        # kill() closes the generator, so finally-blocks normally release
+        # any held spinlock; a worker suspended *inside* acquire/release
+        # cannot run its cleanup, so force-break the lock like a robust
+        # futex would.
+        for lock in self._shared_locks():
+            if lock.held and lock.owner == who:
+                lock.release()
+        self._reap_worker(index, old)
+        if self.causal is not None:
+            # The dead worker never ran its ctx_end; without this the
+            # successor (same process name) would inherit a stale trace id.
+            self.causal.ctx_end(f"{self.machine.name}/{who}")
+        proc = self._spawn_worker(index)
+        self.workers[index] = proc
+        self.processes[self.processes.index(old)] = proc
+        proc.start()
+        self.stats.workers_restarted += 1
+        return self._rehome(index)
+
+    def _shared_locks(self) -> List:
+        """Every spinlock a worker can die holding."""
+        return [self.txn_table.lock, self.timer_list.lock]
+
+    def _reap_worker(self, index: int, old) -> None:
+        """Release what the dead worker process held."""
+        old.fdtable.close_all()
+
+    def _rehome(self, index: int) -> dict:
+        """Hand the dead worker's connections to its successor.  Workers
+        symmetric on one socket hold none: its backlog carries over."""
+        return {}
 
     # ------------------------------------------------------------------
     # the timer process (§3: essential for UDP, superfluous-but-present
@@ -137,8 +190,11 @@ class BaseProxyServer:
                 yield from self._timer_send(action)
 
     def _timer_send(self, action):
-        """Generator: transmit a retransmission (transport-specific)."""
-        raise NotImplementedError
+        """Generator: transmit a retransmission.  Reliable transports
+        only ever queue GC entries (§3.1: the timer process is
+        "superfluous"), so nothing should reach this default."""
+        self.stats.send_failures += 1
+        yield from ()
 
     def __repr__(self) -> str:
         return (f"<{type(self).__name__} {self.config.transport} "

@@ -2,55 +2,35 @@
 oriented transport.
 
 SCTP's kernel-managed associations let the proxy keep OpenSER's simple
-symmetric-worker design — no supervisor, no descriptor passing, no
-user-level idle sweeps — while retaining reliable delivery (so the timer
-process carries no retransmission load, only GC).
+symmetric-worker design (the datagram skeleton) — no supervisor, no
+descriptor passing, no user-level idle sweeps — while retaining reliable
+delivery (so the timer process carries no retransmission load, only GC).
 """
 
 from repro.net.sctp import SctpEndpoint
-from repro.proxy.base import BaseProxyServer
-from repro.proxy.routing import SendAction, ToBinding, ToSource, ToVia
-from repro.sim.primitives import Compute
+from repro.proxy.datagram import DatagramProxyServer
+from repro.proxy.routing import ToBinding, ToSource, ToVia
 
 
-class SctpProxyServer(BaseProxyServer):
+class SctpProxyServer(DatagramProxyServer):
     """OpenSER over SCTP (one-to-many socket)."""
+
+    worker_stem = "sctp-worker"
 
     def __init__(self, machine, config, costs=None) -> None:
         super().__init__(machine, config, costs)
-        self.endpoint = SctpEndpoint(machine, config.port,
-                                     rcvbuf_messages=config.udp_rcvbuf_datagrams)
+        self.socket = SctpEndpoint(machine, config.port,
+                                   rcvbuf_messages=config.udp_rcvbuf_datagrams)
+        self._receive = self.socket.recvmsg
+        self._recv_cost = (self.costs.sctp_recv_us, "sctp_rcv_loop")
+        self._send_cost = (self.costs.sctp_send_us, "sctp_send")
 
-    def _spawn_processes(self) -> None:
-        for index in range(self.config.workers):
-            self.processes.append(self.machine.spawn(
-                self._worker_body(index), f"sctp-worker-{index}",
-                nice=self.config.worker_nice))
-        self.processes.append(self.machine.spawn(
-            self._timer_body(), "timer-proc", nice=self.config.worker_nice))
+    @staticmethod
+    def _unpack(message):
+        assoc, payload = message
+        return payload, assoc, None
 
-    # ------------------------------------------------------------------
-    def _worker_body(self, index: int):
-        who = f"sctp-worker-{index}"
-        while True:
-            assoc, payload = yield from self.endpoint.recvmsg()
-            yield Compute(self.costs.sctp_recv_us, "sctp_rcv_loop")
-            actions = yield from self.core.process(payload, source=assoc,
-                                                   who=who)
-            yield from self._execute(actions)
-
-    def _execute(self, actions):
-        for action in actions:
-            yield Compute(self.costs.sctp_send_us, "sctp_send")
-            assoc = self._resolve(action)
-            if assoc is None or not assoc.established:
-                self.stats.send_failures += 1
-                continue
-            self.endpoint.sendmsg(assoc, action.text)
-            self.stats.messages_sent += 1
-
-    def _resolve(self, action: SendAction):
-        target = action.target
+    def _resolve(self, target):
         if isinstance(target, ToSource):
             return target.source
         if isinstance(target, ToBinding):
@@ -59,17 +39,16 @@ class SctpProxyServer(BaseProxyServer):
             if assoc is None:
                 # Direct next-hop URI: the kernel already has (or will
                 # implicitly set up) the association to that peer.
-                assoc = self.endpoint.associations.get(
+                assoc = self.socket.associations.get(
                     (binding.addr, binding.port))
                 binding.assoc = assoc
             return assoc
         if isinstance(target, ToVia):
-            return self.endpoint.associations.get((target.addr, target.port))
+            return self.socket.associations.get((target.addr, target.port))
         raise TypeError(f"unroutable target {target!r}")
 
-    def _timer_send(self, action: SendAction):
-        yield Compute(self.costs.sctp_send_us, "sctp_send")
-        assoc = self._resolve(action)
-        if assoc is not None and assoc.established:
-            self.endpoint.sendmsg(assoc, action.text)
-            self.stats.messages_sent += 1
+    def _transmit(self, text: str, assoc) -> bool:
+        if assoc is None or not assoc.established:
+            return False
+        self.socket.sendmsg(assoc, text)
+        return True

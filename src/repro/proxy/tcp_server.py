@@ -13,47 +13,25 @@ The two §5 fixes are switchable via :class:`~repro.proxy.config.ProxyConfig`:
 - ``idle_strategy="pq"`` — timeout-ordered sweeps (Fig. 5).
 """
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.kernel.fdtable import EmfileError, FileDescription
+from repro.kernel.fdtable import EmfileError
 from repro.kernel.ipc import FdPayload, IpcChannel, IpcMessage, receive_fd
 from repro.kernel.poller import Poller, TickSource
-from repro.kernel.sockets import PortExhaustedError
-from repro.net.tcp import TcpError, TcpListener, connect as tcp_connect
-from repro.proxy.base import BaseProxyServer
-from repro.proxy.conn_table import ConnRecord, ConnTable
+from repro.proxy.conn_table import ConnRecord
+from repro.proxy.connection import (ConnectionProxyServer, WorkerConn,
+                                    WorkerCtx)
 from repro.proxy.fd_cache import FdCache
-from repro.proxy.idle_pq import PqIdleStrategy
-from repro.proxy.idle_scan import ScanIdleStrategy
-from repro.proxy.routing import SendAction, ToBinding, ToSource, ToVia
 from repro.sim.primitives import Compute
-from repro.sip.parser import SipParseError, StreamFramer
 
 
-class _OwnedConn:
-    """A worker's view of a connection it owns."""
-
-    __slots__ = ("record", "fd", "framer")
-
-    def __init__(self, record: ConnRecord, fd: int) -> None:
-        self.record = record
-        self.fd = fd
-        self.framer = StreamFramer()
-
-
-class TcpProxyServer(BaseProxyServer):
+class TcpProxyServer(ConnectionProxyServer):
     """OpenSER over TCP."""
+
+    worker_stem = "tcp-worker"
 
     def __init__(self, machine, config, costs=None) -> None:
         super().__init__(machine, config, costs)
-        self.listener = TcpListener(machine, config.port,
-                                    backlog=config.accept_backlog)
-        self.conn_table = ConnTable(self.costs)
-        if config.idle_strategy == "pq":
-            self.idle = PqIdleStrategy(self.costs, config.idle_timeout_us,
-                                       config.workers)
-        else:
-            self.idle = ScanIdleStrategy(self.costs, config.idle_timeout_us)
         engine = machine.engine
         #: supervisor -> worker: connection assignments (with fd)
         self.assign_chans = [
@@ -67,25 +45,12 @@ class TcpProxyServer(BaseProxyServer):
             for i in range(config.workers)
         ]
         self.fd_caches: List[Optional[FdCache]] = [None] * config.workers
-        self._worker_procs: List = []
-        self._sup_proc = None
-        self._assign_rr = 0
-        self.supports_restart = True
-        tracer = self.tracer
-        if tracer is not None:
-            for chan in self.assign_chans + self.req_chans:
-                chan.tracer = tracer
-            self.conn_table.lock.tracer = tracer
-            self.idle.tracer = tracer
-            idle_lock = getattr(self.idle, "lock", None)
-            if idle_lock is not None:
-                idle_lock.tracer = tracer
-        if self.causal is not None:
+        for chan in self.assign_chans + self.req_chans:
+            chan.tracer = self.tracer
             # Blocked IPC sends/receives hint their wait reason so a
             # worker stalled in the §3.1 fd round trip attributes the
             # stall to the message it is processing.
-            for chan in self.assign_chans + self.req_chans:
-                chan.causal = self.causal
+            chan.causal = self.causal
 
     def queue_fill(self) -> float:
         """IPC backlog fill — TCP's analogue of a full receive buffer:
@@ -96,19 +61,10 @@ class TcpProxyServer(BaseProxyServer):
         return pending / (self.config.ipc_capacity * len(chans))
 
     # -- fault-injection / watchdog surface -----------------------------
-    def worker_processes(self):
-        return list(enumerate(self._worker_procs))
-
     def worker_work_pending(self, index: int) -> bool:
-        if (self.assign_chans[index].pending_total() +
-                self.req_chans[index].pending_total()) > 0:
-            return True
-        # A hung worker's starvation shows up on the connections it owns
-        # (phones keep writing), not on its IPC queues.
-        return any(record.conn.readable()
-                   for record in self.conn_table.all_records()
-                   if record.owner == index and not record.closed
-                   and not record.released)
+        return (self.assign_chans[index].pending_total() +
+                self.req_chans[index].pending_total()) > 0 or \
+            super().worker_work_pending(index)
 
     def ipc_topology(self):
         """The §6 wait-for edges: the supervisor blocked on a channel
@@ -122,45 +78,21 @@ class TcpProxyServer(BaseProxyServer):
             topo.append((self.req_chans[index].b, "supervisor", worker))
         return topo
 
-    def restart_worker(self, index: int):
-        """Replace worker ``index``: reap the process, drop its in-flight
-        IPC, close its descriptors, invalidate its fd-cache, re-dispatch
-        the connections it owned, spawn a successor.
-
-        Draining the assign channel fires its writable signal, which
-        un-wedges a supervisor blocked in the §6 deadlock."""
-        engine = self.engine
-        who = f"tcp-worker-{index}"
-        old = self._worker_procs[index]
-        old.kill()
-        # kill() closes the generator, so finally-blocks normally release
-        # any held spinlock; a worker suspended *inside* acquire/release
-        # cannot run its cleanup, so force-break the lock like a robust
-        # futex would.
-        for lock in (self.conn_table.lock, self.txn_table.lock,
-                     self.timer_list.lock, getattr(self.idle, "lock", None)):
-            if lock is not None and lock.held and lock.owner == who:
-                lock.release()
-        # In-flight messages reference descriptors and a dead peer;
-        # drain both channels (dropping queue fd references) before the
-        # successor attaches.
+    def _reap_worker(self, index: int, old) -> None:
+        # In-flight messages reference descriptors and a dead peer; drain
+        # both channels (dropping queue fd references) before the
+        # successor attaches.  Draining the assign channel fires its
+        # writable signal, which un-wedges a supervisor blocked in the §6
+        # deadlock.
         self.assign_chans[index].drain()
         self.req_chans[index].drain()
-        if self.causal is not None:
-            # The dead worker never ran its ctx_end; without this the
-            # successor (same process name) would inherit a stale trace id.
-            self.causal.ctx_end(f"{self.machine.name}/{who}")
-        # Close everything the dead worker held: its owned-connection
-        # fds and its fd-cache entries must not pin sockets open.  The
-        # supervisor's copies keep live connections alive.
-        if old.fdtable is not None:
-            old.fdtable.close_all()
+        # The dead worker's owned-connection fds and fd-cache entries must
+        # not pin sockets open; the supervisor's copies keep live
+        # connections alive.
+        super()._reap_worker(index, old)
         self.fd_caches[index] = None
-        proc = self.machine.spawn(self._worker_body(index), who,
-                                  nice=self.config.worker_nice)
-        self._worker_procs[index] = proc
-        self.processes[self.processes.index(old)] = proc
-        proc.start()
+
+    def _rehome(self, index: int) -> dict:
         # Re-dispatch the connections the dead worker owned so their
         # phones see service again instead of a silent socket.
         redispatched = shed = 0
@@ -174,28 +106,20 @@ class TcpProxyServer(BaseProxyServer):
                 # Unrecoverable (or buffer full): surrender the record to
                 # the supervisor's idle teardown.
                 record.released = True
-                record.released_at = engine.now
+                record.released_at = self.engine.now
                 shed += 1
             else:
                 redispatched += 1
-        self.stats.workers_restarted += 1
         self.stats.conns_redispatched += redispatched
         self.stats.conns_shed_on_restart += shed
         return {"redispatched": redispatched, "shed": shed}
 
     def _spawn_processes(self) -> None:
-        self._sup_proc = self.machine.spawn(
+        self.manager = self.machine.spawn(
             self._supervisor_body(), "tcp-supervisor",
             nice=self.config.supervisor_nice)
-        self.processes.append(self._sup_proc)
-        for index in range(self.config.workers):
-            proc = self.machine.spawn(self._worker_body(index),
-                                      f"tcp-worker-{index}",
-                                      nice=self.config.worker_nice)
-            self._worker_procs.append(proc)
-            self.processes.append(proc)
-        self.processes.append(self.machine.spawn(
-            self._timer_body(), "timer-proc", nice=self.config.worker_nice))
+        self.processes.append(self.manager)
+        super()._spawn_processes()
 
     # ==================================================================
     # supervisor
@@ -240,38 +164,20 @@ class TcpProxyServer(BaseProxyServer):
                     yield from self._destroy_record(record, who)
 
     def _handle_accept(self, conn, who: str):
-        yield Compute(self.costs.accept_us, "tcp_accept")
-        fdtable = self._sup_proc.fdtable
-        desc = FileDescription(conn, "tcp-conn")
-        try:
-            sup_fd = fdtable.install(desc)
-        except EmfileError:
-            self.stats.accept_failures += 1
-            conn.close()
+        record = yield from self._accept(conn, who)
+        if record is None:
             return
-        self.stats.accepts += 1
-        self.stats.conns_created += 1
-        worker = self._assign_rr % self.config.workers
-        self._assign_rr += 1
-        if self.tracer is not None:
-            self.tracer.instant("tcp_accept", cat="proxy",
-                                who=f"{self.machine.name}/{who}",
-                                worker=worker)
-        record = yield from self.conn_table.insert(conn, desc, worker,
-                                                   self.engine.now, who)
-        record.sup_fd = sup_fd
-        yield from self.idle.on_insert(record, self.engine.now)
         yield Compute(self.costs.fd_dup_us + self.costs.ipc_send_us,
                       "send_fd")
-        msg = IpcMessage("assign", payload=record, fd=FdPayload(desc))
-        endpoint = self.assign_chans[worker].a
+        msg = IpcMessage("assign", payload=record, fd=FdPayload(record.desc))
+        endpoint = self.assign_chans[record.owner].a
         if self.config.supervisor_blocking_send:
             yield from endpoint.send(msg)
         elif not endpoint.try_send(msg):
             # Assignment buffer full: shed the connection.  (try_send took
             # no queue reference, so only the supervisor's fd is closed.)
             self.stats.send_failures += 1
-            fdtable.close(sup_fd)
+            self.manager.fdtable.close(record.sup_fd)
             yield from self.conn_table.remove(record, who)
 
     def _handle_worker_msg(self, endpoint, msg: IpcMessage, who: str):
@@ -302,9 +208,8 @@ class TcpProxyServer(BaseProxyServer):
         elif msg.kind == "new-outbound":
             record = msg.payload
             yield Compute(self.costs.fd_install_us, "receive_fd")
-            fdtable = self._sup_proc.fdtable
             try:
-                record.sup_fd = receive_fd(msg, fdtable)
+                record.sup_fd = receive_fd(msg, self.manager.fdtable)
             except EmfileError:
                 msg.fd.description.decref()
                 record.sup_fd = None
@@ -312,7 +217,7 @@ class TcpProxyServer(BaseProxyServer):
             raise ValueError(f"unknown supervisor message {msg.kind!r}")
 
     def _destroy_record(self, record: ConnRecord, who: str):
-        fdtable = self._sup_proc.fdtable
+        fdtable = self.manager.fdtable
         if self.controller is not None:
             # A dead upstream must not keep holding overload-window slots.
             self.controller.forget_source(record)
@@ -327,27 +232,16 @@ class TcpProxyServer(BaseProxyServer):
     # workers
     # ==================================================================
     def _worker_body(self, index: int):
-        who = f"tcp-worker-{index}"
         engine = self.engine
-        proc = self._worker_procs[index]
-        fdtable = proc.fdtable
-        cache = FdCache(fdtable, who) if self.config.fd_cache else None
-        if cache is not None and self.tracer is not None:
-            cache.tracer = self.tracer
-        if cache is not None and self.causal is not None:
-            cache.causal = self.causal
-        self.fd_caches[index] = cache
         assign_ep = self.assign_chans[index].b
-        req_ep = self.req_chans[index].a
-        poller = Poller(engine, name=f"{who}-poller")
-        poller.causal = self.causal
-        poller.add(assign_ep)
-        tick = TickSource(engine, self.config.worker_idle_tick_us,
-                          name=f"{who}-tick")
-        poller.add(tick)
-        owned: Dict[object, _OwnedConn] = {}
-        ctx = _WorkerCtx(index, who, fdtable, cache, req_ep, poller, owned,
-                         proc_name=f"{self.machine.name}/{who}")
+        ctx = WorkerCtx(self, index, self.workers[index].fdtable, assign_ep)
+        ctx.req_ep = self.req_chans[index].a
+        if self.config.fd_cache:
+            ctx.cache = FdCache(ctx.fdtable, ctx.who)
+            ctx.cache.tracer = self.tracer
+            ctx.cache.causal = self.causal
+        self.fd_caches[index] = ctx.cache
+        poller, tick, conns = ctx.poller, ctx.tick, ctx.conns
         heartbeats = self.worker_heartbeat_us
         while True:
             heartbeats[index] = engine.now
@@ -366,11 +260,11 @@ class TcpProxyServer(BaseProxyServer):
                             break
                         yield from self._worker_take_conn(ctx, msg)
                 else:
-                    oc = owned.get(source)
-                    if oc is None:
+                    wc = conns.get(source)
+                    if wc is None:
                         poller.remove(source)
                         continue
-                    yield from self._worker_read(ctx, oc)
+                    yield from self._worker_read(ctx, wc)
             # §5.2: "even the worker processes examined every connection
             # they owned" — OpenSER's receive loop checks timeouts every
             # iteration, so the examination cost scales with both the
@@ -378,7 +272,7 @@ class TcpProxyServer(BaseProxyServer):
             # guarantees a wake-up when the connections have gone quiet.)
             yield from self._worker_idle_pass(ctx)
 
-    def _worker_take_conn(self, ctx: "_WorkerCtx", msg: IpcMessage):
+    def _worker_take_conn(self, ctx: WorkerCtx, msg: IpcMessage):
         yield Compute(self.costs.ipc_recv_us + self.costs.fd_install_us,
                       "receive_fd")
         record: ConnRecord = msg.payload
@@ -389,120 +283,29 @@ class TcpProxyServer(BaseProxyServer):
             yield Compute(self.costs.ipc_send_us, "ipc_send")
             yield from ctx.req_ep.send(IpcMessage("release", payload=record))
             return
-        ctx.owned[record.conn] = _OwnedConn(record, fd)
+        ctx.conns[record.conn] = WorkerConn(record, fd)
         ctx.poller.add(record.conn)
 
-    def _worker_read(self, ctx: "_WorkerCtx", oc: _OwnedConn):
-        data = oc.record.conn.try_recv(65536)
-        if data is None:
-            return
-        yield Compute(self.costs.tcp_recv_us, "tcp_read")
-        if data == "":
-            # Peer closed: drop our side.
-            yield from self._worker_drop_conn(ctx, oc.record)
-            return
-        try:
-            texts = oc.framer.feed(data)
-        except SipParseError:
-            self.stats.parse_errors += 1
-            yield from self._worker_drop_conn(ctx, oc.record)
-            return
-        causal = self.causal
-        for text in texts:
-            if causal is not None:
-                # Everything the worker does until this message is fully
-                # handled — framing, core processing, the fd round trip,
-                # the sends — attributes to its trace id.
-                causal.ctx_begin(ctx.proc_name, causal.sniff(text))
-            try:
-                yield Compute(self.costs.tcp_frame_us, "tcp_read_headers")
-                yield from self.idle.on_activity(oc.record, self.engine.now)
-                actions = yield from self.core.process(text, source=oc.record,
-                                                       who=ctx.who)
-                contact = self.core.take_register_contact()
-                if contact is not None:
-                    yield from self.conn_table.set_alias(oc.record, contact,
-                                                         ctx.who)
-                for action in actions:
-                    yield from self._worker_send(ctx, action)
-            finally:
-                if causal is not None:
-                    causal.ctx_end(ctx.proc_name)
-
-    # -- sending ----------------------------------------------------------
-    def _worker_send(self, ctx: "_WorkerCtx", action: SendAction):
-        record = yield from self._resolve_target(ctx, action)
-        if record is None or record.closed:
-            self.stats.send_failures += 1
-            return
-        yield from self._send_on_record(ctx, record, action.text)
-
-    def _resolve_target(self, ctx: "_WorkerCtx", action: SendAction):
-        target = action.target
-        if isinstance(target, ToSource):
-            return target.source
-        if isinstance(target, ToBinding):
-            binding = target.binding
-            record = binding.conn
-            if isinstance(record, ConnRecord) and not record.closed and \
-                    not record.released:
-                return record
-            alias = (binding.addr, binding.port)
-            record = yield from self.conn_table.lookup_alias(alias, ctx.who)
-            if record is not None:
-                binding.conn = record
-                return record
-            record = yield from self._connect_out(ctx, binding)
-            return record
-        if isinstance(target, ToVia):
-            return (yield from self.conn_table.lookup_alias(
-                (target.addr, target.port), ctx.who))
-        raise TypeError(f"unroutable target {target!r}")
-
-    def _connect_out(self, ctx: "_WorkerCtx", binding):
-        """Generator: no live connection to the phone — dial out (consumes
-        a server ephemeral port; the §4.3 starvation ingredient)."""
-        yield Compute(self.costs.connect_us, "tcpconn_connect")
-        try:
-            conn = yield from tcp_connect(self.machine, binding.addr,
-                                          binding.port)
-        except (PortExhaustedError, TcpError):
-            return None
-        desc = FileDescription(conn, "tcp-conn")
-        try:
-            fd = ctx.fdtable.install(desc)
-        except EmfileError:
-            conn.close()
-            return None
-        self.stats.outbound_connects += 1
-        self.stats.conns_created += 1
-        record = yield from self.conn_table.insert(conn, desc, ctx.index,
-                                                   self.engine.now, ctx.who)
-        yield from self.idle.on_insert(record, self.engine.now)
-        yield from self.conn_table.set_alias(
-            record, (binding.addr, binding.port), ctx.who)
-        ctx.owned[conn] = _OwnedConn(record, fd)
-        ctx.poller.add(conn)
+    def _adopt_outbound(self, ctx: WorkerCtx, wc: WorkerConn):
+        ctx.conns[wc.record.conn] = wc
+        ctx.poller.add(wc.record.conn)
         # The supervisor keeps a copy of every socket in the server (§3.1).
         yield Compute(self.costs.fd_dup_us + self.costs.ipc_send_us,
                       "send_fd")
-        yield from ctx.req_ep.send(IpcMessage("new-outbound", payload=record,
-                                              fd=FdPayload(desc)))
-        binding.conn = record
-        return record
+        yield from ctx.req_ep.send(IpcMessage(
+            "new-outbound", payload=wc.record, fd=FdPayload(wc.record.desc)))
 
-    def _send_on_record(self, ctx: "_WorkerCtx", record: ConnRecord,
-                        text: str):
+    # -- sending: descriptor acquisition (the paper's variable) -----------
+    def _send_on_record(self, ctx: WorkerCtx, record: ConnRecord, text: str):
         tracer = self.tracer
-        span = (tracer.begin("worker_send", cat="proxy",
-                             who=f"{self.machine.name}/{ctx.who}",
+        span = (tracer.begin("worker_send", cat="proxy", who=ctx.proc_name,
                              conn=record.conn_id)
                 if tracer is not None else None)
-        oc = ctx.owned.get(record.conn)
+        wc = ctx.conns.get(record.conn)
         close_after = False
         fd: Optional[int] = None
-        if oc is not None:
-            fd = oc.fd  # we own it; our reader fd works for writing too
+        if wc is not None:
+            fd = wc.fd  # we own it; our reader fd works for writing too
             if span is not None:
                 span.set(fd_via="owned")
         else:
@@ -516,8 +319,7 @@ class TcpProxyServer(BaseProxyServer):
                 if span is not None:
                     tracer.instant(
                         "fd_cache_hit" if fd is not None else "fd_cache_miss",
-                        cat="proxy", who=f"{self.machine.name}/{ctx.who}",
-                        conn=record.conn_id)
+                        cat="proxy", who=ctx.proc_name, conn=record.conn_id)
             if fd is None:
                 if span is not None:
                     span.set(fd_via="supervisor")
@@ -533,19 +335,9 @@ class TcpProxyServer(BaseProxyServer):
                     close_after = True
             elif span is not None:
                 span.set(fd_via="cache")
-        yield Compute(self.costs.tcp_send_us, "tcp_send")
-        sent = record.conn.try_send(text)
-        if not sent:
-            try:
-                yield from record.conn.send(text)
-                sent = True
-            except TcpError:
-                sent = False
+        sent = yield from self._write(record, text)
         if sent:
-            self.stats.messages_sent += 1
             yield from self.idle.on_activity(record, self.engine.now)
-        else:
-            self.stats.send_failures += 1
         if close_after and fd in ctx.fdtable:
             # The baseline behaviour the fd cache exists to fix (§5.1):
             # immediately close the descriptor we just fetched.
@@ -554,11 +346,10 @@ class TcpProxyServer(BaseProxyServer):
         if span is not None:
             tracer.end(span.set(outcome="sent" if sent else "failed"))
 
-    def _request_fd(self, ctx: "_WorkerCtx", record: ConnRecord):
+    def _request_fd(self, ctx: WorkerCtx, record: ConnRecord):
         """Generator: the §3.1 IPC round trip — the worker blocks."""
         tracer = self.tracer
-        span = (tracer.begin("fd_request_rtt", cat="ipc",
-                             who=f"{self.machine.name}/{ctx.who}",
+        span = (tracer.begin("fd_request_rtt", cat="ipc", who=ctx.proc_name,
                              conn=record.conn_id)
                 if tracer is not None else None)
         yield Compute(self.costs.ipc_send_us, "ipc_send_fd_request")
@@ -577,57 +368,30 @@ class TcpProxyServer(BaseProxyServer):
             return None
 
     # -- idle management ------------------------------------------------
-    def _worker_idle_pass(self, ctx: "_WorkerCtx"):
-        records = [oc.record for oc in ctx.owned.values()]
+    def _worker_idle_pass(self, ctx: WorkerCtx):
+        records = [wc.record for wc in ctx.conns.values()]
         expired = yield from self.idle.worker_pass(
             records, self.engine.now, ctx.who, self.stats,
             worker_index=ctx.index)
         for record in expired:
-            yield from self._worker_drop_conn(ctx, record)
+            yield from self._drop_conn(ctx, record)
         if ctx.cache is not None:
             evicted = ctx.cache.evict_dead()
             if evicted:
                 yield Compute(self.costs.fd_close_us * evicted,
                               "tcp_close_fd")
 
-    def _worker_drop_conn(self, ctx: "_WorkerCtx", record: ConnRecord):
+    def _drop_conn(self, ctx: WorkerCtx, record: ConnRecord):
         """Close our fds for a connection and return it to the supervisor
         (the first half of the §3.1 two-step teardown)."""
-        oc = ctx.owned.pop(record.conn, None)
-        if oc is None:
+        wc = ctx.conns.pop(record.conn, None)
+        if wc is None:
             return
         ctx.poller.remove(record.conn)
         yield Compute(self.costs.fd_close_us, "tcp_close_fd")
-        if oc.fd in ctx.fdtable:
-            ctx.fdtable.close(oc.fd)
+        if wc.fd in ctx.fdtable:
+            ctx.fdtable.close(wc.fd)
         if ctx.cache is not None:
             ctx.cache.evict_record(record)
         yield Compute(self.costs.ipc_send_us, "ipc_send")
         yield from ctx.req_ep.send(IpcMessage("release", payload=record))
-
-    # -- timer process -----------------------------------------------------
-    def _timer_send(self, action: SendAction):
-        # TCP is reliable: the timer list only ever carries GC entries, so
-        # no retransmission should reach here (§3.1: "superfluous").
-        self.stats.send_failures += 1
-        return
-        yield  # pragma: no cover - keep generator shape
-
-
-class _WorkerCtx:
-    """Bundles one worker's mutable state for the helper generators."""
-
-    __slots__ = ("index", "who", "fdtable", "cache", "req_ep", "poller",
-                 "owned", "proc_name")
-
-    def __init__(self, index, who, fdtable, cache, req_ep, poller,
-                 owned, proc_name=None) -> None:
-        self.index = index
-        self.who = who
-        self.fdtable = fdtable
-        self.cache = cache
-        self.req_ep = req_ep
-        self.poller = poller
-        self.owned = owned
-        #: full scheduler process name (the causal context key)
-        self.proc_name = proc_name if proc_name is not None else who

@@ -13,85 +13,60 @@ is exactly the sharing the paper says a threaded design would get for
 free.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.kernel.fdtable import EmfileError, FileDescription
 from repro.kernel.locks import SpinLock
 from repro.kernel.poller import Poller, TickSource
-from repro.kernel.sockets import PortExhaustedError
-from repro.net.tcp import TcpError, TcpListener, connect as tcp_connect
-from repro.proxy.base import BaseProxyServer
-from repro.proxy.conn_table import ConnRecord, ConnTable
-from repro.proxy.idle_pq import PqIdleStrategy
-from repro.proxy.idle_scan import ScanIdleStrategy
-from repro.proxy.routing import SendAction, ToBinding, ToSource, ToVia
+from repro.proxy.conn_table import ConnRecord
+from repro.proxy.connection import (ConnectionProxyServer, WorkerConn,
+                                    WorkerCtx)
 from repro.sim.events import Signal
-from repro.sim.primitives import Compute, Wait
-from repro.sip.parser import SipParseError, StreamFramer
+from repro.sim.primitives import Compute
 
 
-class _SharedConn:
-    """Per-connection state visible to every thread."""
-
-    __slots__ = ("record", "fd", "framer", "send_lock")
-
-    def __init__(self, record: ConnRecord, fd: int) -> None:
-        self.record = record
-        self.fd = fd
-        self.framer = StreamFramer()
-        self.send_lock = SpinLock(f"conn-{record.conn_id}-send")
-
-
-class ThreadedTcpProxyServer(BaseProxyServer):
+class ThreadedTcpProxyServer(ConnectionProxyServer):
     """A threaded, shared-everything TCP proxy."""
+
+    worker_stem = "tcp-thread"
 
     def __init__(self, machine, config, costs=None) -> None:
         super().__init__(machine, config, costs)
-        self.listener = TcpListener(machine, config.port,
-                                    backlog=config.accept_backlog)
-        self.conn_table = ConnTable(self.costs)
-        if config.idle_strategy == "pq":
-            self.idle = PqIdleStrategy(self.costs, config.idle_timeout_us,
-                                       config.workers)
-        else:
-            self.idle = ScanIdleStrategy(self.costs, config.idle_timeout_us)
         #: shared conn state, keyed by the kernel connection object
-        self.conns: Dict[object, _SharedConn] = {}
+        self.conns: Dict[object, WorkerConn] = {}
         #: per-thread inboxes of newly accepted connections
-        self._inboxes: List[List[_SharedConn]] = [
+        self._inboxes: List[List[WorkerConn]] = [
             [] for __ in range(config.workers)]
         self._inbox_signals: List[Signal] = [
             Signal(machine.engine, name=f"thr-inbox-{i}")
             for i in range(config.workers)
         ]
-        self._acceptor_proc = None
-        self._thread_procs: List = []
-        self._assign_rr = 0
 
     def _spawn_processes(self) -> None:
-        self._acceptor_proc = self.machine.spawn(
+        self.manager = self.machine.spawn(
             self._acceptor_body(), "tcp-acceptor",
             nice=self.config.worker_nice)
-        self.processes.append(self._acceptor_proc)
-        for index in range(self.config.workers):
-            proc = self.machine.spawn(
-                self._thread_body(index), f"tcp-thread-{index}",
-                nice=self.config.worker_nice)
-            self._thread_procs.append(proc)
-            self.processes.append(proc)
-        self.processes.append(self.machine.spawn(
-            self._timer_body(), "timer-proc", nice=self.config.worker_nice))
+        self.processes.append(self.manager)
+        super()._spawn_processes()
 
-    def worker_processes(self):
-        """Crash/hang injection targets; threads share one address space
-        and descriptor table, so there is no safe restart path
-        (``supports_restart`` stays False)."""
-        return list(enumerate(self._thread_procs))
+    # -- fault-injection / watchdog surface -----------------------------
+    def worker_work_pending(self, index: int) -> bool:
+        return bool(self._inboxes[index]) or \
+            super().worker_work_pending(index)
 
-    @property
-    def fdtable(self):
-        """The single shared descriptor table (the acceptor's)."""
-        return self._acceptor_proc.fdtable
+    def _shared_locks(self):
+        return super()._shared_locks() + [
+            wc.send_lock for wc in self.conns.values()]
+
+    def _rehome(self, index: int) -> dict:
+        # The dead thread's connections live on in shared memory (framer
+        # state included); queue them all for its successor.
+        inbox = self._inboxes[index]
+        inbox[:] = [wc for wc in self.conns.values()
+                    if wc.record.owner == index and not wc.record.closed]
+        if inbox:
+            self._inbox_signals[index].fire()
+        self.stats.conns_redispatched += len(inbox)
+        return {"redispatched": len(inbox), "shed": 0}
 
     # ==================================================================
     # acceptor thread: accepts and sweeps idle connections
@@ -111,7 +86,11 @@ class ThreadedTcpProxyServer(BaseProxyServer):
                 conn = self.listener.try_accept()
                 if conn is None:
                     break
-                yield from self._handle_accept(conn, who)
+                record = yield from self._accept(conn, who)
+                if record is not None:
+                    # Hand to the owning thread: shared memory, not IPC.
+                    yield Compute(0.5, "queue_push")
+                    self._publish(WorkerConn(record, record.sup_fd))
             if tick.pending:
                 tick.consume()
                 expired = yield from self.idle.supervisor_pass(
@@ -120,188 +99,87 @@ class ThreadedTcpProxyServer(BaseProxyServer):
                 for record in expired:
                     yield from self._close_conn(record, who)
 
-    def _handle_accept(self, conn, who: str):
-        yield Compute(self.costs.accept_us, "tcp_accept")
-        desc = FileDescription(conn, "tcp-conn")
-        try:
-            fd = self.fdtable.install(desc)
-        except EmfileError:
-            self.stats.accept_failures += 1
-            conn.close()
-            return
-        self.stats.accepts += 1
-        self.stats.conns_created += 1
-        thread = self._assign_rr % self.config.workers
-        self._assign_rr += 1
-        record = yield from self.conn_table.insert(conn, desc, thread,
-                                                   self.engine.now, who)
-        record.sup_fd = fd
-        yield from self.idle.on_insert(record, self.engine.now)
-        shared = _SharedConn(record, fd)
-        self.conns[conn] = shared
-        # Hand to the owning thread: shared memory, not IPC.
-        yield Compute(0.5, "queue_push")
-        self._inboxes[thread].append(shared)
-        self._inbox_signals[thread].fire()
+    def _publish(self, wc: WorkerConn) -> None:
+        """Make a connection visible to every thread and queue it for
+        its reader."""
+        record = wc.record
+        wc.send_lock = SpinLock(f"conn-{record.conn_id}-send")
+        self.conns[record.conn] = wc
+        self._inboxes[record.owner].append(wc)
+        self._inbox_signals[record.owner].fire()
 
     def _close_conn(self, record: ConnRecord, who: str):
         """Single-phase teardown: one close, no worker round trip."""
         if self.controller is not None:
             self.controller.forget_source(record)
-        shared = self.conns.pop(record.conn, None)
+        wc = self.conns.pop(record.conn, None)
         yield Compute(self.costs.fd_close_us, "tcp_close")
-        if shared is not None and shared.fd in self.fdtable:
-            self.fdtable.close(shared.fd)
+        if wc is not None and wc.fd in self.manager.fdtable:
+            self.manager.fdtable.close(wc.fd)
         yield from self.conn_table.remove(record, who)
         self.stats.conns_closed_idle += 1
+
+    def _drop_conn(self, ctx: WorkerCtx, record: ConnRecord):
+        return self._close_conn(record, ctx.who)
 
     # ==================================================================
     # worker threads
     # ==================================================================
-    def _thread_body(self, index: int):
-        who = f"tcp-thread-{index}"
+    def _worker_body(self, index: int):
         engine = self.engine
-        poller = Poller(engine, name=f"{who}-poller")
         inbox = self._inboxes[index]
-        inbox_signal = self._inbox_signals[index]
-        poller.add(_InboxSource(inbox, inbox_signal))
-        tick = TickSource(engine, self.config.worker_idle_tick_us,
-                          name=f"{who}-tick")
-        poller.add(tick)
-        mine: Dict[object, _SharedConn] = {}
+        intake = _InboxSource(inbox, self._inbox_signals[index])
+        # Threads install into the one shared descriptor table.
+        ctx = WorkerCtx(self, index, self.manager.fdtable, intake)
+        poller, tick, mine = ctx.poller, ctx.tick, ctx.conns
+        heartbeats = self.worker_heartbeat_us
         while True:
+            heartbeats[index] = engine.now
             ready = yield from poller.wait()
+            heartbeats[index] = engine.now
             yield Compute(self.costs.poll_syscall_us +
                           self.costs.poll_per_fd_us * len(poller.sources),
                           "epoll_wait")
             for source in ready:
                 if source is tick:
                     tick.consume()
-                    for conn, shared in list(mine.items()):
-                        if shared.record.closed:
+                    for conn, wc in list(mine.items()):
+                        if wc.record.closed:
                             poller.remove(conn)
                             del mine[conn]
-                elif isinstance(source, _InboxSource):
+                elif source is intake:
                     while inbox:
-                        shared = inbox.pop(0)
+                        wc = inbox.pop(0)
                         yield Compute(0.5, "queue_pop")
-                        mine[shared.record.conn] = shared
-                        poller.add(shared.record.conn)
+                        mine[wc.record.conn] = wc
+                        poller.add(wc.record.conn)
                 else:
-                    shared = mine.get(source)
-                    if shared is None or shared.record.closed:
+                    wc = mine.get(source)
+                    if wc is None or wc.record.closed:
                         poller.remove(source)
                         mine.pop(source, None)
                         continue
-                    yield from self._thread_read(index, who, shared)
+                    yield from self._worker_read(ctx, wc)
 
-    def _thread_read(self, index: int, who: str, shared: _SharedConn):
-        data = shared.record.conn.try_recv(65536)
-        if data is None:
-            return
-        yield Compute(self.costs.tcp_recv_us, "tcp_read")
-        if data == "":
-            yield from self._close_conn(shared.record, who)
-            return
-        try:
-            texts = shared.framer.feed(data)
-        except SipParseError:
-            self.stats.parse_errors += 1
-            yield from self._close_conn(shared.record, who)
-            return
-        for text in texts:
-            yield Compute(self.costs.tcp_frame_us, "tcp_read_headers")
-            yield from self.idle.on_activity(shared.record, self.engine.now)
-            actions = yield from self.core.process(text,
-                                                   source=shared.record,
-                                                   who=who)
-            contact = self.core.take_register_contact()
-            if contact is not None:
-                yield from self.conn_table.set_alias(shared.record, contact,
-                                                     who)
-            for action in actions:
-                yield from self._thread_send(index, who, action)
+    def _adopt_outbound(self, ctx: WorkerCtx, wc: WorkerConn):
+        wc.record.sup_fd = wc.fd
+        self._publish(wc)
+        yield from ()
 
-    def _thread_send(self, index: int, who: str, action: SendAction):
-        record = yield from self._resolve_target(index, who, action)
-        if record is None or record.closed:
-            self.stats.send_failures += 1
-            return
-        shared = self.conns.get(record.conn)
-        if shared is None:
+    # -- sending: any thread may use any descriptor (§6) ------------------
+    def _send_on_record(self, ctx: WorkerCtx, record: ConnRecord, text: str):
+        wc = self.conns.get(record.conn)
+        if wc is None:
             self.stats.send_failures += 1
             return
         # Per-connection lock: atomic use of the stream, no fd transfer.
-        yield from shared.send_lock.acquire(who)
+        yield from wc.send_lock.acquire(ctx.who)
         try:
-            yield Compute(self.costs.tcp_send_us, "tcp_send")
-            sent = record.conn.try_send(action.text)
-            if not sent:
-                try:
-                    yield from record.conn.send(action.text)
-                    sent = True
-                except TcpError:
-                    sent = False
+            sent = yield from self._write(record, text)
         finally:
-            shared.send_lock.release()
+            wc.send_lock.release()
         if sent:
-            self.stats.messages_sent += 1
             yield from self.idle.on_activity(record, self.engine.now)
-        else:
-            self.stats.send_failures += 1
-
-    def _resolve_target(self, index: int, who: str, action: SendAction):
-        target = action.target
-        if isinstance(target, ToSource):
-            return target.source
-        if isinstance(target, ToBinding):
-            binding = target.binding
-            record = binding.conn
-            if isinstance(record, ConnRecord) and not record.closed:
-                return record
-            alias = (binding.addr, binding.port)
-            record = yield from self.conn_table.lookup_alias(alias, who)
-            if record is not None:
-                binding.conn = record
-                return record
-            return (yield from self._connect_out(index, who, binding))
-        if isinstance(target, ToVia):
-            return (yield from self.conn_table.lookup_alias(
-                (target.addr, target.port), who))
-        raise TypeError(f"unroutable target {target!r}")
-
-    def _connect_out(self, index: int, who: str, binding):
-        yield Compute(self.costs.connect_us, "tcpconn_connect")
-        try:
-            conn = yield from tcp_connect(self.machine, binding.addr,
-                                          binding.port)
-        except (PortExhaustedError, TcpError):
-            return None
-        desc = FileDescription(conn, "tcp-conn")
-        try:
-            fd = self.fdtable.install(desc)
-        except EmfileError:
-            conn.close()
-            return None
-        self.stats.outbound_connects += 1
-        self.stats.conns_created += 1
-        record = yield from self.conn_table.insert(conn, desc, index,
-                                                   self.engine.now, who)
-        record.sup_fd = fd
-        yield from self.idle.on_insert(record, self.engine.now)
-        yield from self.conn_table.set_alias(
-            record, (binding.addr, binding.port), who)
-        shared = _SharedConn(record, fd)
-        self.conns[conn] = shared
-        self._inboxes[index].append(shared)
-        self._inbox_signals[index].fire()
-        binding.conn = record
-        return record
-
-    def _timer_send(self, action: SendAction):
-        self.stats.send_failures += 1
-        return
-        yield  # pragma: no cover
 
 
 class _InboxSource:

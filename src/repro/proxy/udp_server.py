@@ -1,112 +1,33 @@
 """The Fig. 2 architecture: symmetric UDP worker processes.
 
-Every worker runs the same loop — receive a datagram from the shared
-socket, process it, transmit the results — with no connection state and
-no supervisor.  Only the transaction table (and the timer list) are
-shared, and a timer process retransmits unanswered forwards because UDP
-will not.
+The datagram skeleton over a connectionless, unreliable socket: no
+connection state, no supervisor, and a timer process that retransmits
+unanswered forwards because UDP will not.
 """
 
 from repro.net.udp import UdpEndpoint
-from repro.proxy.base import BaseProxyServer
-from repro.proxy.routing import SendAction, ToBinding, ToSource, ToVia
-from repro.sim.primitives import Compute
+from repro.proxy.datagram import DatagramProxyServer
+from repro.proxy.routing import ToBinding, ToSource, ToVia
 
 
-class UdpProxyServer(BaseProxyServer):
+class UdpProxyServer(DatagramProxyServer):
     """OpenSER over UDP."""
+
+    worker_stem = "udp-worker"
 
     def __init__(self, machine, config, costs=None) -> None:
         super().__init__(machine, config, costs)
         self.socket = UdpEndpoint(machine, config.port,
                                   rcvbuf_datagrams=config.udp_rcvbuf_datagrams)
-        self._worker_procs = []
-        self.supports_restart = True
+        self._receive = self.socket.recvfrom
+        self._recv_cost = (self.costs.udp_recv_us, "udp_rcv_loop")
+        self._send_cost = (self.costs.udp_send_us, "udp_send")
 
-    def queue_fill(self) -> float:
-        """Socket receive-buffer fill — the UDP overload panic signal:
-        once this saturates, arrivals are silently dropped and the
-        retransmission spiral begins."""
-        buffer = self.socket.buffer
-        return len(buffer.queue) / buffer.capacity
+    @staticmethod
+    def _unpack(dgram):
+        return dgram.payload, dgram.source, dgram.trace_id
 
-    def _spawn_processes(self) -> None:
-        for index in range(self.config.workers):
-            proc = self.machine.spawn(
-                self._worker_body(index), f"udp-worker-{index}",
-                nice=self.config.worker_nice)
-            self._worker_procs.append(proc)
-            self.processes.append(proc)
-        self.processes.append(self.machine.spawn(
-            self._timer_body(), "timer-proc", nice=self.config.worker_nice))
-
-    # -- fault-injection / watchdog surface -----------------------------
-    def worker_processes(self):
-        return list(enumerate(self._worker_procs))
-
-    def worker_work_pending(self, index: int) -> bool:
-        # Symmetric workers share the socket: any receive backlog is
-        # work this worker should be helping drain.
-        return len(self.socket.buffer.queue) > 0
-
-    def restart_worker(self, index: int):
-        """Replace worker ``index``.  UDP workers hold no connection
-        state, so recovery is just reap + respawn; the socket's backlog
-        carries over untouched."""
-        who = f"udp-worker-{index}"
-        old = self._worker_procs[index]
-        old.kill()
-        # See TcpProxyServer.restart_worker: break any lock a suspended
-        # worker died holding (kill() handles the common case).
-        for lock in (self.txn_table.lock, self.timer_list.lock):
-            if lock.held and lock.owner == who:
-                lock.release()
-        if old.fdtable is not None:
-            old.fdtable.close_all()
-        if self.causal is not None:
-            # Drop the dead worker's trace-id context before its namesake
-            # successor starts (mirrors TcpProxyServer.restart_worker).
-            self.causal.ctx_end(f"{self.machine.name}/{who}")
-        proc = self.machine.spawn(self._worker_body(index), who,
-                                  nice=self.config.worker_nice)
-        self._worker_procs[index] = proc
-        self.processes[self.processes.index(old)] = proc
-        proc.start()
-        self.stats.workers_restarted += 1
-        return {}
-
-    # ------------------------------------------------------------------
-    def _worker_body(self, index: int):
-        who = f"udp-worker-{index}"
-        proc_name = f"{self.machine.name}/{who}"
-        causal = self.causal
-        heartbeats = self.worker_heartbeat_us
-        while True:
-            heartbeats[index] = self.engine.now
-            dgram = yield from self.socket.recvfrom()
-            heartbeats[index] = self.engine.now
-            if causal is not None:
-                causal.ctx_begin(proc_name, dgram.trace_id
-                                 if dgram.trace_id is not None
-                                 else causal.sniff(dgram.payload))
-            try:
-                yield Compute(self.costs.udp_recv_us, "udp_rcv_loop")
-                actions = yield from self.core.process(
-                    dgram.payload, source=dgram.source, who=who)
-                yield from self._execute(actions)
-            finally:
-                if causal is not None:
-                    causal.ctx_end(proc_name)
-
-    def _execute(self, actions):
-        for action in actions:
-            yield Compute(self.costs.udp_send_us, "udp_send")
-            addr, port = self._resolve(action)
-            self.socket.sendto(action.text, addr, port)
-            self.stats.messages_sent += 1
-
-    def _resolve(self, action: SendAction):
-        target = action.target
+    def _resolve(self, target):
         if isinstance(target, ToSource):
             return target.source
         if isinstance(target, ToBinding):
@@ -115,8 +36,6 @@ class UdpProxyServer(BaseProxyServer):
             return (target.addr, target.port)
         raise TypeError(f"unroutable target {target!r}")
 
-    def _timer_send(self, action: SendAction):
-        yield Compute(self.costs.udp_send_us, "udp_send")
-        addr, port = self._resolve(action)
-        self.socket.sendto(action.text, addr, port)
-        self.stats.messages_sent += 1
+    def _transmit(self, text: str, dest) -> bool:
+        self.socket.sendto(text, *dest)
+        return True

@@ -316,15 +316,32 @@ class TestLiveAttribution:
         attribution = aggregate_journeys(journeys)
         assert attribution["shares"]["ipc"] == 0.0
 
-    def test_causal_off_produces_identical_numbers(self):
+    @staticmethod
+    def observed_like_unobserved(transport):
+        """Run one cell plain and causal-traced; the simulated numbers
+        must agree.  Returns the traced run's journeys."""
         bed = Testbed(seed=3)
         proxy = build_proxy(bed.server, ProxyConfig(
-            transport="tcp", workers=4)).start()
+            transport=transport, workers=4)).start()
         plain = BenchmarkManager(bed, proxy,
                                  Workload(clients=5, **SMALL)).run()
-        __, __, traced, __ = run_causal_cell(seed=3)
+        __, __, traced, journeys = run_causal_cell(transport=transport,
+                                                   seed=3)
         assert traced.throughput_ops_s == plain.throughput_ops_s
         assert traced.ops == plain.ops
+        return journeys
+
+    def test_causal_off_produces_identical_numbers(self):
+        self.observed_like_unobserved("tcp")
+
+    @pytest.mark.parametrize("transport", ["tcp-threaded", "sctp"])
+    def test_alt_arch_workers_carry_the_causal_context(self, transport):
+        # The shared worker loops open a per-message context for every
+        # flavor: CPU spent on a message attributes to it (0.0 for these
+        # two while they ran their own loop copies).
+        journeys = self.observed_like_unobserved(transport)
+        assert_identity(journeys)
+        assert aggregate_journeys(journeys)["shares"]["cpu"] > 0.0
 
     def test_rejected_503_journey_has_no_ipc_segment(self):
         # The 503 fast path replies on the arrival connection: no

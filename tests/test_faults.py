@@ -267,6 +267,18 @@ def crash_spec(watchdog, **overrides):
     return ExperimentSpec(**kw)
 
 
+def post_over_pre(result, pre_us, post_from_us):
+    """Sampled client goodput after ``post_from_us`` over goodput in the
+    first ``pre_us`` of the measurement window (the fault sits between)."""
+    from repro.obs.metrics import series_window_mean
+    t0, t_end = result.metrics["window_us"]
+    pre = series_window_mean(result.metrics, "client_goodput_cps",
+                             from_us=t0, to_us=t0 + pre_us)
+    post = series_window_mean(result.metrics, "client_goodput_cps",
+                              from_us=t0 + post_from_us, to_us=t_end)
+    return post / pre
+
+
 def test_worker_crash_with_watchdog_restarts_and_redispatches():
     from repro.analysis.experiments import run_cell
     result = run_cell(crash_spec(watchdog=True, fd_cache=True))
@@ -286,18 +298,10 @@ def test_worker_crash_without_watchdog_loses_goodput():
     """The crashed worker's share of round-robin assignments stays dark
     without recovery; with the watchdog the loss is repaired."""
     from repro.analysis.experiments import run_cell
-    from repro.obs.metrics import series_window_mean
-
-    def post_over_pre(result):
-        t0, t_end = result.metrics["window_us"]
-        pre = series_window_mean(result.metrics, "client_goodput_cps",
-                                 from_us=t0, to_us=t0 + 150_000.0)
-        post = series_window_mean(result.metrics, "client_goodput_cps",
-                                  from_us=t0 + 350_000.0, to_us=t_end)
-        return post / pre
-
-    unprotected = post_over_pre(run_cell(crash_spec(watchdog=False)))
-    protected = post_over_pre(run_cell(crash_spec(watchdog=True)))
+    unprotected = post_over_pre(run_cell(crash_spec(watchdog=False)),
+                                150_000.0, 350_000.0)
+    protected = post_over_pre(run_cell(crash_spec(watchdog=True)),
+                              150_000.0, 350_000.0)
     assert unprotected < 0.8
     assert protected >= 0.9
     assert protected > unprotected
@@ -314,18 +318,69 @@ def test_worker_hang_is_detected_and_restarted():
     assert result.calls_completed > 0
 
 
-def test_udp_worker_crash_restart():
-    from repro.analysis.experiments import ExperimentSpec, run_cell
+def crash_restart_spec(series, watchdog=True):
+    from repro.analysis.experiments import ExperimentSpec
     plan = FaultPlan([WorkerCrash(start_us=100_000.0, worker=2)])
-    result = run_cell(ExperimentSpec(
-        series="udp", clients=16, seed=3, workers=6,
+    return ExperimentSpec(
+        series=series, clients=16, seed=3, workers=6,
         warmup_us=150_000.0, measure_us=400_000.0, sip_t1_us=20_000.0,
         offered_cps=400.0, sample_us=10_000.0, scale_windows=False,
-        fault_plan=plan.to_dict(), watchdog=True))
+        fault_plan=plan.to_dict(), watchdog=watchdog)
+
+
+@pytest.mark.parametrize("series", ["udp", "sctp", "tcp-threaded"])
+def test_udp_worker_crash_restart(series):
+    """Every flavor restarts a crashed worker from the shared template."""
+    from repro.analysis.experiments import run_cell
+    result = run_cell(crash_restart_spec(series))
     restarts = result.faults["restarts"]
     assert len(restarts) == 1 and restarts[0]["reason"] == "crash"
     assert result.proxy.stats.workers_restarted == 1
+    assert all(proc.alive for __, proc in result.proxy.worker_processes())
     assert result.calls_completed > 0
+    if series == "tcp-threaded":
+        # The dead thread's connections were re-queued for its successor.
+        assert restarts[0]["redispatched"] > 0
+
+
+def test_threaded_crash_without_watchdog_loses_goodput():
+    """As for process TCP: a dead thread's connections stay dark until
+    the watchdog replaces it and re-queues them."""
+    from repro.analysis.experiments import run_cell
+    unprotected = post_over_pre(run_cell(
+        crash_restart_spec("tcp-threaded", watchdog=False)),
+        100_000.0, 250_000.0)
+    protected = post_over_pre(run_cell(crash_restart_spec("tcp-threaded")),
+                              100_000.0, 250_000.0)
+    assert unprotected < 0.8
+    assert protected >= 0.9
+
+
+@pytest.mark.parametrize("transport", ["udp", "sctp", "tcp", "tcp-threaded"])
+def test_every_flavor_exposes_its_workers_to_the_watchdog(transport):
+    bed = Testbed(seed=1)
+    proxy = build_proxy(bed.server, ProxyConfig(
+        transport=transport, workers=3)).start()
+    Watchdog(proxy)  # no flavor is refused
+    assert [i for i, __ in proxy.worker_processes()] == [0, 1, 2]
+    proxy.crash_worker(1)
+    proxy.restart_worker(1)
+    assert all(proc.alive for __, proc in proxy.worker_processes())
+    assert proxy.stats.workers_restarted == 1
+
+
+def test_sctp_reports_receive_backlog():
+    """The occupancy controller's queue signal and the watchdog's
+    work-pending gate read SCTP's receive buffer (both were constant)."""
+    bed = Testbed(seed=1)
+    proxy = build_proxy(bed.server, ProxyConfig(
+        transport="sctp", workers=2, udp_rcvbuf_datagrams=8))
+    assert proxy.queue_fill() == 0.0
+    assert not proxy.worker_work_pending(0)
+    for n in range(4):
+        proxy.socket.buffer.push((None, f"message {n}"))
+    assert proxy.queue_fill() == 0.5
+    assert proxy.worker_work_pending(0)
 
 
 def test_ipc_stall_wedges_and_recovers():

@@ -44,7 +44,7 @@ class TestSctp:
     def test_associations_reused_per_phone(self):
         __, proxy, __ = run_cell("sctp")
         # 5 callers + 5 callees, one association each.
-        assert len(proxy.endpoint.associations) == 10
+        assert len(proxy.socket.associations) == 10
 
 
 class TestThreaded:
