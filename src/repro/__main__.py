@@ -366,7 +366,7 @@ def main(argv=None) -> int:
         sample_us=sample_us,
         trace=args.trace is not None,
     ) for clients in args.clients]
-    if args.trace:
+    if any(spec.live_only for spec in specs):
         outcomes = _run_traced(specs, args.trace)
     else:
         jobs = args.jobs if args.jobs is not None else default_jobs()

@@ -58,10 +58,8 @@ def spec_payload(spec) -> Optional[dict]:
     """
     from repro.analysis.experiments import TIME_COMPRESSION, _scale
 
-    if getattr(spec, "trace", False) or getattr(spec, "causal", False):
-        # Traced/causal runs exist for their live tracer, which a cached
-        # (or pickled) result cannot carry — never serve them from disk.
-        return None
+    if spec.live_only:
+        return None  # never serve a live sink's cell from disk
     payload = {"schema": SCHEMA_VERSION,
                "scale": _scale(),
                "time_compression": TIME_COMPRESSION}

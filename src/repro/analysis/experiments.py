@@ -118,6 +118,13 @@ class ExperimentSpec:
     #: run the supervisor watchdog (crash/hang/deadlock restarts)
     watchdog: bool = False
 
+    @property
+    def live_only(self) -> bool:
+        """The cell exists for a live sink (``result.tracer`` /
+        ``result.causal``), which no cached or pickled result can carry:
+        uncacheable, and serial-only."""
+        return self.trace or self.causal
+
     def transport(self) -> str:
         return SERIES_DEF[self.series][0]
 
@@ -212,18 +219,16 @@ def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
     detector = watchdog = injector = None
     if spec.detect_deadlocks:
         from repro.faults import DeadlockDetector
-        detector = DeadlockDetector(bed.engine, tracer=bed.tracer)
+        detector = DeadlockDetector(bed.engine)
         detector.watch_proxy(proxy)
         detector.start()
     if spec.watchdog:
         from repro.faults import Watchdog
-        watchdog = Watchdog(proxy, detector=detector,
-                            tracer=bed.tracer).start()
+        watchdog = Watchdog(proxy, detector=detector).start()
     if spec.fault_plan:
         from repro.faults import FaultInjector, FaultPlan
         injector = FaultInjector(bed, proxy,
-                                 FaultPlan.from_dict(spec.fault_plan),
-                                 tracer=bed.tracer)
+                                 FaultPlan.from_dict(spec.fault_plan))
         manager.on_measure_start.append(injector.arm)
     sampler = None
     if spec.sample_us is not None:

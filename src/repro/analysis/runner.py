@@ -90,7 +90,7 @@ def run_cells(specs: Iterable[ExperimentSpec],
     """
     specs = list(specs)
     for spec in specs:
-        if getattr(spec, "trace", False) or getattr(spec, "causal", False):
+        if spec.live_only:
             raise ValueError(
                 "trace=True/causal=True cells need their live tracer, "
                 "which cannot cross the runner's process/cache boundary; "

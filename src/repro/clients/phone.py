@@ -87,8 +87,6 @@ class Phone:
         self.reliable = transport in ("tcp", "sctp")
         self.builder = MessageBuilder(user, domain, machine.name, port,
                                       transport, rng)
-        #: causal tracer inherited from the machine (None = attribution off)
-        self.causal = getattr(machine, "causal", None)
         # -- state -------------------------------------------------------
         self.registered = False
         self.registration_failures = 0
@@ -361,16 +359,16 @@ class Phone:
             if not done.fired:
                 done.fire(None)
 
-        causal = self.causal
+        probe = self.machine.probe
         tid = (f"{request.call_id}/{request.method}"
-               if causal is not None else None)
+               if probe is not None else None)
         send_fn = self._send_text
-        if causal is not None:
+        if probe is not None:
             # Mark every send, retransmissions included, so the journey
             # window clock starts at the *first* send (earliest wins in
             # journey_windows) and duplicate marks witness timer A/E.
             def send_fn(text):
-                causal.mark(tid, "uac_send", self.user)
+                probe.mark(tid, "uac_send", self.user)
                 self._send_text(text)
         txn = ClientTransaction(self.engine, request, send_fn,
                                 self.reliable, self.timers,
@@ -379,8 +377,8 @@ class Phone:
         self._client_txns[txn.branch] = txn
         txn.start()
         final = yield Wait(done)
-        if causal is not None and final is not None:
-            causal.mark(tid, "uac_final", self.user)
+        if probe is not None and final is not None:
+            probe.mark(tid, "uac_final", self.user)
         self._client_txns.pop(txn.branch, None)
         self.retransmissions += txn.retransmissions
         txn.cancel()

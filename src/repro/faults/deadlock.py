@@ -92,14 +92,15 @@ class DeadlockDetector:
     """Periodic wait-for-graph scans over registered IPC endpoints."""
 
     def __init__(self, engine, period_us: float = DEFAULT_PERIOD_US,
-                 min_blocked_us: float = 0.0, tracer=None) -> None:
+                 min_blocked_us: float = 0.0) -> None:
         self.engine = engine
         self.period_us = period_us
         #: ignore endpoints blocked for less than this (0 = any blocked
         #: endpoint counts; the cycle requirement already filters
         #: transient backpressure)
         self.min_blocked_us = min_blocked_us
-        self.tracer = tracer
+        #: the watched proxy's probe (set by :meth:`watch_proxy`)
+        self.probe = None
         #: (endpoint, owner, peer): ``owner`` blocks on ``endpoint``;
         #: only ``peer`` can unblock it
         self._watched: List[Tuple[object, str, str]] = []
@@ -122,6 +123,7 @@ class DeadlockDetector:
         ``ipc_topology()`` (a no-op for supervisor-less architectures)."""
         for endpoint, owner, peer in proxy.ipc_topology():
             self.watch(endpoint, owner, peer)
+        self.probe = proxy.probe
         return self
 
     # ------------------------------------------------------------------
@@ -158,10 +160,10 @@ class DeadlockDetector:
                       "blocked_us": now - formed}
             self.detections.append(record)
             new.append(record)
-            if self.tracer is not None:
-                self.tracer.instant("deadlock_detected", cat="faults",
-                                    who="deadlock-detector",
-                                    members=",".join(record["members"]))
+            if self.probe is not None:
+                self.probe.instant("deadlock_detected", cat="faults",
+                                   who="deadlock-detector",
+                                   members=",".join(record["members"]))
         # Dissolved cycles leave the active set, so a re-formed cycle
         # (post-restart relapse) is reported as a fresh detection.
         self.active = current

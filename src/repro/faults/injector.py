@@ -17,7 +17,7 @@ ipc-stall               ``IpcChannel.stall`` / ``unstall``
 ======================  ================================================
 
 Every apply/revert is appended to :attr:`FaultInjector.log` (plain JSON)
-and, when a tracer is attached, emitted as an instant event so faults
+and, when the testbed is traced, emitted as an instant event so faults
 line up with proxy spans in the Chrome trace.
 """
 
@@ -31,12 +31,11 @@ from repro.faults.plan import (FaultPlan, FaultPlanError, IpcStall,
 class FaultInjector:
     """Schedules one plan's events against one testbed + proxy."""
 
-    def __init__(self, testbed, proxy, plan: FaultPlan, tracer=None) -> None:
+    def __init__(self, testbed, proxy, plan: FaultPlan) -> None:
         self.engine = testbed.engine
         self.fabric = testbed.fabric
         self.proxy = proxy
         self.plan = plan
-        self.tracer = tracer
         #: JSON-ready record of every apply/revert, in simulated order
         self.log: List[Dict] = []
         self.armed_at: Optional[float] = None
@@ -62,9 +61,9 @@ class FaultInjector:
         entry = {"t_us": self.engine.now, "action": action}
         entry.update(event.to_dict())
         self.log.append(entry)
-        if self.tracer is not None:
-            self.tracer.instant(f"fault_{action}", cat="faults",
-                                who="injector", kind=event.kind)
+        if self.proxy.probe is not None:
+            self.proxy.probe.instant(f"fault_{action}", cat="faults",
+                                     who="injector", kind=event.kind)
 
     def _apply(self, event) -> None:
         fabric = self.fabric

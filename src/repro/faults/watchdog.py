@@ -40,13 +40,12 @@ class Watchdog:
 
     def __init__(self, proxy, period_us: float = DEFAULT_PERIOD_US,
                  hang_timeout_us: float = DEFAULT_HANG_TIMEOUT_US,
-                 detector=None, tracer=None) -> None:
+                 detector=None) -> None:
         self.proxy = proxy
         self.engine = proxy.engine
         self.period_us = period_us
         self.hang_timeout_us = hang_timeout_us
         self.detector = detector
-        self.tracer = tracer
         #: JSON-ready restart records, in simulated order
         self.restarts: List[Dict] = []
         self.checks = 0
@@ -102,9 +101,10 @@ class Watchdog:
                   "reason": reason}
         record.update(info)
         self.restarts.append(record)
-        if self.tracer is not None:
-            self.tracer.instant("worker_restart", cat="faults",
-                                who="watchdog", worker=index, reason=reason)
+        if self.proxy.probe is not None:
+            self.proxy.probe.instant("worker_restart", cat="faults",
+                                     who="watchdog", worker=index,
+                                     reason=reason)
 
     # ------------------------------------------------------------------
     def gauge_probes(self) -> Dict[str, object]:

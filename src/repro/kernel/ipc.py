@@ -112,13 +112,11 @@ class IpcEndpoint:
         while self._out.full:
             if self.blocked_sending_since is None:
                 self.blocked_sending_since = self._engine.now
-                tracer = self.channel.tracer
-                if tracer is not None:
-                    tracer.instant("ipc_send_blocked", cat="ipc",
-                                   who=self.name, kind=msg.kind)
-            if self.channel.causal is not None:
-                self.channel.causal.hint_block("ipc")
-            yield Wait(self._out.writable_signal)
+                probe = self.channel.probe
+                if probe is not None:
+                    probe.instant("ipc_send_blocked", cat="ipc",
+                                  who=self.name, kind=msg.kind)
+            yield Wait(self._out.writable_signal, "ipc")
         self.blocked_sending_since = None
         self._enqueue(msg)
 
@@ -127,9 +125,7 @@ class IpcEndpoint:
         while self._in.empty:
             if self.blocked_receiving_since is None:
                 self.blocked_receiving_since = self._engine.now
-            if self.channel.causal is not None:
-                self.channel.causal.hint_block("ipc")
-            yield Wait(self._in.readable_signal)
+            yield Wait(self._in.readable_signal, "ipc")
         self.blocked_receiving_since = None
         return self._dequeue()
 
@@ -182,18 +178,15 @@ class IpcChannel:
     equivalent observable behaviour for fixed-size control messages).
     """
 
-    def __init__(self, engine, capacity: int = 64, name: str = "ipc",
-                 tracer=None) -> None:
+    def __init__(self, engine, capacity: int = 64,
+                 name: str = "ipc") -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.engine = engine
         self.name = name
-        #: optional span tracer (endpoints reach it via the channel; a
-        #: None tracer keeps the blocking paths emission-free)
-        self.tracer = tracer
-        #: optional causal tracer: blocked sends/receives hint their wait
-        #: reason so the scheduler attributes them as IPC time
-        self.causal = None
+        #: optional probe (endpoints reach it via the channel; None keeps
+        #: the blocking paths emission-free)
+        self.probe = None
         self._a2b = _Direction(engine, capacity, f"{name}.a2b")
         self._b2a = _Direction(engine, capacity, f"{name}.b2a")
         self.a = IpcEndpoint(self, self._a2b, self._b2a, f"{name}.a")

@@ -50,9 +50,9 @@ class SpinLock:
         self.yield_syscall_us = yield_syscall_us
         self.held = False
         self.owner: Optional[str] = None
-        #: optional span tracer (spans only on the contended path, so the
+        #: optional probe (spans only on the contended path, so the
         #: uncontended fast path stays emission-free)
-        self.tracer = None
+        self.probe = None
         #: statistics
         self.acquisitions = 0
         self.contentions = 0
@@ -66,10 +66,10 @@ class SpinLock:
         while self.held:
             if not contended:
                 contended = True
-                if self.tracer is not None:
-                    span = self.tracer.begin("lock_spin", cat="kernel",
-                                             who=who, lock=self.name,
-                                             holder=self.owner)
+                if self.probe is not None:
+                    span = self.probe.begin("lock_spin", cat="kernel",
+                                            who=who, lock=self.name,
+                                            holder=self.owner)
             spun = 0
             while self.held and spun < self.spins_before_yield:
                 yield Compute(self.spin_us, f"lock.{self.name}.spin")
@@ -81,7 +81,7 @@ class SpinLock:
         if contended:
             self.contentions += 1
             if span is not None:
-                self.tracer.end(span)
+                self.probe.end(span)
         self.held = True
         self.owner = who
         self.acquisitions += 1
@@ -114,9 +114,6 @@ class KMutex:
         self._waiters = Signal(engine, name=f"{name}.waiters")
         self.acquisitions = 0
         self.contentions = 0
-        #: optional causal tracer: blocked acquires hint their wait
-        #: reason so the scheduler attributes them as lock time
-        self.causal = None
 
     def acquire(self, who: str = "?"):
         """Generator: block (off-CPU) until the mutex is ours."""
@@ -124,9 +121,7 @@ class KMutex:
         contended = False
         while self.held:
             contended = True
-            if self.causal is not None:
-                self.causal.hint_block("lock")
-            yield Wait(self._waiters)
+            yield Wait(self._waiters, "lock")
         if contended:
             self.contentions += 1
         self.held = True

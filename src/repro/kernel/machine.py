@@ -26,9 +26,7 @@ class Machine:
         n_cores: int = 4,
         quantum_us: float = 2000.0,
         ctx_switch_us: float = 1.5,
-        profiler=None,
-        tracer=None,
-        causal=None,
+        probe=None,
         fd_limit: int = 1024,
         ephemeral_ports: int = 28232,
         time_wait_us: float = 60_000_000.0,
@@ -36,19 +34,13 @@ class Machine:
         self.engine = engine
         self.name = name
         self.address = name  # the fabric addresses machines by name
-        self.profiler = profiler
-        #: optional span tracer, propagated to the scheduler and read by
-        #: the proxy architectures (None = tracing off, zero overhead)
-        self.tracer = tracer
-        #: optional causal tracer, shared testbed-wide (trace ids cross
-        #: machines) and propagated the same way
-        self.causal = causal
+        #: optional :class:`~repro.obs.probe.Probe`, shared testbed-wide;
+        #: the proxy and the phones on this machine read it here
+        self.probe = probe
         self.scheduler = Scheduler(engine, n_cores=n_cores,
                                    quantum_us=quantum_us,
                                    ctx_switch_us=ctx_switch_us,
-                                   profiler=profiler,
-                                   tracer=tracer,
-                                   causal=causal)
+                                   probe=probe)
         self.fd_limit = fd_limit
         self.tcp_ports = PortAllocator(
             engine, lo=32768, hi=32768 + ephemeral_ports,

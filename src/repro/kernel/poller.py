@@ -30,9 +30,6 @@ class Poller:
         self.name = name
         self.sources: List = []
         self._waker: Signal = None
-        #: optional causal tracer: a mid-message poller wait (rare — the
-        #: loops usually poll between messages) attributes as sockq time
-        self.causal = None
 
     def _on_data(self, value=None) -> None:
         waker = self._waker
@@ -70,9 +67,9 @@ class Poller:
             timer = None
             if timeout_us is not None:
                 timer = self.engine.schedule(timeout_us, self._on_data, None)
-            if self.causal is not None:
-                self.causal.hint_block("sockq")
-            yield Wait(waker)
+            # A mid-message poller wait (rare — the loops usually poll
+            # between messages) attributes as socket-queue time.
+            yield Wait(waker, "sockq")
             if timer is not None:
                 timer.cancel()
             self._waker = None

@@ -12,15 +12,16 @@ reproduces it with a CFS-style model:
   processes wait out the current slice, as a nice-0 supervisor must).
 
 CPU time consumed by each :class:`~repro.sim.primitives.Compute` burst is
-attributed to its label through the optional profiler, which is how the
-OProfile tables in §5 are regenerated.
+attributed to its label through the optional probe
+(:mod:`repro.obs.probe`), which is how the OProfile tables in §5 are
+regenerated.
 """
 
 import heapq
 from typing import Any, Iterator, List, Optional
 
 from repro.sim.engine import Engine, Scheduled
-from repro.sim.primitives import Compute, YieldCPU
+from repro.sim.primitives import Compute, Wait, YieldCPU
 from repro.sim.process import SimProcess
 
 #: The Linux ``prio_to_weight`` table (kernel/sched.c), nice −20 … +19.
@@ -78,9 +79,7 @@ class Scheduler:
         o1_model: bool = True,
         o1_timeslice_us: float = 60_000.0,
         o1_park_us: float = 60_000.0,
-        profiler=None,
-        tracer=None,
-        causal=None,
+        probe=None,
     ) -> None:
         if n_cores < 1:
             raise ValueError("need at least one core")
@@ -102,13 +101,10 @@ class Scheduler:
         self.o1_model = o1_model
         self.o1_timeslice_us = o1_timeslice_us
         self.o1_park_us = o1_park_us
-        self.profiler = profiler
-        #: optional span tracer; every hook below guards on None so the
-        #: untraced hot path costs one attribute load and a branch
-        self.tracer = tracer
-        #: optional causal tracer (run-queue wait, blocked-wait and CPU
-        #: charge attribution), same None-guard discipline as the tracer
-        self.causal = causal
+        #: optional :class:`~repro.obs.probe.Probe`; every hook below
+        #: guards on None so the unobserved hot path costs one attribute
+        #: load and a branch
+        self.probe = probe
         self._runqueue: List[tuple] = []  # (vruntime, seq, proc)
         self._seq = 0
         self._min_vruntime = 0.0
@@ -139,15 +135,15 @@ class Scheduler:
         proc.cpu_debt = 0.0
         proc.sleep_credit = 0.0
         proc.epochs_parked += 1
-        if self.tracer is not None:
+        probe = self.probe
+        if probe is not None:
             # The §4.3 starvation ingredient, visible per-process.
-            self.tracer.instant("o1_park", cat="kernel", who=proc.name,
-                                park_us=self.o1_park_us)
-        if self.causal is not None:
+            probe.instant("o1_park", cat="kernel", who=proc.name,
+                          park_us=self.o1_park_us)
             # An epoch in the expired array is scheduler-induced wait:
             # attribute it as run-queue time (earliest stamp wins, so the
             # eventual _fill_core pop covers park + queueing in one go).
-            self.causal.on_runq_push(proc.name)
+            probe.runq_push(proc.name)
         self.engine.schedule(self.o1_park_us, self._unpark, proc)
 
     def _push_ready(self, proc: "KernelProcess") -> None:
@@ -165,8 +161,8 @@ class Scheduler:
         self._seq += 1
         proc.in_runqueue = True
         heapq.heappush(self._runqueue, (proc.vruntime, self._seq, proc))
-        if self.causal is not None:
-            self.causal.on_runq_push(proc.name)
+        if self.probe is not None:
+            self.probe.runq_push(proc.name)
 
     def _pop_ready(self) -> Optional["KernelProcess"]:
         while self._runqueue:
@@ -194,8 +190,8 @@ class Scheduler:
             return  # waiting out an expired-array epoch
         if proc.blocked_at is not None:
             slept = self.engine.now - proc.blocked_at
-            if self.causal is not None:
-                self.causal.on_block_end(proc.name, proc.blocked_at)
+            if self.probe is not None:
+                self.probe.block_end(proc.name, proc.blocked_at)
             proc.blocked_at = None
             proc.sleep_credit = min(proc.sleep_credit + slept,
                                     self.o1_park_us)
@@ -249,8 +245,8 @@ class Scheduler:
         proc = self._pop_ready()
         if proc is None:
             return
-        if self.causal is not None:
-            self.causal.on_runq_pop(proc.name)
+        if self.probe is not None:
+            self.probe.runq_pop(proc.name)
         core.current = proc
         proc.core = core
         # Switching back to the process that last ran here is (nearly)
@@ -281,19 +277,17 @@ class Scheduler:
         proc.vruntime += us * NICE_0_WEIGHT / proc.weight
         proc.cpu_us += us
         proc.cpu_debt += us
-        if self.profiler is not None:
-            self.profiler.record(label, us, proc.name)
-        if self.causal is not None:
-            self.causal.on_charge(proc.name, label, us)
+        if self.probe is not None:
+            self.probe.charge(label, us, proc.name)
 
     def _settle_ctx(self, core: _Core, proc: "KernelProcess") -> None:
         if core.ctx_pending > 0:
             core.busy_us += core.ctx_pending
             self._charge(proc, core.ctx_pending, "kernel.context_switch")
             core.ctx_pending = 0.0
-            if self.tracer is not None:
-                self.tracer.instant("context_switch", cat="kernel",
-                                    who=proc.name, core=core.index)
+            if self.probe is not None:
+                self.probe.instant("context_switch", cat="kernel",
+                                   who=proc.name, core=core.index)
 
     def _slice_end(self, core: _Core, proc: "KernelProcess") -> None:
         if core.current is not proc:
@@ -312,10 +306,8 @@ class Scheduler:
             proc.vruntime += ran * NICE_0_WEIGHT / proc.weight
             proc.cpu_us += ran
             proc.cpu_debt += ran
-            if self.profiler is not None:
-                self.profiler.record(pending[1], ran, proc.name)
-            if self.causal is not None:
-                self.causal.on_charge(proc.name, pending[1], ran)
+            if self.probe is not None:
+                self.probe.charge(pending[1], ran, proc.name)
         pending[0] -= ran
         if pending[0] > 1e-9:
             # Quantum expired mid-burst: requeue if a peer deserves the core.
@@ -524,12 +516,10 @@ class KernelProcess(SimProcess):
             return
         # Blocking (Wait/Sleep), forking or exiting: release the core first.
         self.blocked_at = self.engine.now
-        causal = self.scheduler.causal
-        if causal is not None:
-            # Claim the block-reason hint the yielding primitive left
-            # (dispatch runs synchronously during the yield, so the hint
-            # can only belong to this process).
-            causal.on_block_start(self.name)
+        probe = self.scheduler.probe
+        if probe is not None and isinstance(effect, Wait) \
+                and effect.why is not None:
+            probe.block_start(self.name, effect.why)
         if self.core is not None:
             self.scheduler.release_core_of(self)
         super()._dispatch(effect)

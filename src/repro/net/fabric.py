@@ -64,13 +64,9 @@ class Fabric:
         self.packets_lost = 0
         self.packets_partitioned = 0
         self.bytes_sent = 0
-        #: attached CausalTracer (net endpoints read it off the fabric so
-        #: every machine shares one trace-id space); None when disabled
-        self.causal = None
-        #: µs spent queued behind the sender NIC (egress serialization),
-        #: accumulated only while causal tracing is on — a diagnostic
-        #: for how much of "network" time is bandwidth vs latency
-        self.egress_wait_us = 0.0
+        #: the testbed's probe (net endpoints read it off the fabric so
+        #: every machine shares one trace-id space); None when unobserved
+        self.probe = None
 
     def attach(self, machine) -> None:
         """Join a machine to the LAN (addressed by its name)."""
@@ -114,10 +110,7 @@ class Fabric:
         self.packets_sent += 1
         self.bytes_sent += size
         now = self.engine.now
-        free = self._egress_free[src_addr]
-        if self.causal is not None and free > now:
-            self.egress_wait_us += free - now
-        depart = max(now, free) + size / self.bandwidth
+        depart = max(now, self._egress_free[src_addr]) + size / self.bandwidth
         self._egress_free[src_addr] = depart
         if (src_addr, dst_addr) in self._partitioned:
             self.packets_lost += 1

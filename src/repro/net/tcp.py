@@ -162,15 +162,13 @@ class TcpConn:
         while self._flow_space() < len(data):
             if not self.open_for_send:
                 raise ConnectionResetError_("connection closed while blocked in send")
-            if fabric.causal is not None:
-                # Flow-controlled: the peer's receive window is full, so
-                # the wait is network time, not local queueing.
-                fabric.causal.hint_block("network")
-            yield Wait(self.peer.recv_buffer.writable_signal)
+            # Flow-controlled: the peer's receive window is full, so
+            # the wait is network time, not local queueing.
+            yield Wait(self.peer.recv_buffer.writable_signal, "network")
         self.in_flight += len(data)
         self.bytes_sent += len(data)
-        if fabric.causal is not None:
-            self._mark_send(fabric.causal, data)
+        if fabric.probe is not None:
+            self._mark_send(fabric.probe, data)
         offset = 0
         while offset < len(data):
             chunk = data[offset:offset + MSS]
@@ -187,8 +185,8 @@ class TcpConn:
         self.in_flight += len(data)
         self.bytes_sent += len(data)
         fabric = self.machine.fabric
-        if fabric.causal is not None:
-            self._mark_send(fabric.causal, data)
+        if fabric.probe is not None:
+            self._mark_send(fabric.probe, data)
         offset = 0
         while offset < len(data):
             chunk = data[offset:offset + MSS]
@@ -198,14 +196,14 @@ class TcpConn:
                            self._segment_arrive, chunk)
         return True
 
-    def _mark_send(self, causal, data: str) -> None:
+    def _mark_send(self, probe, data: str) -> None:
         """Tag the just-queued bytes with the message's trace id.
 
         The marker triggers when the peer's ``bytes_received`` reaches
         the stream offset of this message's last byte — TCP is in-order,
         so "last byte delivered" is when the whole message has crossed.
         """
-        tid = causal.sniff(data)
+        tid = probe.sniff(data)
         if tid is None:
             return
         if self._causal_marks is None:
@@ -220,14 +218,12 @@ class TcpConn:
         peer.bytes_received += len(chunk)
         peer.recv_buffer.push(chunk)
         marks = self._causal_marks
-        if marks:
-            causal = self.machine.fabric.causal
+        if marks:  # only a probe's sniff creates them
+            note = self.machine.fabric.probe.note
             now = self.engine.now
             while marks and marks[0][0] <= peer.bytes_received:
                 offset, tid, sent_at = marks.popleft()
-                if causal is None:
-                    continue
-                causal.note(tid, "network", "fabric", sent_at, now)
+                note(tid, "network", "fabric", sent_at, now)
                 if peer._sockq_marks is None:
                     peer._sockq_marks = collections.deque()
                 peer._sockq_marks.append((offset, tid, now))
@@ -253,15 +249,13 @@ class TcpConn:
 
     def _drain_sockq_marks(self) -> None:
         """Emit socket-queue segments for messages the reader consumed."""
-        causal = self.machine.fabric.causal
+        note = self.machine.fabric.probe.note
         marks = self._sockq_marks
         consumed = self.recv_buffer.consumed
         now = self.engine.now
         while marks and marks[0][0] <= consumed:
             __, tid, arrived_at = marks.popleft()
-            if causal is not None:
-                causal.note(tid, "sockq", self.recv_buffer.name,
-                            arrived_at, now)
+            note(tid, "sockq", self.recv_buffer.name, arrived_at, now)
 
     # -- teardown ----------------------------------------------------------
     def close(self) -> None:

@@ -53,9 +53,9 @@ class UdpEndpoint:
         dgram = Datagram(self.machine.address, self.port, dst_addr, dst_port,
                          payload)
         fabric = self.machine.fabric
-        causal = fabric.causal
-        if causal is not None:
-            dgram.trace_id = causal.sniff(payload)
+        probe = fabric.probe
+        if probe is not None:
+            dgram.trace_id = probe.sniff(payload)
             dgram.sent_at = fabric.engine.now
         fabric.deliver(self.machine.address, dst_addr, dgram.size,
                        self._arrive, fabric, dgram)
@@ -69,14 +69,13 @@ class UdpEndpoint:
             return  # ICMP port unreachable, which UDP senders ignore
         if endpoint.buffer.push(dgram):
             if dgram.trace_id is not None:
-                causal = fabric.causal
-                if causal is not None:
-                    dgram.queued_at = fabric.engine.now
-                    causal.note(dgram.trace_id, "network", "fabric",
-                                dgram.sent_at, dgram.queued_at)
+                # Only a probe's sniff tags a datagram.
+                dgram.queued_at = fabric.engine.now
+                fabric.probe.note(dgram.trace_id, "network", "fabric",
+                                  dgram.sent_at, dgram.queued_at)
             endpoint._recv_waiters.fire_one()
-        elif dgram.trace_id is not None and fabric.causal is not None:
-            fabric.causal.count("udp.tagged_drops")
+        elif dgram.trace_id is not None:
+            fabric.probe.count("udp.tagged_drops")
 
     def recvfrom(self):
         """Generator: block until a datagram arrives; returns it whole.
@@ -103,10 +102,9 @@ class UdpEndpoint:
         return dgram
 
     def _note_sockq(self, dgram: Datagram) -> None:
-        causal = self.machine.fabric.causal
-        if causal is not None:
-            causal.note(dgram.trace_id, "sockq", f"{self.machine.name}:udp",
-                        dgram.queued_at, self.machine.engine.now)
+        self.machine.fabric.probe.note(
+            dgram.trace_id, "sockq", f"{self.machine.name}:udp",
+            dgram.queued_at, self.machine.engine.now)
 
     @property
     def drops(self) -> int:

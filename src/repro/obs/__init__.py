@@ -30,9 +30,14 @@ the shares; this package reproduces the *mechanism view*:
   aggregates them into the stacked latency-attribution figure
   (``python -m repro fig-attr``).
 
-Every instrumentation hook in the simulator is a no-op when no tracer is
-attached (a ``tracer is None`` guard on the hot path), so the PR 1
-engine optimisations are preserved for untraced runs.
+The simulator reaches all of it through one seam,
+:class:`~repro.obs.probe.Probe`: every instrumented component holds a
+single ``probe`` attribute (``None`` unless the testbed observes
+something, so the unobserved hot path is one attribute load and a
+branch) and calls a fixed hook set on it; the probe owns the profiler,
+the span tracer and the causal tracer and binds each hook straight to
+its sink.  :class:`~repro.obs.metrics.MetricSampler` is the exception:
+it polls gauges from outside rather than being called.
 """
 
 from repro.obs.attribution import (
@@ -65,6 +70,7 @@ from repro.obs.metrics import (
     register_standard_probes,
     write_metrics_jsonl,
 )
+from repro.obs.probe import Probe
 from repro.obs.timeline import TimelineReport
 from repro.obs.tracer import Span, Tracer
 
@@ -75,6 +81,7 @@ __all__ = [
     "IPC_LABELS",
     "Journey",
     "MetricSampler",
+    "Probe",
     "Segment",
     "Span",
     "StreamingHistogram",

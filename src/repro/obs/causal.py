@@ -16,18 +16,17 @@ answers it automatically:
   transaction's journey window (:mod:`repro.obs.journey` reconstructs
   the critical path between them).
 
-Wiring follows the PR 2 tracer idiom exactly: components hold a
-``causal`` attribute that is ``None`` by default and every emission site
-guards with ``if causal is not None``, so the untraced hot path costs
-one attribute load and a branch.
+Wiring is :mod:`repro.obs.probe`'s: no component holds this tracer.
+They hold the testbed's ``probe`` (``None`` when nothing is observed)
+and call its hooks, which are this class's bound methods while causal
+tracing is on.
 
-Attribution of *blocked* waits uses a hint handshake: a blocking
-primitive calls :meth:`CausalTracer.hint_block` immediately before its
-``yield Wait(...)``; the scheduler's dispatch consumes the hint in
-:meth:`on_block_start` and :meth:`on_block_end` emits the classified
-segment when the process wakes.  The simulator is single-threaded and
-dispatch runs synchronously during the yield, so the single pending
-hint slot cannot be claimed by another process.
+Attribution of *blocked* waits travels with the request: a blocking
+primitive yields ``Wait(source, why)`` naming its wait state, the
+kernel process's dispatch passes ``why`` to :meth:`on_block_start`, and
+:meth:`on_block_end` emits the classified segment when the process
+wakes.  A ``Sleep``, or a ``Wait`` that names no reason, attributes
+nothing.
 """
 
 import collections
@@ -102,9 +101,7 @@ class CausalTracer:
         #: per-process trace-id context, keyed by FULL scheduler process
         #: name (e.g. ``server/tcp-worker-0``)
         self._ctx: Dict[str, str] = {}
-        #: single pending block-reason hint (see module docstring)
-        self._hint: Optional[str] = None
-        #: consumed hints parked until the blocked process wakes
+        #: block reasons parked until the blocked process wakes
         self._block_reason: Dict[str, str] = {}
         #: run-queue entry stamps for processes with an active context
         self._runq_since: Dict[str, float] = {}
@@ -175,17 +172,12 @@ class CausalTracer:
         return self._ctx.get(proc_name)
 
     # ------------------------------------------------------------------
-    # scheduler hooks (all called with causal-is-not-None already checked)
+    # scheduler hooks (reached through the probe)
     # ------------------------------------------------------------------
-    def hint_block(self, reason: str) -> None:
-        """Declare why the *next* ``yield Wait`` will block."""
-        self._hint = reason
-
-    def on_block_start(self, proc_name: str) -> None:
-        """Dispatch saw ``proc_name`` block; claim the pending hint."""
-        hint, self._hint = self._hint, None
-        if hint is not None and proc_name in self._ctx:
-            self._block_reason[proc_name] = hint
+    def on_block_start(self, proc_name: str, reason: str) -> None:
+        """Dispatch saw ``proc_name`` block on a ``Wait(..., reason)``."""
+        if proc_name in self._ctx:
+            self._block_reason[proc_name] = reason
 
     def on_block_end(self, proc_name: str, blocked_at: float) -> None:
         """``proc_name`` became ready after blocking at ``blocked_at``."""

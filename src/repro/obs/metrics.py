@@ -225,7 +225,7 @@ def register_standard_probes(sampler: MetricSampler, testbed,
         sampler.add_cpu_share("cpu_ipc_share", IPC_LABELS)
         sampler.add_cpu_share("cpu_idle_share", IDLE_LABELS)
         sampler.add_cpu_share("cpu_lock_share", _lock_label)
-    causal = getattr(testbed, "causal", None)
+    causal = testbed.causal
     if causal is not None:
         sampler.add_rate("causal_segment_rate", lambda: causal.emitted)
         sampler.add_gauge("causal_segments_dropped", lambda: causal.dropped)

@@ -11,9 +11,10 @@ Completed events land in a ring buffer (:class:`collections.deque` with
 and :attr:`Tracer.dropped` records how many old events were evicted so
 exports can say the trace is partial.
 
-Tracing is pull-wired: components hold a ``tracer`` attribute that is
-``None`` by default, and every emission site guards with
-``if tracer is not None`` — the untraced hot path costs one attribute
+Wiring is :mod:`repro.obs.probe`'s: components hold the testbed's
+``probe`` (``None`` when nothing is observed) and call its
+``begin``/``end``/``instant`` hooks, which are this class's bound methods
+while span tracing is on — the untraced hot path costs one attribute
 load and a branch.
 """
 

@@ -27,22 +27,16 @@ class BaseProxyServer:
         self.costs = costs or CostModel()
         self.stats = ProxyStats()
         self.location = LocationService()
-        #: span tracer inherited from the machine (None = tracing off)
-        self.tracer = getattr(machine, "tracer", None)
+        #: the testbed's probe, read off the machine (None = unobserved)
+        self.probe = probe = machine.probe
         self.txn_table = TransactionTable(self.costs,
                                           buckets=config.shm_buckets)
         self.timer_list = TimerList(self.costs)
         self.core = ProxyCore(self.engine, config, self.costs, self.location,
                               self.txn_table, self.timer_list, self.stats,
                               via_host=machine.name)
-        if self.tracer is not None:
-            self.core.tracer = self.tracer
-            self.txn_table.lock.tracer = self.tracer
-            self.timer_list.lock.tracer = self.tracer
-        #: causal tracer inherited from the machine (None = attribution off)
-        self.causal = getattr(machine, "causal", None)
-        if self.causal is not None:
-            self.core.causal = self.causal
+        self.core.probe = probe
+        self.txn_table.lock.probe = self.timer_list.lock.probe = probe
         #: overload controller ("none" → None; see :mod:`repro.overload`)
         self.controller = build_controller(config.overload_controller,
                                            config.overload_params)
@@ -144,10 +138,10 @@ class BaseProxyServer:
             if lock.held and lock.owner == who:
                 lock.release()
         self._reap_worker(index, old)
-        if self.causal is not None:
+        if self.probe is not None:
             # The dead worker never ran its ctx_end; without this the
             # successor (same process name) would inherit a stale trace id.
-            self.causal.ctx_end(f"{self.machine.name}/{who}")
+            self.probe.ctx_end(f"{self.machine.name}/{who}")
         proc = self._spawn_worker(index)
         self.workers[index] = proc
         self.processes[self.processes.index(old)] = proc
@@ -173,19 +167,19 @@ class BaseProxyServer:
     # for TCP)
     # ------------------------------------------------------------------
     def _timer_body(self):
-        tracer = self.tracer
+        probe = self.probe
         who = f"{self.machine.name}/timer-proc"
         while True:
             yield Sleep(self.config.timer_tick_us)
             # The limit must outrun the insertion rate (one rtx + one GC
             # entry per transaction) or the expired backlog — and with it
             # the transaction table — grows without bound.
-            span = (tracer.begin("timer_fire", cat="kernel", who=who)
-                    if tracer is not None else None)
+            span = (probe.begin("timer_fire", cat="kernel", who=who)
+                    if probe is not None else None)
             actions = yield from self.core.timer_pass(limit=8192,
                                                       who="timer")
             if span is not None:
-                tracer.end(span.set(retransmits=len(actions)))
+                probe.end(span.set(retransmits=len(actions)))
             for action in actions:
                 yield from self._timer_send(action)
 

@@ -59,7 +59,6 @@ class WorkerCtx:
         #: the descriptor table this worker installs into
         self.fdtable = fdtable
         self.poller = Poller(server.engine, name=f"{self.who}-poller")
-        self.poller.causal = server.causal
         # First the source announcing newly assigned connections, then
         # the tick: poller order is the order ready sources are served.
         self.poller.add(intake)
@@ -93,10 +92,9 @@ class ConnectionProxyServer(BaseProxyServer):
         #: its descriptor table holds a copy of every socket in the server
         self.manager = None
         self._assign_rr = 0
-        if self.tracer is not None:
-            self.idle.tracer = self.conn_table.lock.tracer = self.tracer
-            if hasattr(self.idle, "lock"):  # the scan strategy has none
-                self.idle.lock.tracer = self.tracer
+        self.idle.probe = self.conn_table.lock.probe = self.probe
+        if hasattr(self.idle, "lock"):  # the scan strategy has none
+            self.idle.lock.probe = self.probe
 
     def _shared_locks(self):
         locks = super()._shared_locks() + [self.conn_table.lock]
@@ -129,10 +127,10 @@ class ConnectionProxyServer(BaseProxyServer):
         self.stats.conns_created += 1
         owner = self._assign_rr % self.config.workers
         self._assign_rr += 1
-        if self.tracer is not None:
-            self.tracer.instant("tcp_accept", cat="proxy",
-                                who=f"{self.machine.name}/{who}",
-                                worker=owner)
+        if self.probe is not None:
+            self.probe.instant("tcp_accept", cat="proxy",
+                               who=f"{self.machine.name}/{who}",
+                               worker=owner)
         record = yield from self.conn_table.insert(conn, desc, owner,
                                                    self.engine.now, who)
         record.sup_fd = fd
@@ -156,13 +154,13 @@ class ConnectionProxyServer(BaseProxyServer):
             self.stats.parse_errors += 1
             yield from self._drop_conn(ctx, record)
             return
-        causal = self.causal
+        probe = self.probe
         for text in texts:
-            if causal is not None:
+            if probe is not None:
                 # Everything the worker does until this message is fully
                 # handled — framing, core processing, descriptor
                 # acquisition, the sends — attributes to its trace id.
-                causal.ctx_begin(ctx.proc_name, causal.sniff(text))
+                probe.ctx_begin(ctx.proc_name, probe.sniff(text))
             try:
                 yield Compute(self.costs.tcp_frame_us, "tcp_read_headers")
                 yield from self.idle.on_activity(record, self.engine.now)
@@ -175,8 +173,8 @@ class ConnectionProxyServer(BaseProxyServer):
                 for action in actions:
                     yield from self._worker_send(ctx, action)
             finally:
-                if causal is not None:
-                    causal.ctx_end(ctx.proc_name)
+                if probe is not None:
+                    probe.ctx_end(ctx.proc_name)
 
     # -- worker side: sending -------------------------------------------
     def _worker_send(self, ctx: WorkerCtx, action: SendAction):

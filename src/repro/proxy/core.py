@@ -39,12 +39,10 @@ class ProxyCore:
         self.via_port = config.port
         self._branch_counter = 0
         self._pending_register_contact = None
-        #: optional span tracer (set by BaseProxyServer when tracing)
-        self.tracer = None
-        #: optional causal tracer (set by BaseProxyServer); the transport
-        #: loops own the per-message context, the core only counts the
-        #: paths that skip the normal pipeline (503 shed, rtx absorb)
-        self.causal = None
+        #: optional probe (set by BaseProxyServer): pipeline spans, and
+        #: counters for the paths that skip the pipeline (503 shed, rtx
+        #: absorb) — the transport loops own the per-message context
+        self.probe = None
         #: optional overload controller (set by BaseProxyServer); None
         #: means no admission check at all — the collapse baseline pays
         #: zero overhead
@@ -55,16 +53,17 @@ class ProxyCore:
     # ------------------------------------------------------------------
     def process(self, text: str, source, who: str = "worker"):
         """Generator: handle one received message; returns [SendAction]."""
-        tracer = self.tracer
-        if tracer is None:
-            return (yield from self._process(text, source, who))
-        span = tracer.begin("process_msg", cat="proxy",
+        probe = self.probe
+        span = (probe.begin("process_msg", cat="proxy",
                             who=f"{self.via_host}/{who}",
                             transport=self.config.transport)
+                if probe is not None else None)
+        if span is None:
+            return (yield from self._process(text, source, who))
         try:
             actions = yield from self._process(text, source, who, span)
         finally:
-            tracer.end(span)
+            probe.end(span)
         span.set(actions=len(actions))
         return actions
 
@@ -81,8 +80,8 @@ class ProxyCore:
             # rejected retransmission is shed too — the 503 terminates
             # the upstream transaction and stops the retransmit clock.
             return (yield from self._reject_overload(text, source, span))
-        parse_span = (self.tracer.begin("parse_msg", cat="proxy",
-                                        who=f"{self.via_host}/{who}")
+        parse_span = (self.probe.begin("parse_msg", cat="proxy",
+                                       who=f"{self.via_host}/{who}")
                       if span is not None else None)
         yield Compute(self.costs.parse_cost(len(text), len(self.location)),
                       "parse_msg")
@@ -91,10 +90,10 @@ class ProxyCore:
         except SipParseError:
             self.stats.parse_errors += 1
             if parse_span is not None:
-                self.tracer.end(parse_span.set(error="parse"))
+                self.probe.end(parse_span.set(error="parse"))
             return []
         if parse_span is not None:
-            self.tracer.end(parse_span)
+            self.probe.end(parse_span)
             span.set(call_id=message.call_id,
                      kind=(message.method if message.is_request
                            else f"{message.status}"))
@@ -119,8 +118,8 @@ class ProxyCore:
         self.stats.invites_rejected += 1
         if span is not None:
             span.set(call_id=request.call_id, kind="INVITE", rejected=True)
-        if self.causal is not None:
-            self.causal.count("core.rejected_503")
+        if self.probe is not None:
+            self.probe.count("core.rejected_503")
         reply = self._make_response(request, 503, "Service Unavailable")
         reply.add("Retry-After", str(self.controller.retry_after_s))
         return [SendAction(reply.render(), ToSource(source), "reply")]
@@ -171,20 +170,20 @@ class ProxyCore:
     def _process_relay(self, request: SipRequest, source,
                        who: str) -> List[SendAction]:
         upstream_key = request.transaction_key()
-        tracer = self.tracer
-        match_span = (tracer.begin("txn_match", cat="proxy",
-                                   who=f"{self.via_host}/{who}",
-                                   method=request.method)
-                      if tracer is not None else None)
+        probe = self.probe
+        match_span = (probe.begin("txn_match", cat="proxy",
+                                  who=f"{self.via_host}/{who}",
+                                  method=request.method)
+                      if probe is not None else None)
         txn = yield from self.txn_table.lookup_upstream(upstream_key, who)
         if match_span is not None:
-            tracer.end(match_span.set(hit=txn is not None))
+            probe.end(match_span.set(hit=txn is not None))
         if txn is not None:
             # A retransmission from the caller: the stateful proxy absorbs
             # it and replays the best response it has (§2).
             self.stats.retransmissions_absorbed += 1
-            if self.causal is not None:
-                self.causal.count("core.rtx_absorbed")
+            if probe is not None:
+                probe.count("core.rtx_absorbed")
             if txn.last_response_text is not None:
                 return [SendAction(txn.last_response_text,
                                    ToSource(txn.source), "reply")]

@@ -40,7 +40,7 @@ class DatagramProxyServer(BaseProxyServer):
         who = f"{self.worker_stem}-{index}"
         proc_name = f"{self.machine.name}/{who}"
         engine = self.engine
-        causal = self.causal
+        probe = self.probe
         heartbeats = self.worker_heartbeat_us
         receive, unpack = self._receive, self._unpack
         recv_us, recv_label = self._recv_cost
@@ -50,16 +50,16 @@ class DatagramProxyServer(BaseProxyServer):
             message = yield from receive()
             heartbeats[index] = engine.now
             payload, source, trace_id = unpack(message)
-            if causal is not None:
-                causal.ctx_begin(proc_name, trace_id if trace_id is not None
-                                 else causal.sniff(payload))
+            if probe is not None:
+                probe.ctx_begin(proc_name, trace_id if trace_id is not None
+                                else probe.sniff(payload))
             try:
                 yield Compute(recv_us, recv_label)
                 actions = yield from process(payload, source=source, who=who)
                 yield from self._send_all(actions)
             finally:
-                if causal is not None:
-                    causal.ctx_end(proc_name)
+                if probe is not None:
+                    probe.ctx_end(proc_name)
 
     def _send_all(self, actions):
         """Generator: the one send path (workers and the timer process)."""

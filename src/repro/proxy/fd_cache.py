@@ -24,12 +24,11 @@ class FdCache:
         self.fdtable = fdtable
         self.who = who
         self._entries: Dict[int, Tuple[int, ConnRecord]] = {}
-        #: optional span tracer (evictions only — probes are traced by
-        #: the caller, which knows the send context)
-        self.tracer = None
-        #: optional causal tracer: hit/miss counters feed the attribution
-        #: figure's fd-cache effectiveness line
-        self.causal = None
+        #: optional instrumentation probe, for eviction instants only —
+        #: lookups are traced and counted by the caller, which knows the
+        #: send context.  (Every other component calls this attribute
+        #: ``probe``; here that name is the lookup.)
+        self.obs_probe = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -42,19 +41,13 @@ class FdCache:
         entry = self._entries.get(record.conn_id)
         if entry is None:
             self.misses += 1
-            if self.causal is not None:
-                self.causal.count("fdcache.miss")
             return None
         fd, __ = entry
         if record.closed or record.released:
             self._evict(record.conn_id, fd)
             self.misses += 1
-            if self.causal is not None:
-                self.causal.count("fdcache.miss")
             return None
         self.hits += 1
-        if self.causal is not None:
-            self.causal.count("fdcache.hit")
         return fd
 
     def store(self, record: ConnRecord, fd: int) -> None:
@@ -82,9 +75,9 @@ class FdCache:
     def _evict(self, conn_id: int, fd: int) -> None:
         del self._entries[conn_id]
         self.evictions += 1
-        if self.tracer is not None:
-            self.tracer.instant("fd_cache_evict", cat="proxy", who=self.who,
-                                conn=conn_id)
+        if self.obs_probe is not None:
+            self.obs_probe.instant("fd_cache_evict", cat="proxy",
+                                   who=self.who, conn=conn_id)
         if fd in self.fdtable:
             self.fdtable.close(fd)
 

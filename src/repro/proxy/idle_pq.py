@@ -49,8 +49,8 @@ class PqIdleStrategy:
     def __init__(self, costs, timeout_us: float, n_workers: int) -> None:
         self.costs = costs
         self.timeout_us = timeout_us
-        #: optional span tracer (set by the owning server when tracing)
-        self.tracer = None
+        #: optional probe (set by the owning server)
+        self.probe = None
         #: shared (shm) queue holding every connection in the server
         self.shared = _LazyHeap()
         #: guards the shared queue (workers update it on every message)
@@ -103,9 +103,9 @@ class PqIdleStrategy:
         ``single_phase=True`` (threaded architecture): expire directly on
         inactivity instead of waiting for a worker release.
         """
-        span = (self.tracer.begin("idle_sweep", cat="proxy", who=who,
-                                  strategy=self.name)
-                if self.tracer is not None else None)
+        span = (self.probe.begin("idle_sweep", cat="proxy", who=who,
+                                 strategy=self.name)
+                if self.probe is not None else None)
         yield from self.lock.acquire(who)
         try:
             expired: List[ConnRecord] = []
@@ -140,8 +140,8 @@ class PqIdleStrategy:
                 stats.pq_operations += ops
                 stats.idle_scans += 1
             if span is not None:
-                self.tracer.end(span.set(examined=ops,
-                                         expired=len(expired)))
+                self.probe.end(span.set(examined=ops,
+                                        expired=len(expired)))
             return expired
         finally:
             self.lock.release()
@@ -171,10 +171,10 @@ class PqIdleStrategy:
             expired.append(record)
         if ops:
             yield Compute(self.costs.idle_pq_op_us * ops, "pq_worker_sweep")
-            if self.tracer is not None:
-                self.tracer.instant("idle_sweep", cat="proxy", who=who,
-                                    strategy=self.name, examined=ops,
-                                    expired=len(expired))
+            if self.probe is not None:
+                self.probe.instant("idle_sweep", cat="proxy", who=who,
+                                   strategy=self.name, examined=ops,
+                                   expired=len(expired))
         if stats is not None:
             stats.pq_operations += ops
         return expired

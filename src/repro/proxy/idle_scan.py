@@ -23,8 +23,8 @@ class ScanIdleStrategy:
     def __init__(self, costs, timeout_us: float) -> None:
         self.costs = costs
         self.timeout_us = timeout_us
-        #: optional span tracer (set by the owning server when tracing)
-        self.tracer = None
+        #: optional probe (set by the owning server)
+        self.probe = None
 
     # -- activity hooks (free for the scan strategy) -----------------------
     def on_activity(self, record: ConnRecord, now: float):
@@ -54,9 +54,9 @@ class ScanIdleStrategy:
         on inactivity: with shared descriptors there is no worker-return
         step to wait for.
         """
-        span = (self.tracer.begin("idle_sweep", cat="proxy", who=who,
-                                  strategy=self.name)
-                if self.tracer is not None else None)
+        span = (self.probe.begin("idle_sweep", cat="proxy", who=who,
+                                 strategy=self.name)
+                if self.probe is not None else None)
         yield from table.lock.acquire(who)
         try:
             population = len(table)
@@ -79,8 +79,8 @@ class ScanIdleStrategy:
                         now - record.released_at >= self.timeout_us:
                     expired.append(record)
             if span is not None:
-                self.tracer.end(span.set(examined=population,
-                                         expired=len(expired)))
+                self.probe.end(span.set(examined=population,
+                                        expired=len(expired)))
             return expired
         finally:
             table.lock.release()
@@ -89,9 +89,9 @@ class ScanIdleStrategy:
                     stats=None, worker_index: int = 0):
         """Generator: a worker sweeps the connections it owns; returns the
         idle ones it should close and return to the supervisor."""
-        span = (self.tracer.begin("idle_sweep", cat="proxy", who=who,
-                                  strategy=self.name)
-                if self.tracer is not None and owned else None)
+        span = (self.probe.begin("idle_sweep", cat="proxy", who=who,
+                                 strategy=self.name)
+                if self.probe is not None and owned else None)
         if owned:
             yield Compute(self.costs.idle_scan_entry_us * len(owned),
                           "tcp_receive_timeout")
@@ -101,6 +101,6 @@ class ScanIdleStrategy:
                    if not record.closed and not record.released
                    and now - record.last_activity >= self.timeout_us]
         if span is not None:
-            self.tracer.end(span.set(examined=len(owned),
-                                     expired=len(expired)))
+            self.probe.end(span.set(examined=len(owned),
+                                    expired=len(expired)))
         return expired

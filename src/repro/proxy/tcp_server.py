@@ -46,11 +46,7 @@ class TcpProxyServer(ConnectionProxyServer):
         ]
         self.fd_caches: List[Optional[FdCache]] = [None] * config.workers
         for chan in self.assign_chans + self.req_chans:
-            chan.tracer = self.tracer
-            # Blocked IPC sends/receives hint their wait reason so a
-            # worker stalled in the §3.1 fd round trip attributes the
-            # stall to the message it is processing.
-            chan.causal = self.causal
+            chan.probe = self.probe
 
     def queue_fill(self) -> float:
         """IPC backlog fill — TCP's analogue of a full receive buffer:
@@ -184,11 +180,11 @@ class TcpProxyServer(ConnectionProxyServer):
         if msg.kind == "fd-req":
             record: ConnRecord = msg.payload
             self.stats.fd_requests += 1
-            tracer = self.tracer
-            span = (tracer.begin("tcpconn_send_fd", cat="ipc",
-                                 who=f"{self.machine.name}/{who}",
-                                 conn=record.conn_id)
-                    if tracer is not None else None)
+            probe = self.probe
+            span = (probe.begin("tcpconn_send_fd", cat="ipc",
+                                who=f"{self.machine.name}/{who}",
+                                conn=record.conn_id)
+                    if probe is not None else None)
             yield Compute(self.costs.fd_request_cost(len(self.conn_table)) +
                           self.costs.fd_dup_us, "tcpconn_send_fd")
             if record.closed or record.desc.closed:
@@ -200,7 +196,7 @@ class TcpProxyServer(ConnectionProxyServer):
             if not endpoint.try_send(reply):
                 yield from endpoint.send(reply)
             if span is not None:
-                tracer.end(span.set(gone=reply.kind == "fd-gone"))
+                probe.end(span.set(gone=reply.kind == "fd-gone"))
         elif msg.kind == "release":
             record = msg.payload
             self.stats.conns_released_by_worker += 1
@@ -238,8 +234,7 @@ class TcpProxyServer(ConnectionProxyServer):
         ctx.req_ep = self.req_chans[index].a
         if self.config.fd_cache:
             ctx.cache = FdCache(ctx.fdtable, ctx.who)
-            ctx.cache.tracer = self.tracer
-            ctx.cache.causal = self.causal
+            ctx.cache.obs_probe = self.probe
         self.fd_caches[index] = ctx.cache
         poller, tick, conns = ctx.poller, ctx.tick, ctx.conns
         heartbeats = self.worker_heartbeat_us
@@ -297,10 +292,10 @@ class TcpProxyServer(ConnectionProxyServer):
 
     # -- sending: descriptor acquisition (the paper's variable) -----------
     def _send_on_record(self, ctx: WorkerCtx, record: ConnRecord, text: str):
-        tracer = self.tracer
-        span = (tracer.begin("worker_send", cat="proxy", who=ctx.proc_name,
-                             conn=record.conn_id)
-                if tracer is not None else None)
+        probe = self.probe
+        span = (probe.begin("worker_send", cat="proxy", who=ctx.proc_name,
+                            conn=record.conn_id)
+                if probe is not None else None)
         wc = ctx.conns.get(record.conn)
         close_after = False
         fd: Optional[int] = None
@@ -316,10 +311,12 @@ class TcpProxyServer(ConnectionProxyServer):
                     self.stats.fd_cache_hits += 1
                 else:
                     self.stats.fd_cache_misses += 1
-                if span is not None:
-                    tracer.instant(
-                        "fd_cache_hit" if fd is not None else "fd_cache_miss",
-                        cat="proxy", who=ctx.proc_name, conn=record.conn_id)
+                if probe is not None:
+                    hit = fd is not None
+                    probe.count("fdcache.hit" if hit else "fdcache.miss")
+                    probe.instant("fd_cache_hit" if hit else "fd_cache_miss",
+                                  cat="proxy", who=ctx.proc_name,
+                                  conn=record.conn_id)
             if fd is None:
                 if span is not None:
                     span.set(fd_via="supervisor")
@@ -327,7 +324,7 @@ class TcpProxyServer(ConnectionProxyServer):
                 if fd is None:
                     self.stats.send_failures += 1
                     if span is not None:
-                        tracer.end(span.set(outcome="fd_gone"))
+                        probe.end(span.set(outcome="fd_gone"))
                     return
                 if ctx.cache is not None:
                     ctx.cache.store(record, fd)
@@ -344,20 +341,20 @@ class TcpProxyServer(ConnectionProxyServer):
             yield Compute(self.costs.fd_close_us, "tcp_close_fd")
             ctx.fdtable.close(fd)
         if span is not None:
-            tracer.end(span.set(outcome="sent" if sent else "failed"))
+            probe.end(span.set(outcome="sent" if sent else "failed"))
 
     def _request_fd(self, ctx: WorkerCtx, record: ConnRecord):
         """Generator: the §3.1 IPC round trip — the worker blocks."""
-        tracer = self.tracer
-        span = (tracer.begin("fd_request_rtt", cat="ipc", who=ctx.proc_name,
-                             conn=record.conn_id)
-                if tracer is not None else None)
+        probe = self.probe
+        span = (probe.begin("fd_request_rtt", cat="ipc", who=ctx.proc_name,
+                            conn=record.conn_id)
+                if probe is not None else None)
         yield Compute(self.costs.ipc_send_us, "ipc_send_fd_request")
         yield from ctx.req_ep.send(IpcMessage("fd-req", payload=record))
         reply = yield from ctx.req_ep.recv()
         yield Compute(self.costs.ipc_recv_us, "ipc_recv")
         if span is not None:
-            tracer.end(span.set(gone=reply.kind != "fd-resp"))
+            probe.end(span.set(gone=reply.kind != "fd-resp"))
         if reply.kind != "fd-resp" or reply.fd is None:
             return None
         yield Compute(self.costs.fd_install_us, "receive_fd")

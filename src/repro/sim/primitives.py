@@ -60,12 +60,17 @@ class Sleep(Effect):
 class Wait(Effect):
     """Block until an :class:`~repro.sim.events.Event`/``Signal``/``Condition``
     wakes us; the fired value becomes the result of the ``yield``.
+
+    ``why`` names the wait state for latency attribution (one of
+    ``repro.obs.causal.COMPONENTS``: a blocked IPC transfer is ``"ipc"``,
+    a poller wait ``"sockq"``, ...); ``None`` attributes nothing.
     """
 
-    __slots__ = ("source",)
+    __slots__ = ("source", "why")
 
-    def __init__(self, source) -> None:
+    def __init__(self, source, why: Optional[str] = None) -> None:
         self.source = source
+        self.why = why
 
     def __repr__(self) -> str:
         return f"Wait({self.source!r})"

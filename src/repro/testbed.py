@@ -1,17 +1,16 @@
 """The §4.1 testbed: one 4-core server, three client machines, gigabit LAN.
 
 :class:`Testbed` wires together the engine, the fabric, the machines and
-(optionally) a profiler, leaving proxy/workload construction to
+(when anything is observed) the one :class:`~repro.obs.probe.Probe` they
+share, leaving proxy/workload construction to
 :func:`repro.proxy.build_proxy` and :mod:`repro.clients`.
 """
 
-from typing import List, Optional
+from typing import List
 
 from repro.kernel.machine import Machine
 from repro.net.fabric import Fabric
-from repro.obs.causal import CausalTracer
-from repro.obs.tracer import Tracer
-from repro.profiling.profiler import Profiler
+from repro.obs.probe import Probe
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
 
@@ -36,42 +35,31 @@ class Testbed:
         time_wait_us: float = 60_000_000.0,
         profile: bool = False,
         trace: bool = False,
-        trace_capacity: Optional[int] = None,
         causal: bool = False,
-        causal_capacity: Optional[int] = None,
     ) -> None:
         self.engine = Engine()
         self.rng = RngStreams(seed)
-        self.profiler = Profiler(self.engine) if profile else None
-        if trace:
-            self.tracer = (Tracer(self.engine, capacity=trace_capacity)
-                           if trace_capacity else Tracer(self.engine))
-        else:
-            self.tracer = None
-        if causal:
-            # One tracer for the whole testbed: trace ids are stamped on
-            # the client machines and consumed on the server.
-            self.causal = (CausalTracer(self.engine,
-                                        capacity=causal_capacity)
-                           if causal_capacity else CausalTracer(self.engine))
-        else:
-            self.causal = None
+        #: the instrumentation seam every component reads; None when
+        #: nothing is observed (never a probe with all three sinks off)
+        self.probe = probe = (Probe(self.engine, profile, trace, causal)
+                              if profile or trace or causal else None)
+        #: the probe's sinks by name (each None when that observer is off)
+        self.profiler = probe.profiler if probe is not None else None
+        self.tracer = probe.tracer if probe is not None else None
+        self.causal = probe.causal if probe is not None else None
         self.fabric = Fabric(self.engine, latency_us=latency_us,
                              bandwidth_bytes_per_us=bandwidth_bytes_per_us,
                              rng=self.rng.stream("net"))
-        self.fabric.causal = self.causal
+        self.fabric.probe = probe
         self.server = Machine(self.engine, SERVER_NAME, n_cores=server_cores,
-                              quantum_us=quantum_us, profiler=self.profiler,
-                              tracer=self.tracer,
-                              causal=self.causal,
+                              quantum_us=quantum_us, probe=probe,
                               fd_limit=server_fd_limit,
                               time_wait_us=time_wait_us)
         self.fabric.attach(self.server)
         self.clients: List[Machine] = []
         for i in range(n_client_machines):
             name = CLIENT_NAMES[i] if i < len(CLIENT_NAMES) else f"client{i+1}"
-            client = Machine(self.engine, name, n_cores=2,
-                             causal=self.causal)
+            client = Machine(self.engine, name, n_cores=2, probe=probe)
             self.fabric.attach(client)
             self.clients.append(client)
 

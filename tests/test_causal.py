@@ -87,8 +87,7 @@ class TestCausalTracer:
     def test_block_hint_handshake(self, engine):
         causal = CausalTracer(engine)
         causal.ctx_begin("server/w0", "tid")
-        causal.hint_block("ipc")
-        causal.on_block_start("server/w0")
+        causal.on_block_start("server/w0", "ipc")
         engine.schedule(40.0, lambda: None)
         engine.run()
         causal.on_block_end("server/w0", 0.0)
@@ -97,13 +96,12 @@ class TestCausalTracer:
 
     def test_hint_ignored_without_context(self, engine):
         causal = CausalTracer(engine)
-        causal.hint_block("ipc")
-        causal.on_block_start("server/phone-proc")  # no ctx -> dropped
+        causal.on_block_start("server/phone-proc", "ipc")  # no ctx -> dropped
         causal.on_block_end("server/phone-proc", 0.0)
         assert len(causal) == 0
-        # ...and the hint slot did not leak into the next blocker.
+        # ...and the reason did not leak into the next blocker, which
+        # (a Sleep, a Wait naming no reason) never reaches on_block_start.
         causal.ctx_begin("server/w1", "tid")
-        causal.on_block_start("server/w1")
         causal.on_block_end("server/w1", 0.0)
         assert len(causal) == 0
 

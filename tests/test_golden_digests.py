@@ -8,6 +8,12 @@ fail three calls each at this size because the 60 ms idle timeout reaps
 live connections; that is deliberate, it drives the drop and two-phase
 teardown paths.  A PR that *means* to move a simulated number updates
 the values below on purpose and says so.
+
+The *observed* digests run the same six cells with every observer on
+(profiler, spans, causal segments, 5 ms sampler) and additionally hash
+what the sinks recorded, so a change to the instrumentation seam — who
+calls which hook, when, with what — is pinned on every flavor, not only
+on the ``tcp-persistent`` cell ``BENCHMARK.json`` observes.
 """
 
 import dataclasses
@@ -27,13 +33,53 @@ GOLDEN = {
     "tcp-threaded-50": "03065af9ca6268b0",
 }
 
+GOLDEN_OBSERVED = {
+    "udp": "ad60090ce760fdd4",
+    "sctp": "22bc58ae6dfbb47d",
+    "tcp-50": "6249abdc4b3d603d",
+    "tcp-persistent": "a176364ed9960a08",
+    "tcp-threaded": "13ad695c05f2c456",
+    "tcp-threaded-50": "2d734bcd5ea48e97",
+}
+
+
+def _small_cell(series, **observers):
+    return run_cell(ExperimentSpec(
+        series=series, clients=8, workers=4, seed=1, warmup_us=30_000.0,
+        measure_us=100_000.0, idle_timeout_us=60_000.0,
+        scale_windows=False, **observers))
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(
+        payload, sort_keys=True).encode()).hexdigest()[:16]
+
 
 @pytest.mark.parametrize("series", sorted(GOLDEN))
 def test_small_cell_digest_is_unchanged(series):
-    result = run_cell(ExperimentSpec(
-        series=series, clients=8, workers=4, seed=1, warmup_us=30_000.0,
-        measure_us=100_000.0, idle_timeout_us=60_000.0,
-        scale_windows=False))
-    digest = hashlib.sha256(json.dumps(
-        dataclasses.asdict(result), sort_keys=True).encode()).hexdigest()[:16]
-    assert digest == GOLDEN[series]
+    assert _digest(dataclasses.asdict(_small_cell(series))) == GOLDEN[series]
+
+
+@pytest.mark.parametrize("series", sorted(GOLDEN_OBSERVED))
+def test_small_cell_observed_digest_is_unchanged(series):
+    result = _small_cell(series, profile=True, trace=True, causal=True,
+                         sample_us=5_000.0)
+    tracer, causal = result.tracer, result.causal
+    assert tracer.dropped == 0 and causal.dropped == 0
+    digest = _digest({
+        "result": dataclasses.asdict(result),
+        "spans_emitted": tracer.emitted,
+        "segments_emitted": causal.emitted,
+        "marks": len(causal.marks),
+        "counters": sorted(causal.counters.items()),
+        "segments": [(s.kind, s.who, s.start_us, s.end_us)
+                     for s in causal.segments],
+        "spans": [(s.name, s.who, s.start_us, s.end_us)
+                  for s in tracer.events()],
+    })
+    assert digest == GOLDEN_OBSERVED[series]
+    # Observers on = off: with the three observer-only fields blanked the
+    # result is the unobserved run's, to the digit.
+    unobserved = dataclasses.replace(result, profile={}, metrics={},
+                                     attribution={})
+    assert _digest(dataclasses.asdict(unobserved)) == GOLDEN[series]

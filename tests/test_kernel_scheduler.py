@@ -10,6 +10,7 @@ from repro.kernel.scheduler import (
     Scheduler,
     nice_to_weight,
 )
+from repro.obs.probe import Probe
 
 from conftest import run_until_done
 
@@ -200,12 +201,15 @@ def test_context_switch_cost_is_charged(engine):
 def test_profiler_receives_labels(engine):
     records = []
 
-    class Profiler:
-        def record(self, label, us, proc_name):
-            records.append((label, us, proc_name))
+    class RecordingProbe(Probe):
+        """Every sink off (each hook a no-op) but a recording ``charge``."""
+
+        def __init__(self):
+            super().__init__(engine, False, False, False)
+            self.charge = lambda *burst: records.append(burst)
 
     sched = Scheduler(engine, n_cores=1, quantum_us=2000.0,
-                      ctx_switch_us=0.0, profiler=Profiler())
+                      ctx_switch_us=0.0, probe=RecordingProbe())
     proc = sched.spawn(hog(42.0, label="my_function"), "p").start()
     run_until_done(engine, [proc])
     labels = {label for label, __, __ in records}
