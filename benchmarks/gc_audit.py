@@ -1,0 +1,187 @@
+"""What does CPython's cyclic collector cost one cell, and what does it find?
+
+    python benchmarks/gc_audit.py --workload udp-closed-100
+        [--seed 1] [--collector as-is|on|off]
+
+Runs one ``benchmarks/perf`` workload twice, each time in a fresh
+subprocess of this script, and prints
+
+* pass ``timing``: wall seconds of ``run_cell``, seconds spent inside the
+  collector (timed with ``gc.callbacks``) and their share of the wall,
+  collections per generation over the whole cell and inside
+  ``BenchmarkManager.run()``, peak RSS, the engine's heap size and how many
+  of its entries are cancelled, and a census of the gc-tracked objects
+  alive at the end of the cell, by type, with their shallow bytes;
+* pass ``garbage``: everything a final ``gc.collect()`` could free only
+  because it sat in a reference cycle (``gc.DEBUG_SAVEALL``, result still
+  referenced), by type.  "cyclic garbage: 0" means every object of the cell
+  died by reference count.
+
+``--collector on`` makes ``gc.disable()`` a no-op for the run, ``off``
+disables the collector up front and makes ``gc.enable()`` a no-op; together
+they show whether a tree's memory depends on the collector running.  The
+script observes the program from outside and changes nothing under ``src/``.
+"""
+
+import argparse
+import collections
+import gc
+import json
+import os
+import pathlib
+import resource
+import subprocess
+import sys
+import time
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "perf")]
+
+from repro.analysis import ExperimentSpec, run_cell  # noqa: E402
+from repro.clients import BenchmarkManager  # noqa: E402
+from workloads import WORKLOADS, spec_kwargs  # noqa: E402
+
+TOP = 12
+
+
+def _by_type(objects) -> list:
+    """[(type name, count, shallow bytes)], most numerous first."""
+    counts = collections.Counter()
+    sizes = collections.Counter()
+    for obj in objects:
+        name = type(obj).__qualname__
+        counts[name] += 1
+        sizes[name] += sys.getsizeof(obj)
+    return [(name, n, sizes[name]) for name, n in counts.most_common()]
+
+
+def _force_collector(mode: str) -> None:
+    if mode == "on":
+        gc.disable = lambda: None
+    elif mode == "off":
+        gc.disable()
+        gc.enable = lambda: None
+
+
+def timing_pass(spec) -> dict:
+    collector_s = started = 0.0
+    collections_by_gen = [0, 0, 0]
+
+    def on_gc(phase, info):
+        nonlocal collector_s, started
+        if phase == "start":
+            started = time.perf_counter()
+        else:
+            collector_s += time.perf_counter() - started
+            collections_by_gen[info["generation"]] += 1
+
+    in_run = {}
+    manager_run = BenchmarkManager.run
+
+    def audited_run(self):
+        before = list(collections_by_gen)
+        try:
+            return manager_run(self)
+        finally:
+            in_run["collections"] = [
+                after - b4 for after, b4 in zip(collections_by_gen, before)]
+
+    BenchmarkManager.run = audited_run
+    gc.callbacks.append(on_gc)
+    wall0 = time.perf_counter()
+    result = run_cell(spec)
+    wall_s = time.perf_counter() - wall0
+    gc.callbacks.remove(on_gc)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    engine = result.testbed.engine
+    return {
+        "wall_s": wall_s,
+        "collector_s": collector_s,
+        "collections": collections_by_gen,
+        "collections_in_run": in_run["collections"],
+        "peak_rss_mb": peak_rss_mb,
+        "heap_entries": len(engine._heap),
+        "heap_cancelled": engine._cancelled,
+        "heap_cancelled_holding_fn": sum(
+            1 for entry in engine._heap
+            if entry[2].cancelled and entry[2].fn is not None),
+        "census": _by_type(gc.get_objects()),
+    }
+
+
+def garbage_pass(spec) -> dict:
+    gc.collect()  # import-time cycles are not the cell's
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    result = run_cell(spec)
+    gc.collect()
+    garbage = _by_type(gc.garbage)
+    gc.set_debug(0)
+    del result
+    return {"garbage": garbage}
+
+
+def child(args) -> int:
+    spec = ExperimentSpec(**spec_kwargs(args.workload, "bench", args.seed))
+    _force_collector(args.collector)
+    passes = {"timing": timing_pass, "garbage": garbage_pass}
+    print(json.dumps(passes[args.audit_pass](spec)))
+    return 0
+
+
+def _run_pass(args, name: str) -> dict:
+    proc = subprocess.run(
+        [sys.executable, __file__, "--workload", args.workload,
+         "--seed", str(args.seed), "--collector", args.collector,
+         "--audit-pass", name],
+        env=dict(os.environ, PYTHONHASHSEED="0"), stdout=subprocess.PIPE,
+        text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _table(rows, limit=TOP) -> None:
+    for name, count, size in rows[:limit]:
+        print(f"    {count:>9}  {size / 1e6:>8.2f} MB  {name}")
+    rest = rows[limit:]
+    if rest:
+        print(f"    {sum(r[1] for r in rest):>9}  "
+              f"{sum(r[2] for r in rest) / 1e6:>8.2f} MB  "
+              f"({len(rest)} other types)")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--collector", choices=("as-is", "on", "off"),
+                        default="as-is")
+    parser.add_argument("--audit-pass", choices=("timing", "garbage"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.audit_pass:
+        return child(args)
+
+    timing = _run_pass(args, "timing")
+    garbage = _run_pass(args, "garbage")["garbage"]
+    print(f"workload: {args.workload}  seed: {args.seed}  "
+          f"collector: {args.collector}")
+    print(f"wall: {timing['wall_s']:.2f} s   collector: "
+          f"{timing['collector_s']:.3f} s "
+          f"({100 * timing['collector_s'] / timing['wall_s']:.1f} % of wall)")
+    print("collections gen0/gen1/gen2: "
+          + "/".join(map(str, timing["collections"]))
+          + "   inside manager.run(): "
+          + "/".join(map(str, timing["collections_in_run"])))
+    print(f"peak RSS: {timing['peak_rss_mb']:.1f} MB")
+    print(f"engine heap: {timing['heap_entries']} entries, "
+          f"{timing['heap_cancelled']} cancelled "
+          f"({timing['heap_cancelled_holding_fn']} still holding a callback)")
+    print(f"cyclic garbage: {sum(row[1] for row in garbage)}")
+    _table(garbage)
+    census = timing["census"]
+    print(f"tracked objects at end of cell: {sum(r[1] for r in census)}")
+    _table(census)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

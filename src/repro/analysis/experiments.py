@@ -22,6 +22,7 @@ in the same direction for every TCP series).  Experiments about the
 timeout itself (Tab. S2) override this.
 """
 
+import gc
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -164,6 +165,7 @@ class ExperimentSpec:
 
 def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
     """Run one cell; returns the client-measured result."""
+    gc.collect()  # a previous cell's world is one big cycle: free it first
     scale = _scale()
     # Sampling needs a profiler for the CPU-share series; the profiler
     # only aggregates charged bursts, so enabling it never perturbs the
@@ -247,7 +249,15 @@ def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
             for name, fn in watchdog.gauge_probes().items():
                 sampler.add_gauge(name, fn)
         sampler.start()
-    result = manager.run()
+    # Every per-call object dies by reference count (DESIGN.md §3c, guarded
+    # by tests/test_object_lifetimes.py): the collector has nothing to find.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        result = manager.run()
+    finally:
+        if collecting:
+            gc.enable()
     for component in (detector, watchdog):
         if component is not None:
             component.stop()

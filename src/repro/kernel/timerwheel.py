@@ -32,6 +32,11 @@ class Timer:
             self._handle.cancel()
             self._handle = None
 
+    def close(self) -> None:
+        """Cancel and drop the callback, which pins its owner (DESIGN §3c)."""
+        self.cancel()
+        self.fn = self.args = None
+
     def _fire(self) -> None:
         self._handle = None
         self.fn(*self.args)

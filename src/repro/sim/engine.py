@@ -26,6 +26,8 @@ class Scheduled:
     Returned by :meth:`Engine.schedule` and :meth:`Engine.schedule_at`.
     A consumed (fired) entry is marked cancelled as well, so ``cancel``
     after the fact is a no-op and does not skew the engine's count.
+    Either way it drops ``fn``/``args``: it may sit in the heap or with a
+    holder long after, and must not pin what its callback would have reached.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "engine")
@@ -43,6 +45,7 @@ class Scheduled:
         """Prevent the callback from running.  Idempotent."""
         if not self.cancelled:
             self.cancelled = True
+            self.fn = self.args = None
             self.engine._cancelled += 1
 
     def __lt__(self, other: "Scheduled") -> bool:
@@ -145,7 +148,9 @@ class Engine:
             self.now = time
             item.cancelled = True  # consumed; a later cancel() is a no-op
             self.events_fired += 1
-            item.fn(*item.args)
+            fn, args = item.fn, item.args
+            item.fn = item.args = None
+            fn(*args)
             return True
         return False
 
@@ -183,7 +188,9 @@ class Engine:
                 self.now = time
                 item.cancelled = True  # consumed
                 fired += 1
-                item.fn(*item.args)
+                fn, args = item.fn, item.args
+                item.fn = item.args = None
+                fn(*args)
             if until is not None and self.now < until and not self._stopped:
                 self.now = until
         finally:

@@ -36,6 +36,15 @@ _IRREGULAR_NAMES = {
 }
 
 
+#: wire spelling -> canonical name for the spellings this repo emits and
+#: the compact forms; every other spelling takes ``_canonical``
+_KNOWN_NAMES = {name: name for name in (
+    "Via", "From", "To", "Call-ID", "CSeq", "Max-Forwards", "Contact",
+    "Content-Length", "Content-Type", "Expires", "Retry-After")}
+_KNOWN_NAMES.update(COMPACT_FORMS)
+_KNOWN_NAMES.update((c.upper(), name) for c, name in COMPACT_FORMS.items())
+
+
 def _canonical(name: str) -> str:
     name = name.strip()
     lower = name.lower()
@@ -60,12 +69,15 @@ def _parse_headers(lines: List[str]) -> List[Tuple[str, str]]:
             name, value = headers[-1]
             headers[-1] = (name, value + " " + line.strip())
             continue
-        if ":" not in line:
+        name, colon, value = line.partition(":")
+        if not colon:
             raise SipParseError(f"malformed header line: {line!r}")
-        name, value = line.split(":", 1)
-        if not name.strip():
-            raise SipParseError(f"empty header name: {line!r}")
-        headers.append((_canonical(name), value.strip()))
+        canonical = _KNOWN_NAMES.get(name)
+        if canonical is None:
+            if not name.strip():
+                raise SipParseError(f"empty header name: {line!r}")
+            canonical = _canonical(name)
+        headers.append((canonical, value.strip()))
     return headers
 
 

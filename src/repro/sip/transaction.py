@@ -86,6 +86,7 @@ class ClientTransaction:
     def handle_response(self, response: SipResponse) -> None:
         if self.state is TxnState.TERMINATED:
             return
+        on_response = self.on_response
         if response.is_provisional:
             self.state = TxnState.PROCEEDING
             if self.request.method == "INVITE":
@@ -99,17 +100,17 @@ class ClientTransaction:
                 self._interval = self.timers.t2
         else:
             self.final_response = response
-            self.state = TxnState.COMPLETED
-            self._retransmit_timer.cancel()
-            self._timeout_timer.cancel()
-            self.state = TxnState.TERMINATED
-        if self.on_response is not None:
-            self.on_response(response)
+            self.cancel()
+        if on_response is not None:
+            on_response(response)
 
     def cancel(self) -> None:
+        """Terminate now and release the timers and callbacks, which hold the
+        only references from this transaction back to itself and its user."""
         self.state = TxnState.TERMINATED
-        self._retransmit_timer.cancel()
-        self._timeout_timer.cancel()
+        self._retransmit_timer.close()
+        self._timeout_timer.close()
+        self.on_response = self.on_timeout = None
 
     def abort(self) -> None:
         """Fail the transaction immediately (transport error, RFC 3261
@@ -129,10 +130,10 @@ class ClientTransaction:
     def _timed_out(self) -> None:
         if self.state in (TxnState.COMPLETED, TxnState.TERMINATED):
             return
-        self.state = TxnState.TERMINATED
-        self._retransmit_timer.cancel()
-        if self.on_timeout is not None:
-            self.on_timeout()
+        on_timeout = self.on_timeout
+        self.cancel()
+        if on_timeout is not None:
+            on_timeout()
 
     def __repr__(self) -> str:
         return (f"<ClientTransaction {self.request.method} "
@@ -183,9 +184,7 @@ class ServerTransaction:
 
     def handle_ack(self) -> None:
         """ACK confirms our 2xx: stop retransmitting."""
-        self.state = TxnState.TERMINATED
-        self._retransmit_timer.cancel()
-        self._give_up_timer.cancel()
+        self._give_up()
 
     @property
     def terminated(self) -> bool:
@@ -201,7 +200,8 @@ class ServerTransaction:
 
     def _give_up(self) -> None:
         self.state = TxnState.TERMINATED
-        self._retransmit_timer.cancel()
+        self._retransmit_timer.close()
+        self._give_up_timer.close()
 
     def __repr__(self) -> str:
         return (f"<ServerTransaction {self.request.method} "

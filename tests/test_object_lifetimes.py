@@ -1,0 +1,131 @@
+"""No cell leaves cyclic garbage, so ``run_cell`` may pause the collector.
+
+``run_cell`` disables CPython's cyclic collector around the event loop
+(DESIGN.md §3c).  That is only sound while every per-call object —
+transaction, timer, heap entry, message, call generator — dies by
+reference count; these tests are the guard.  Each cell runs under
+``gc.DEBUG_SAVEALL`` with its result still referenced, then one
+``gc.collect()`` shows everything that was unreachable but kept alive by a
+cycle.  A handful of one-off set-up closures (the ``MetricSampler``'s
+probes) are tolerated; anything that scales with calls is not.
+"""
+
+import collections
+import dataclasses
+import gc
+
+import pytest
+
+from repro.analysis import experiments
+from repro.analysis.experiments import ExperimentSpec, run_cell
+from repro.analysis.overload import overload_spec
+from repro.faults import FaultPlan, WorkerCrash
+
+#: one-off set-up cycles are tolerated up to this many objects per cell
+MAX_GARBAGE = 200
+#: per-call types: not one instance may need the collector
+PER_CALL = {"ClientTransaction", "ServerTransaction", "Timer", "Scheduled",
+            "SipRequest", "SipResponse", "generator"}
+
+SERIES = ("udp", "sctp", "tcp-50", "tcp-persistent", "tcp-threaded",
+          "tcp-threaded-50")
+OBSERVED = dict(profile=True, trace=True, causal=True, sample_us=5_000.0)
+
+
+def small_cell(series, **observers):
+    """The golden small cell of ``tests/test_golden_digests.py``."""
+    return ExperimentSpec(
+        series=series, clients=8, workers=4, seed=1, warmup_us=30_000.0,
+        measure_us=100_000.0, idle_timeout_us=60_000.0,
+        scale_windows=False, **observers)
+
+
+def cyclic_garbage(spec):
+    """(result, Counter of type names only the collector could free)."""
+    gc.collect()  # earlier tests' cycles are not this cell's
+    del gc.garbage[:]
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        result = run_cell(spec)
+        gc.collect()
+        return result, collections.Counter(
+            type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[:]
+        gc.collect()
+
+
+def assert_cycle_free(found):
+    assert sum(found.values()) < MAX_GARBAGE, found.most_common(10)
+    assert not PER_CALL & set(found), found.most_common(10)
+
+
+@pytest.mark.parametrize("series", SERIES)
+def test_small_cell_leaves_no_cyclic_garbage(series):
+    result, found = cyclic_garbage(small_cell(series))
+    assert result.calls_completed > 0
+    assert_cycle_free(found)
+
+
+def test_observed_cell_leaves_no_cyclic_garbage():
+    result, found = cyclic_garbage(small_cell("tcp-50", **OBSERVED))
+    assert result.tracer.emitted > 0 and result.causal.emitted > 0
+    assert_cycle_free(found)
+
+
+def test_overloaded_cell_leaves_no_cyclic_garbage():
+    """Open-loop UDP past capacity: requests are dropped, retransmitted
+    (timers A/E/G) and given up on (timers B/F) — the timeout paths."""
+    spec = dataclasses.replace(
+        overload_spec("udp", 60, 9000.0, "none", workers=2,
+                      warmup_us=60_000.0, measure_us=200_000.0,
+                      scale_windows=False),
+        sip_t1_us=2_000.0)
+    result, found = cyclic_garbage(spec)
+    assert result.client_retransmissions > 0 and result.calls_failed > 0
+    assert_cycle_free(found)
+
+
+def test_crash_and_restart_cell_leaves_no_cyclic_garbage():
+    """A worker crashes mid-window and the watchdog restarts it: the
+    ``restart_worker`` path, plus transactions aborted with a dead worker."""
+    plan = FaultPlan([WorkerCrash(start_us=100_000.0, worker=2)])
+    result, found = cyclic_garbage(ExperimentSpec(
+        series="tcp-persistent", clients=16, seed=3, workers=6,
+        warmup_us=150_000.0, measure_us=400_000.0, sip_t1_us=20_000.0,
+        offered_cps=400.0, sample_us=10_000.0, scale_windows=False,
+        fault_plan=plan.to_dict(), watchdog=True))
+    assert result.proxy.stats.workers_restarted == 1
+    assert_cycle_free(found)
+
+
+def test_back_to_back_cells_do_not_stack():
+    """A finished cell's world is one big cycle; the next ``run_cell`` frees
+    it up front rather than carrying it through its own collector pause."""
+    def objects_after_one_cell():
+        run_cell(small_cell("udp"))  # result dropped at once, as a pool
+        return len(gc.get_objects())  # worker or the next test would
+
+    after_first = objects_after_one_cell()
+    after_second = objects_after_one_cell()
+    assert after_second < 1.2 * after_first
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_cell_restores_the_collector(enabled, monkeypatch):
+    def boom(self):
+        assert not gc.isenabled()
+        raise RuntimeError("boom")
+
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        run_cell(dataclasses.replace(small_cell("udp"), measure_us=10_000.0))
+        assert gc.isenabled() is enabled
+        monkeypatch.setattr(experiments.BenchmarkManager, "run", boom)
+        with pytest.raises(RuntimeError, match="boom"):
+            run_cell(small_cell("udp"))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()

@@ -3,14 +3,22 @@ protocol invariants."""
 
 import string
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel.fdtable import EmfileError, FdTable, FileDescription
 from repro.kernel.sockets import PortAllocator, PortExhaustedError, StreamBuffer
 from repro.sim.engine import Engine
 from repro.sip.headers import Address, CSeq, Via
-from repro.sip.message import SipRequest, SipResponse
-from repro.sip.parser import StreamFramer, parse_message
+from repro.sip.message import COMPACT_FORMS, SipRequest, SipResponse
+from repro.sip.parser import (
+    _IRREGULAR_NAMES,
+    _KNOWN_NAMES,
+    SipParseError,
+    StreamFramer,
+    _parse_headers,
+    parse_message,
+)
 from repro.sip.uri import SipUri
 
 # ---------------------------------------------------------------------------
@@ -82,6 +90,80 @@ class TestSipRoundtrip:
     def test_cseq_roundtrip(self, number, method):
         assert CSeq.parse(CSeq(number, method).render()) == \
             CSeq(number, method)
+
+
+def _old_canonical(name):
+    """``parser._canonical`` as it was before the interned-name table."""
+    name = name.strip()
+    lower = name.lower()
+    if lower in COMPACT_FORMS:
+        return COMPACT_FORMS[lower]
+    if lower in _IRREGULAR_NAMES:
+        return _IRREGULAR_NAMES[lower]
+    return "-".join(part.capitalize() if part.islower() or part.isupper()
+                    else part
+                    for part in name.split("-"))
+
+
+def _old_parse_headers(lines):
+    """``parser._parse_headers`` as it was before the interned-name table:
+    the oracle for names, values, folding and every error message."""
+    headers = []
+    for line in lines:
+        if not line:
+            continue
+        if line[0] in " \t":
+            if not headers:
+                raise SipParseError(f"continuation without header: {line!r}")
+            name, value = headers[-1]
+            headers[-1] = (name, value + " " + line.strip())
+            continue
+        if ":" not in line:
+            raise SipParseError(f"malformed header line: {line!r}")
+        name, value = line.split(":", 1)
+        if not name.strip():
+            raise SipParseError(f"empty header name: {line!r}")
+        headers.append((_old_canonical(name), value.strip()))
+    return headers
+
+
+#: header names: every interned spelling and its case/padding variants,
+#: the irregular and compact tables, and arbitrary text
+header_name = st.one_of(
+    st.sampled_from(sorted(_KNOWN_NAMES) + sorted(_IRREGULAR_NAMES)).flatmap(
+        lambda name: st.sampled_from([
+            name, name.lower(), name.upper(), name.title(),
+            " " + name, name + " ", "\t" + name + " "])),
+    st.text(alphabet=string.ascii_letters + string.digits + "-_ \t.",
+            max_size=16),
+    st.text(max_size=8),
+)
+header_line = st.one_of(
+    st.builds(lambda name, sep, value: name + sep + value, header_name,
+              st.sampled_from([":", ": ", " : ", "", "::"]), header_value),
+    header_value.map(lambda value: " " + value),  # folded continuation
+    st.just(""),
+)
+
+
+def _outcome(parse, lines):
+    try:
+        return parse(lines)
+    except SipParseError as exc:
+        return str(exc)
+
+
+class TestHeaderNameInterning:
+    @given(st.lists(header_line, max_size=6))
+    @settings(max_examples=400)
+    def test_parse_headers_matches_the_uninterned_parser(self, lines):
+        assert _outcome(_parse_headers, lines) == \
+            _outcome(_old_parse_headers, lines)
+
+    @pytest.mark.parametrize("spelling", sorted(_KNOWN_NAMES))
+    def test_every_interned_spelling_is_what_the_slow_path_gives(
+            self, spelling):
+        assert _KNOWN_NAMES[spelling] == _old_canonical(spelling)
 
 
 class TestFramerProperties:

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim.engine import Engine, SimulationError
@@ -137,3 +140,36 @@ def test_compaction_preserves_event_order(engine):
     engine.compact()
     engine.run()
     assert order == [t for t in range(1, 2 * Engine.COMPACT_MIN) if t % 2]
+
+
+class _Owner:
+    def callback(self, payload):
+        pass
+
+
+@pytest.mark.parametrize("how", ["cancelled", "consumed"])
+def test_spent_event_releases_its_callback(engine, how):
+    """A cancelled entry sits in the heap until popped or compacted (for a
+    32 s SIP timer: the whole cell), and a holder may keep a consumed one;
+    neither may pin the callback's ``__self__`` or its arguments."""
+    owner, payload = _Owner(), _Owner()
+    refs = [weakref.ref(owner), weakref.ref(payload)]
+    handle = engine.schedule(5.0, owner.callback, payload)
+    engine.schedule(9.0, lambda: None)  # keeps run() from draining the heap
+    if how == "cancelled":
+        handle.cancel()
+        assert len(engine._heap) == 2  # lazily cancelled: still in the heap
+    else:
+        engine.run(until=6.0)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del owner, payload
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert handle.fn is None and handle.args is None
+    assert "fn=None" in repr(handle)
+    handle.cancel()  # still idempotent
+    assert engine.pending == 1

@@ -1,11 +1,14 @@
 """Unit tests for UAC/UAS transaction state machines."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro.sim.engine import Engine
 from repro.sip.builder import MessageBuilder
+from repro.sip.dialogs import Dialog
 from repro.sip.parser import parse_message
 from repro.sip.transaction import (
     ClientTransaction,
@@ -158,3 +161,111 @@ class TestServerTransaction:
         invite = alice.invite("bob")
         txn = ServerTransaction(engine, invite, collect([]), reliable=False)
         assert txn.key == invite.transaction_key()
+
+
+@pytest.fixture
+def no_collector():
+    """Only reference counts may free anything while the test runs."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def dies_by_refcount(txn_box):
+    """Drop the last strong reference (``txn_box`` holds it) and report
+    whether the transaction went away without the cyclic collector."""
+    ref = weakref.ref(txn_box.pop())
+    return ref() is None
+
+
+CLIENT_ENDINGS = {
+    "final 2xx": lambda engine, txn, reply: txn.handle_response(reply(200)),
+    "final non-2xx": lambda engine, txn, reply: txn.handle_response(
+        reply(486)),
+    "cancel": lambda engine, txn, reply: txn.cancel(),
+    "timer B/F": lambda engine, txn, reply: engine.run(until=700_000.0),
+    "abort": lambda engine, txn, reply: txn.abort(),
+}
+
+
+@pytest.mark.usefixtures("no_collector")
+class TestLifetimes:
+    """A terminated transaction releases its timers and callbacks, so it —
+    and the request, response and user closures hanging off it — is freed
+    by reference count (DESIGN.md §3c); tests/test_object_lifetimes.py
+    checks the same on whole cells."""
+
+    @pytest.mark.parametrize("reliable", [False, True])
+    @pytest.mark.parametrize("ending", sorted(CLIENT_ENDINGS))
+    def test_client_transaction(self, engine, alice, bob, ending, reliable):
+        seen = []
+        invite = alice.invite("bob")
+        # Like the phone's, the callbacks close over the transaction's user.
+        box = [ClientTransaction(
+            engine, invite, collect([]), reliable,
+            TransactionTimers(t1_us=10_000.0),
+            on_response=lambda response: seen.append((box, response.status)),
+            on_timeout=lambda: seen.append((box, "timeout")))]
+        txn = box[0]
+        txn.start()
+        engine.run(until=35_000.0)  # unreliable: timer A fired twice
+        assert txn.retransmissions == (0 if reliable else 2)
+        CLIENT_ENDINGS[ending](
+            engine, txn,
+            lambda status: bob.response_for(invite, status, to_tag="b"))
+        assert txn.state is TxnState.TERMINATED
+        outcomes = [outcome for __, outcome in seen]
+        assert outcomes == {"final 2xx": [200], "final non-2xx": [486],
+                            "cancel": [], "timer B/F": ["timeout"],
+                            "abort": ["timeout"]}[ending]
+        # Late arrivals after termination are ignored, not raised on a
+        # released timer: a response, both timers, a second cancel/abort.
+        txn.handle_response(bob.response_for(invite, 200, to_tag="b"))
+        txn._retransmit()
+        txn._timed_out()
+        txn.abort()
+        txn.cancel()
+        assert [outcome for __, outcome in seen] == outcomes
+        del txn, seen[:]
+        assert dies_by_refcount(box)
+        fired = engine.events_fired
+        engine.run(until=60_000_000.0)
+        assert engine.events_fired == fired  # nothing was left armed
+
+    @pytest.mark.parametrize("reliable", [False, True])
+    @pytest.mark.parametrize("ending", ["ack", "give-up", "non-INVITE"])
+    def test_server_transaction(self, engine, alice, bob, ending, reliable):
+        wire = []
+        invite = alice.invite("bob")
+        request = invite if ending != "non-INVITE" else alice.bye(
+            Dialog.from_invite_success(
+                invite, bob.response_for(invite, 200, to_tag="b")))
+        box = [ServerTransaction(engine, request, collect(wire), reliable,
+                                 TransactionTimers(t1_us=10_000.0,
+                                                   t4_us=100_000.0))]
+        txn = box[0]
+        txn.respond(bob.response_for(request, 200, to_tag="b"))
+        engine.run(until=35_000.0)  # unreliable INVITE: timer G fired twice
+        assert len(wire) == (
+            3 if ending != "non-INVITE" and not reliable else 1)
+        if ending == "ack":
+            txn.handle_ack()
+        else:
+            engine.run(until=700_000.0)  # timer H (64×T1) / timer J (T4)
+        assert txn.terminated
+        sent = len(wire)
+        # A late timer is ignored; a late duplicate request is still
+        # absorbed by replaying the response, exactly as before.
+        txn._retransmit()
+        txn._give_up()
+        txn.handle_ack()
+        assert len(wire) == sent
+        txn.handle_request_retransmission()
+        assert len(wire) == sent + 1 and wire[-1] == wire[0]
+        del txn
+        assert dies_by_refcount(box)
+        fired = engine.events_fired
+        engine.run(until=60_000_000.0)
+        assert engine.events_fired == fired
