@@ -22,7 +22,7 @@ from typing import Any, Iterator, List, Optional
 
 from repro.sim.engine import Engine, Scheduled
 from repro.sim.primitives import Compute, Wait, YieldCPU
-from repro.sim.process import SimProcess
+from repro.sim.process import ALIVE_STATES, SimProcess
 
 #: The Linux ``prio_to_weight`` table (kernel/sched.c), nice −20 … +19.
 PRIO_TO_WEIGHT = [
@@ -175,7 +175,8 @@ class Scheduler:
     def _peek_key(self) -> Optional[float]:
         while self._runqueue:
             vruntime, __, proc = self._runqueue[0]
-            if proc.in_runqueue and proc.alive:
+            # ``alive`` without the property call: once per contended burst
+            if proc.in_runqueue and proc.state in ALIVE_STATES:
                 return vruntime
             heapq.heappop(self._runqueue)
         return None
@@ -290,12 +291,17 @@ class Scheduler:
                                    who=proc.name, core=core.index)
 
     def _slice_end(self, core: _Core, proc: "KernelProcess") -> None:
+        """The burst path (DESIGN.md §3d): the one engine event per slice.
+
+        Hot path, millions per cell.  The charge is inlined, the
+        context-switch settle skipped when nothing is pending, and a
+        completed burst advances the generator right here, on-core; when
+        the next effect is another ``Compute`` the park check, the
+        granularity check and the next slice are inlined too.
+        """
         if core.current is not proc:
             return  # stale (process was preempted or released)
         core.slice_handle = None
-        # Hot path: one _slice_end per Compute burst, millions per cell.
-        # The context-switch settle is skipped entirely in the common
-        # ctx_pending == 0 case, and the charge is inlined.
         if core.ctx_pending > 0:
             self._settle_ctx(core, proc)
         ran = core.slice_len
@@ -318,41 +324,40 @@ class Scheduler:
             else:
                 self._start_slice(core)
             return
-        # Burst complete: resume the generator while still on-core; the next
-        # effect decides whether we keep the core (another Compute) or
-        # release it (block/exit).
+        # Burst complete: advance the generator while still on-core.
         proc.pending = None
-        proc.resume_on_core()
-        self._after_resume(core, proc)
-
-    def _after_resume(self, core: _Core, proc: "KernelProcess") -> None:
-        if core.current is not proc:
-            # The resume blocked/exited/yielded and released the core already.
-            return
-        if core.slice_handle is not None:
-            # The resume went through sched_yield and was re-dispatched to
-            # this same core: its next slice is already scheduled.
-            return
-        if proc.pending is not None:
-            if self._should_park(proc):
-                # Timeslice exhausted mid-stream: off to the expired array
-                # even with no waiter (the O(1) tick does not care).
-                self._release(core, requeue=True)
+        effect = proc._step(None)
+        if not isinstance(effect, Compute) or proc.core is not core:
+            # Blocking, yielding, forking, exiting or finished — or a
+            # heavier waker preempted us during the resume: the generic
+            # dispatch, then give up the core if nothing else took it.
+            if effect is not None or proc.alive:  # None: body finished
+                proc._dispatch(effect)
+            if core.current is proc and core.slice_handle is None:
+                self._release(core, requeue=False)
                 self._fill_core(core)
+            return
+        proc.pending = [effect.us, effect.label]
+        # Timeslice exhausted mid-stream (_should_park, inlined): off to
+        # the expired array even with no waiter (the O(1) tick does not
+        # care).  Otherwise the next burst is displaced only by a waiter
+        # beyond the preemption granularity behind us.
+        if not (self.o1_model and proc.weight <= NICE_0_WEIGHT and
+                proc.cpu_debt - proc.sleep_credit > self.o1_timeslice_us):
+            best = self._peek_key() if self._runqueue else None
+            if best is None or best + self.granularity_us >= proc.vruntime:
+                # _start_slice, inlined: same core, so no switch is pending
+                slice_len = effect.us
+                if slice_len > self.quantum_us:
+                    slice_len = self.quantum_us
+                engine = self.engine
+                core.slice_started = engine.now
+                core.slice_len = slice_len
+                core.slice_handle = engine.schedule(
+                    slice_len, self._slice_end, core, proc)
                 return
-            # Next burst: displace only when a waiter is beyond the
-            # preemption granularity behind us.
-            best = self._peek_key()
-            if best is not None and \
-                    best + self.granularity_us < proc.vruntime:
-                self._release(core, requeue=True)
-                self._fill_core(core)
-            else:
-                self._start_slice(core)
-        else:
-            # Resume neither blocked nor computed; give up the core anyway.
-            self._release(core, requeue=False)
-            self._fill_core(core)
+        self._release(core, requeue=True)
+        self._fill_core(core)
 
     def _preempt(self, core: _Core) -> None:
         """Evict the running process mid-slice, charging partial time."""
@@ -487,28 +492,17 @@ class KernelProcess(SimProcess):
         #: attached by Machine.spawn
         self.fdtable = None
 
-    def set_nice(self, nice: int) -> None:
-        """Renice (takes effect from the next scheduling decision)."""
-        self.nice = nice
-        self.weight = nice_to_weight(nice)
-
     # -- effect handling ------------------------------------------------
     def _on_compute(self, effect: Compute, epoch: int) -> None:
+        # Off-core only: an on-core process's next burst is started by
+        # Scheduler._slice_end (make_ready ignores a process on a core).
         self.pending = [effect.us, effect.label]
-        if self.core is not None:
-            # Continuing on-core right after a completed burst; the
-            # scheduler notices via _after_resume and starts the next slice.
-            return
         self.scheduler.make_ready(self)
 
     def _on_yield(self, epoch: int) -> None:
         # A zero-length marker burst keeps the slice machinery uniform.
         self.pending = [0.0, _YIELD_LABEL]
         self.scheduler.yield_cpu(self)
-
-    def resume_on_core(self) -> None:
-        """Scheduler hook: burst done, advance the generator synchronously."""
-        self._resume(None, self._epoch)
 
     def _dispatch(self, effect) -> None:
         if isinstance(effect, (Compute, YieldCPU)):

@@ -12,7 +12,7 @@
 """
 
 import collections
-from typing import Deque, Optional, Set
+from typing import Deque, List, Optional, Set
 
 from repro.sim.events import Signal
 
@@ -70,7 +70,9 @@ class StreamBuffer:
         self.engine = engine
         self.name = name
         self.capacity = capacity_bytes
-        self._chunks: Deque[str] = collections.deque()
+        #: pushed runs not yet read; a plain list (an empty deque is
+        #: 760 B, and most of a churn cell's buffers are empty)
+        self._chunks: List[str] = []
         self._size = 0
         self.readable_signal = Signal(engine, name=f"{name}.readable")
         self.writable_signal = Signal(engine, name=f"{name}.writable")
@@ -109,23 +111,19 @@ class StreamBuffer:
 
     def read(self, max_bytes: int = 1 << 30) -> str:
         """Take up to ``max_bytes`` from the front (may split chunks)."""
-        out = []
-        taken = 0
-        while self._chunks and taken < max_bytes:
-            chunk = self._chunks.popleft()
-            room = max_bytes - taken
-            if len(chunk) > room:
-                out.append(chunk[:room])
-                self._chunks.appendleft(chunk[room:])
-                taken += room
-            else:
-                out.append(chunk)
-                taken += len(chunk)
-        if taken:
-            self._size -= taken
-            self.consumed += taken
-            self.writable_signal.fire()
-        return "".join(out)
+        chunks = self._chunks
+        if not chunks or max_bytes <= 0:
+            return ""
+        data = "".join(chunks)
+        chunks.clear()
+        if len(data) > max_bytes:
+            chunks.append(data[max_bytes:])
+            data = data[:max_bytes]
+        taken = len(data)
+        self._size -= taken
+        self.consumed += taken
+        self.writable_signal.fire()
+        return data
 
     def __repr__(self) -> str:
         eof = " EOF" if self.eof else ""

@@ -69,10 +69,6 @@ class Signal:
     def subscribe(self, callback: Callable[[Any], None]) -> None:
         self._callbacks.append(callback)
 
-    def unsubscribe(self, callback: Callable[[Any], None]) -> None:
-        if callback in self._callbacks:
-            self._callbacks.remove(callback)
-
     def listen(self, callback: Callable[[Any], None]) -> None:
         """Persistently observe every fire (not cleared by firing)."""
         self._listeners.append(callback)

@@ -27,6 +27,11 @@ class ProcessState(enum.Enum):
     FAILED = "failed"
 
 
+#: the states of :attr:`SimProcess.alive`; hot paths test membership
+#: directly rather than pay the property's call frame
+ALIVE_STATES = (ProcessState.NEW, ProcessState.LIVE)
+
+
 class SimProcess:
     """A simulated process executing a generator of effects."""
 
@@ -63,7 +68,7 @@ class SimProcess:
 
     @property
     def alive(self) -> bool:
-        return self.state in (ProcessState.NEW, ProcessState.LIVE)
+        return self.state in ALIVE_STATES
 
     # ------------------------------------------------------------------
     # driving the generator
@@ -72,18 +77,24 @@ class SimProcess:
         """Advance the generator with ``value``; drop stale wakeups."""
         if epoch != self._epoch or self.state is not ProcessState.LIVE:
             return
+        effect = self._step(value)
+        if effect is not None or self.alive:  # a yielded None is rejected
+            self._dispatch(effect)
+
+    def _step(self, value: Any):
+        """Advance the body to its next effect; ``None`` once it finished.
+        The one place a body advances (DESIGN.md §3d)."""
         self._epoch += 1
         try:
-            effect = self.gen.send(value)
+            return self.gen.send(value)
         except StopIteration as stop:
             self._finish(getattr(stop, "value", None))
-            return
+            return None
         except BaseException as exc:  # noqa: BLE001 - surfaced to the engine
             self.state = ProcessState.FAILED
             self.error = exc
             self.done.fire(None)
             raise
-        self._dispatch(effect)
 
     def _dispatch(self, effect) -> None:
         """Interpret one effect.  Subclasses override CPU-related cases."""

@@ -1,10 +1,14 @@
 """Unit tests for the multi-core weighted-fair scheduler."""
 
+import hashlib
+import sys
+
 import pytest
 
 from repro.sim.engine import Engine
 from repro.sim.events import Event
-from repro.sim.primitives import Compute, Sleep, Wait, YieldCPU
+from repro.sim.primitives import Compute, Exit, Fork, Sleep, Wait, YieldCPU
+from repro.sim.process import ProcessState
 from repro.kernel.scheduler import (
     NICE_0_WEIGHT,
     Scheduler,
@@ -238,3 +242,137 @@ def test_runnable_count(engine):
     assert sched.runnable() == 3
     run_until_done(engine, procs)
     assert sched.runnable() == 0
+
+
+# ---------------------------------------------------------------------------
+# the burst path (DESIGN.md §3d)
+# ---------------------------------------------------------------------------
+def _profiled_calls(n_procs, bursts):
+    """(Python calls, events fired) running ``n_procs`` processes of
+    ``bursts`` x Compute(10) on a default 4-core scheduler."""
+    engine = Engine()
+    sched = Scheduler(engine, n_cores=4)
+
+    def body():
+        for __ in range(bursts):
+            yield Compute(10.0, "burst")
+
+    procs = [sched.spawn(body(), f"p{i}").start() for i in range(n_procs)]
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        engine.run()
+    finally:
+        sys.setprofile(None)
+    assert not any(proc.alive for proc in procs)
+    return calls, engine.events_fired
+
+
+@pytest.mark.parametrize("n_procs, budget", [(4, 6), (8, 8)],
+                         ids=["uncontended", "contended"])
+def test_frame_budget_per_burst(n_procs, budget):
+    """A completed burst costs one engine event and at most ``budget``
+    Python calls (generator resume and the Compute included); start-up
+    and exit are fixed costs, so the budget is taken at the margin."""
+    calls, events = _profiled_calls(n_procs, 2000)
+    fewer_calls, __ = _profiled_calls(n_procs, 1000)
+    per_burst = (calls - fewer_calls) / (n_procs * 1000)
+    assert per_burst <= budget
+    assert events / (n_procs * 2000) == 1.0005  # one per burst + starts
+
+
+#: ``_timeline_digest()`` on the scheduler before the burst path resumed
+#: on-core processes inline; the event stream must not move
+TIMELINE_DIGEST = "7ff174e140438220"
+
+
+def _timeline_digest():
+    """Hash of every CPU charge — (now, process, cpu_us, vruntime,
+    epochs parked) — in a two-core scenario that takes each corner of the
+    burst path, plus the number of engine events fired."""
+    engine = Engine()
+    charges = []
+
+    class ChargeProbe(Probe):
+        """Every sink off, but ``charge`` logs the charged process."""
+
+        def __init__(self):
+            super().__init__(engine, False, False, False)
+            self.charge = self._log
+
+        def _log(self, label, us, name):
+            proc = next(p for p in sched.processes if p.name == name)
+            charges.append((engine.now, name, proc.cpu_us, proc.vruntime,
+                            proc.epochs_parked))
+
+    sched = Scheduler(engine, n_cores=2, quantum_us=200.0, ctx_switch_us=1.5,
+                      granularity_us=50.0, o1_timeslice_us=400.0,
+                      o1_park_us=300.0, probe=ChargeProbe())
+
+    def sup_body():  # suspended mid-burst at 130 us, resumed by ``light``
+        for __ in range(3):
+            yield Compute(60.0, "sup")
+            yield Sleep(40.0)
+
+    def light_body():
+        # Between bursts, on-core: wake the suspended nice -20 process,
+        # which preempts this (the lightest) one during its own resume.
+        for __ in range(30):
+            yield Compute(23.0, "light")
+            if sup.suspended and engine.now >= 400.0:
+                sched.resume(sup)
+
+    def parker_body():  # never sleeps: parked at a burst boundary
+        for __ in range(40):
+            yield Compute(17.0, "stream")
+
+    def kid_body():
+        for __ in range(3):
+            yield Compute(13.0, "kid")
+        yield Exit(7)
+
+    def yielder_body():
+        for i in range(6):
+            yield Compute(11.0, "yield")
+            if i == 2:
+                kids.append((yield Fork(kid_body(), "kid")))
+            yield YieldCPU()
+        yield Sleep(1500.0)
+        yield Compute(5.0, "yield")
+        yield YieldCPU()  # alone now: the yield keeps the core
+        yield Compute(5.0, "yield")
+        yield Exit("bye")
+
+    def doomed_body():
+        for __ in range(4):
+            yield Compute(500.0, "doomed")
+
+    def kill_queued():
+        assert doomed.in_runqueue
+        doomed.kill()
+
+    kids = []
+    sup = sched.spawn(sup_body(), "sup", nice=-20).start()
+    light = sched.spawn(light_body(), "light", nice=5).start()
+    parker = sched.spawn(parker_body(), "parker").start()
+    yielder = sched.spawn(yielder_body(), "yielder").start()
+    doomed = sched.spawn(doomed_body(), "doomed").start()
+    engine.schedule(130.0, sched.suspend, sup)
+    engine.schedule(280.0, kill_queued)
+    run_until_done(engine, [sup, light, parker, yielder, doomed])
+    assert sup.state is ProcessState.DONE
+    assert parker.epochs_parked >= 1
+    assert yielder.result == "bye" and kids[0].result == 7
+    assert doomed.state is ProcessState.KILLED
+    blob = repr((charges, engine.events_fired)).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_burst_path_timeline_is_unchanged():
+    assert _timeline_digest() == TIMELINE_DIGEST

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.kernel.fdtable import EmfileError, FdTable, FileDescription
+from repro.kernel.ipc import IpcChannel, IpcMessage
+from repro.kernel.poller import Poller, TickSource
 from repro.kernel.sockets import PortAllocator, PortExhaustedError, StreamBuffer
 from repro.sim.engine import Engine
 from repro.sip.headers import Address, CSeq, Via
@@ -262,6 +264,69 @@ class TestStreamBufferProperties:
         while buf.size:
             out.append(buf.read(read_size))
         assert "".join(out) == "".join(chunks)
+
+
+# ---------------------------------------------------------------------------
+# poller: the hot set against a full scan
+# ---------------------------------------------------------------------------
+#: (operation, source index): source 0 is a StreamBuffer, 1 the receiving
+#: IpcEndpoint of a channel, 2 a TickSource
+POLLER_STEPS = ([(op, i) for op in ("add", "remove") for i in range(3)]
+                + [(op, 0) for op in ("push", "read", "eof")]
+                + [(op, 1) for op in ("push", "read", "stall", "unstall",
+                                      "drain")]
+                + [("consume", 2), ("tick", 2)])
+
+
+class TestPollerProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(POLLER_STEPS), st.booleans()),
+                    min_size=10, max_size=60))
+    def test_ready_equals_a_full_scan(self, steps):
+        """Whatever happened since the last scan, ``ready()`` returns what
+        scanning every added source in add order returns."""
+        engine = Engine()
+        poller = Poller(engine)
+        chan = IpcChannel(engine, capacity=3)
+        sources = [StreamBuffer(engine, capacity_bytes=1 << 20), chan.b,
+                   TickSource(engine, 7.0)]
+        added = []  # the oracle's own add-ordered registration list
+
+        def full_scan():
+            return [source for source in added if source.readable()]
+
+        for (op, i), check in steps:
+            source = sources[i]
+            if op == "add":
+                poller.add(source)
+                if source not in added:
+                    added.append(source)
+            elif op == "remove":
+                poller.remove(source)
+                if source in added:
+                    added.remove(source)
+            elif op == "push":
+                if i == 0:
+                    source.push("xy")
+                else:
+                    chan.a.try_send(IpcMessage("m"))
+            elif op == "read":
+                if i == 0:
+                    source.read(1)
+                else:
+                    source.try_recv()
+            elif op == "eof":
+                source.push_eof()
+            elif op == "consume":
+                source.consume()
+            elif op == "tick":
+                engine.run(until=engine.now + 5.0)
+            else:  # stall / unstall / drain
+                getattr(chan, op)()
+            if check:
+                assert poller.ready() == full_scan()
+        assert poller.ready() == full_scan()
+        assert poller.sources == added
 
 
 # ---------------------------------------------------------------------------
