@@ -31,7 +31,7 @@ from repro.analysis.overload import (
 )
 from repro.analysis.runner import CellOutcome, default_jobs, run_cells
 from repro.analysis.paper_data import PAPER_FIGURES, SERIES, CLIENT_COUNTS
-from repro.analysis.tables import render_figure, render_comparison
+from repro.analysis.tables import render_comparison
 
 __all__ = [
     "ExperimentSpec",
@@ -48,7 +48,6 @@ __all__ = [
     "PAPER_FIGURES",
     "SERIES",
     "CLIENT_COUNTS",
-    "render_figure",
     "render_comparison",
     "OVERLOAD_T1_US",
     "capacity_spec",

@@ -101,9 +101,9 @@ class ExperimentSpec:
     controller: str = "none"
     controller_params: Dict = field(default_factory=dict)
     #: compressed SIP T1 for overload cells (None = the config default
-    #: 500 ms).  T2/T4 follow at the RFC's 8×/10× ratios on both the
-    #: proxy and the phones, so retransmission dynamics fit sub-second
-    #: measurement windows.
+    #: 500 ms).  T2/T4 and the timer tick follow from it on both the proxy
+    #: and the phones (:class:`~repro.proxy.config.ProxyConfig`), so
+    #: retransmission dynamics fit sub-second measurement windows.
     sip_t1_us: Optional[float] = None
     #: exempt this cell's windows from REPRO_SCALE (experiments whose
     #: effect needs a minimum absolute duration, like Tab. S2)
@@ -175,13 +175,7 @@ def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
                   trace=spec.trace,
                   causal=spec.causal,
                   server_fd_limit=spec.server_fd_limit)
-    overload_kw = {}
-    if spec.sip_t1_us is not None:
-        overload_kw["sip_t1_us"] = spec.sip_t1_us
-        overload_kw["sip_t2_us"] = 8.0 * spec.sip_t1_us
-        # The timer process must wake well inside T1 or proxy-side
-        # retransmissions quantize to the tick.
-        overload_kw["timer_tick_us"] = spec.sip_t1_us / 4.0
+    t1_kw = {} if spec.sip_t1_us is None else {"sip_t1_us": spec.sip_t1_us}
     config = ProxyConfig(
         transport=spec.transport(),
         workers=spec.workers or spec.default_workers(),
@@ -192,7 +186,7 @@ def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
         stateful=spec.stateful,
         overload_controller=spec.controller,
         overload_params=dict(spec.controller_params),
-        **overload_kw,
+        **t1_kw,
         **spec.config_overrides,
     )
     proxy = build_proxy(bed.server, config, spec.costs).start()
@@ -210,13 +204,7 @@ def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
         mode="open" if spec.offered_cps is not None else "closed",
         offered_cps=spec.offered_cps or 0.0,
     )
-    timers = None
-    if spec.sip_t1_us is not None:
-        from repro.sip.transaction import TransactionTimers
-        timers = TransactionTimers(t1_us=spec.sip_t1_us,
-                                   t2_us=8.0 * spec.sip_t1_us,
-                                   t4_us=10.0 * spec.sip_t1_us)
-    manager = BenchmarkManager(bed, proxy, workload, timers=timers)
+    manager = BenchmarkManager(bed, proxy, workload)
     # -- fault machinery (all zero simulated cost; see repro.faults) ----
     detector = watchdog = injector = None
     if spec.detect_deadlocks:

@@ -19,19 +19,6 @@ def _fmt(value: Optional[float]) -> str:
     return f"{value:>8.0f}" if value is not None else f"{'-':>8}"
 
 
-def render_figure(title: str, throughputs: Dict[str, Dict[int, float]],
-                  clients=CLIENT_COUNTS) -> str:
-    """One grid as text: rows are series, columns are client counts."""
-    width = max(len(_LABELS.get(name, name)) for name in throughputs)
-    header = " " * width + "".join(f"{c:>9}" for c in clients)
-    lines = [f"== {title} (ops/s) ==", header]
-    for name, row in throughputs.items():
-        label = _LABELS.get(name, name)
-        cells = "".join(" " + _fmt(row.get(c)) for c in clients)
-        lines.append(f"{label:<{width}}{cells}")
-    return "\n".join(lines)
-
-
 def render_comparison(figure_key: str,
                       measured: Dict[str, Dict[int, float]],
                       clients=CLIENT_COUNTS) -> str:

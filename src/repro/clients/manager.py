@@ -11,7 +11,6 @@ from typing import List, Optional
 from repro.clients.openloop import OpenLoopDriver
 from repro.clients.phone import Phone
 from repro.clients.workload import BenchmarkResult, Workload, percentiles
-from repro.obs.histogram import StreamingHistogram
 from repro.sim.events import Event
 from repro.sip.transaction import TransactionTimers
 
@@ -20,31 +19,19 @@ CALLEE_PORT_BASE = 40000
 REGISTER_STAGGER_US = 200_000.0
 
 
-def _latency_summary(phones, list_attr: str, hist_attr: str):
-    """Percentiles+mean across phones, exact when every raw sample was
-    retained; from the merged streaming histograms once any phone
-    overflowed its per-phone cap (large runs no longer sort everything).
-    """
-    samples = [s for p in phones for s in getattr(p, list_attr)]
-    hists = [getattr(p, hist_attr) for p in phones]
-    if sum(h.count for h in hists) > len(samples):
-        merged = StreamingHistogram()
-        for hist in hists:
-            merged.merge(hist)
-        return merged.percentiles()
-    return percentiles(samples)
-
-
 class BenchmarkManager:
     """Runs one workload cell against one started proxy."""
 
-    def __init__(self, testbed, proxy, workload: Workload,
-                 timers: Optional[TransactionTimers] = None) -> None:
+    def __init__(self, testbed, proxy, workload: Workload) -> None:
         workload.validate()
         self.testbed = testbed
         self.proxy = proxy
         self.workload = workload
-        self.timers = timers or TransactionTimers()
+        # The phones run the proxy's T1 and T2, and T4 at the RFC's 10×T1.
+        config = proxy.config
+        self.timers = TransactionTimers(t1_us=config.sip_t1_us,
+                                        t2_us=config.sip_t2_us,
+                                        t4_us=10.0 * config.sip_t1_us)
         self.engine = testbed.engine
         self.go_event = Event(self.engine, name="manager.go")
         self.callers: List[Phone] = []
@@ -71,9 +58,6 @@ class BenchmarkManager:
                 proxy_port=self.proxy.config.port,
                 ops_per_conn=workload.ops_per_conn,
                 timers=self.timers,
-                call_hold_us=workload.call_hold_us,
-                ring_delay_us=workload.ring_delay_us,
-                think_time_us=workload.think_time_us,
                 open_loop=workload.mode == "open",
             )
             caller = Phone(
@@ -147,10 +131,10 @@ class BenchmarkManager:
                 busy0, duration),
             proxy_stats=stats_delta,
             profile=profile,
-            setup_latency_us=_latency_summary(
-                self.callers, "setup_latencies_us", "setup_hist"),
-            processing_latency_us=_latency_summary(
-                self.callers, "processing_latencies_us", "processing_hist"),
+            setup_latency_us=percentiles(
+                [s for p in self.callers for s in p.setup_latencies_us]),
+            processing_latency_us=percentiles(
+                [s for p in self.callers for s in p.processing_latencies_us]),
             proxy_totals=self.proxy.stats.snapshot(),
             open_conns=len(getattr(self.proxy, "conn_table", ())),
             goodput_cps=completed / (duration / 1e6) if duration > 0 else 0.0,

@@ -18,7 +18,6 @@ port so the proxy can dial in when no live connection remains.
 
 from typing import Dict, Optional
 
-from repro.obs.histogram import StreamingHistogram
 from repro.net.sctp import SctpEndpoint
 from repro.net.tcp import TcpError, TcpListener, connect as tcp_connect
 from repro.net.udp import UdpEndpoint
@@ -56,8 +55,6 @@ class Phone:
         go_event: Optional[Event] = None,
         timers: Optional[TransactionTimers] = None,
         start_delay_us: float = 0.0,
-        call_hold_us: float = 0.0,
-        ring_delay_us: float = 0.0,
         think_time_us: float = 0.0,
         open_loop: bool = False,
     ) -> None:
@@ -80,8 +77,7 @@ class Phone:
         self.go_event = go_event
         self.timers = timers or TransactionTimers()
         self.start_delay_us = start_delay_us
-        self.call_hold_us = call_hold_us
-        self.ring_delay_us = ring_delay_us
+        #: caller pause between calls (the paper's load has none)
         self.think_time_us = think_time_us
         self.open_loop = open_loop
         self.reliable = transport in ("tcp", "sctp")
@@ -97,17 +93,11 @@ class Phone:
         self.calls_failed = 0
         self.retransmissions = 0    #: UAC request retransmissions sent
         self.retransmissions_absorbed = 0  #: callee: duplicate INVITEs seen
-        #: call-setup times (INVITE sent → 2xx received), µs; bounded
+        #: call-setup times (INVITE sent → 2xx received), µs
         self.setup_latencies_us = []
-        #: BYE round-trip times (request sent → 2xx), µs; bounded.  No
-        #: ring/hold delay is involved, so this is pure proxy processing
-        #: plus network time.
+        #: BYE round-trip times (request sent → 2xx), µs: proxy
+        #: processing plus network time
         self.processing_latencies_us = []
-        self._latency_cap = 4096
-        #: unbounded streaming counterparts: O(buckets) memory, so runs
-        #: past the raw-sample cap still report accurate percentiles
-        self.setup_hist = StreamingHistogram()
-        self.processing_hist = StreamingHistogram()
         self.handled_ops = 0        #: callee: transactions it served
         self._ops_on_conn = 0
         self._client_txns: Dict[str, ClientTransaction] = {}
@@ -322,26 +312,18 @@ class Phone:
             self.calls_failed += 1
             yield Sleep(10_000.0)  # brief backoff after a failed call
             return
-        setup_us = self.engine.now - invite_sent_at
-        self.setup_hist.add(setup_us)
-        if len(self.setup_latencies_us) < self._latency_cap:
-            self.setup_latencies_us.append(setup_us)
+        self.setup_latencies_us.append(self.engine.now - invite_sent_at)
         self._count_op()
         ack = self.builder.ack_for(invite, final)
         self._send_text(ack.render())
         dialog = Dialog.from_invite_success(invite, final)
-        if self.call_hold_us > 0:
-            yield Sleep(self.call_hold_us)
         bye = self.builder.bye(dialog)
         bye_sent_at = self.engine.now
         final = yield from self._run_client_txn(bye)
         if final is None or not final.is_success:
             self.calls_failed += 1
             return
-        processing_us = self.engine.now - bye_sent_at
-        self.processing_hist.add(processing_us)
-        if len(self.processing_latencies_us) < self._latency_cap:
-            self.processing_latencies_us.append(processing_us)
+        self.processing_latencies_us.append(self.engine.now - bye_sent_at)
         self._count_op()
         self.calls_completed += 1
         yield from self._maybe_reconnect()
@@ -433,12 +415,8 @@ class Phone:
         self._uas_invites[call_id] = st
         tag = self.builder.new_tag()
         st.respond(self.builder.response_for(invite, 180, to_tag=tag))
-        ok = self.builder.response_for(invite, 200, to_tag=tag,
-                                       with_contact=True)
-        if self.ring_delay_us > 0:
-            self.engine.schedule(self.ring_delay_us, st.respond, ok)
-        else:
-            st.respond(ok)
+        st.respond(self.builder.response_for(invite, 200, to_tag=tag,
+                                             with_contact=True))
         self._note_handled_op()
 
     def _handle_ack(self, ack: SipRequest) -> None:

@@ -29,9 +29,6 @@ class Workload:
     warmup_us: float = 150_000.0
     measure_us: float = 400_000.0
     register_deadline_us: float = 20_000_000.0
-    call_hold_us: float = 0.0      #: time between 200-OK and BYE
-    ring_delay_us: float = 0.0     #: callee's 180→200 delay
-    think_time_us: float = 0.0     #: caller pause between calls
     mode: str = "closed"           #: "closed" (paper) or "open" (overload)
     offered_cps: float = 0.0       #: open-loop Poisson arrival rate, calls/s
 
@@ -42,10 +39,8 @@ class Workload:
             raise ValueError("ops_per_conn must be positive")
         if self.measure_us <= 0:
             raise ValueError("measurement window must be positive")
-        for name in ("warmup_us", "call_hold_us", "ring_delay_us",
-                     "think_time_us"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.warmup_us < 0:
+            raise ValueError("warmup_us must be >= 0")
         if self.register_deadline_us <= 0:
             raise ValueError("register_deadline_us must be positive")
         if self.mode not in ("closed", "open"):

@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.kernel.timerwheel import PeriodicTimer
 
-#: default scan period (µs of simulated time)
-DEFAULT_PERIOD_US = 25_000.0
+#: scan period (µs of simulated time)
+PERIOD_US = 25_000.0
 
 
 def _sccs(edges: Dict[str, Set[str]]) -> List[frozenset]:
@@ -91,10 +91,8 @@ def _sccs(edges: Dict[str, Set[str]]) -> List[frozenset]:
 class DeadlockDetector:
     """Periodic wait-for-graph scans over registered IPC endpoints."""
 
-    def __init__(self, engine, period_us: float = DEFAULT_PERIOD_US,
-                 min_blocked_us: float = 0.0) -> None:
+    def __init__(self, engine, min_blocked_us: float = 0.0) -> None:
         self.engine = engine
-        self.period_us = period_us
         #: ignore endpoints blocked for less than this (0 = any blocked
         #: endpoint counts; the cycle requirement already filters
         #: transient backpressure)
@@ -109,7 +107,7 @@ class DeadlockDetector:
         #: cycles present as of the last scan
         self.active: Set[frozenset] = set()
         self.scans = 0
-        self._timer = PeriodicTimer(engine, period_us, self.scan)
+        self._timer = PeriodicTimer(engine, PERIOD_US, self.scan)
 
     # ------------------------------------------------------------------
     # registration

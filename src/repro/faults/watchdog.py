@@ -8,7 +8,7 @@ Three triggers, checked every period:
   drains its channels, which wakes the blocked supervisor — the §6
   recovery path);
 - **hang** — the worker's heartbeat (stamped at the top of its event
-  loop) is older than ``hang_timeout_us`` *and* the architecture reports
+  loop) is older than :data:`HANG_TIMEOUT_US` *and* the architecture reports
   pending work for it.  The work-pending gate keeps an idle worker —
   legitimately silent for seconds — from tripping the timeout.
 
@@ -26,30 +26,25 @@ from typing import Dict, List, Optional
 
 from repro.kernel.timerwheel import PeriodicTimer
 
-#: default check period (µs of simulated time)
-DEFAULT_PERIOD_US = 50_000.0
+#: check period (µs of simulated time)
+PERIOD_US = 50_000.0
 
-#: default heartbeat age treated as a hang (µs of simulated time); far
-#: beyond any healthy fd-request round trip, well inside a measurement
-#: window
-DEFAULT_HANG_TIMEOUT_US = 300_000.0
+#: heartbeat age treated as a hang (µs of simulated time); far beyond any
+#: healthy fd-request round trip, well inside a measurement window
+HANG_TIMEOUT_US = 300_000.0
 
 
 class Watchdog:
     """Periodic worker-liveness checks with automatic restart."""
 
-    def __init__(self, proxy, period_us: float = DEFAULT_PERIOD_US,
-                 hang_timeout_us: float = DEFAULT_HANG_TIMEOUT_US,
-                 detector=None) -> None:
+    def __init__(self, proxy, detector=None) -> None:
         self.proxy = proxy
         self.engine = proxy.engine
-        self.period_us = period_us
-        self.hang_timeout_us = hang_timeout_us
         self.detector = detector
         #: JSON-ready restart records, in simulated order
         self.restarts: List[Dict] = []
         self.checks = 0
-        self._timer = PeriodicTimer(self.engine, period_us, self._tick)
+        self._timer = PeriodicTimer(self.engine, PERIOD_US, self._tick)
 
     # ------------------------------------------------------------------
     def start(self) -> "Watchdog":
@@ -88,7 +83,7 @@ class Watchdog:
                 self._restart(index, "crash")
             elif index in deadlocked:
                 self._restart(index, "deadlock")
-            elif (now - heartbeats[index] >= self.hang_timeout_us
+            elif (now - heartbeats[index] >= HANG_TIMEOUT_US
                   and self.proxy.worker_work_pending(index)):
                 self._restart(index, "hang")
 
@@ -112,5 +107,5 @@ class Watchdog:
         return {"workers_restarted": lambda: float(len(self.restarts))}
 
     def __repr__(self) -> str:
-        return (f"<Watchdog period={self.period_us}us "
+        return (f"<Watchdog period={PERIOD_US}us "
                 f"restarts={len(self.restarts)}>")

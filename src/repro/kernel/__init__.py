@@ -8,7 +8,7 @@ depend on:
   ``sched_yield``.  Reproduces the §4.3 supervisor-starvation effect.
 - :mod:`~repro.kernel.locks` — OpenSER-style userspace spinlocks that fall
   back to ``sched_yield`` (the §5.2 "top ten kernel functions are all in
-  the Linux scheduler" effect) and kernel blocking mutexes.
+  the Linux scheduler" effect).
 - :mod:`~repro.kernel.ipc` — bounded-buffer duplex channels with blocking
   send/recv and SCM_RIGHTS-style fd passing (the Fig. 4 IPC overhead and
   the §6 deadlock).
@@ -22,7 +22,7 @@ depend on:
 """
 
 from repro.kernel.scheduler import Scheduler, KernelProcess, nice_to_weight
-from repro.kernel.locks import SpinLock, KMutex
+from repro.kernel.locks import SpinLock
 from repro.kernel.ipc import IpcChannel, IpcEndpoint, FdPayload, IpcMessage
 from repro.kernel.fdtable import FdTable, FileDescription, EmfileError, BadFdError
 from repro.kernel.sockets import (
@@ -40,7 +40,6 @@ __all__ = [
     "KernelProcess",
     "nice_to_weight",
     "SpinLock",
-    "KMutex",
     "IpcChannel",
     "IpcEndpoint",
     "FdPayload",

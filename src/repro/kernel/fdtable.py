@@ -11,7 +11,7 @@ connection churn (§4.3) is observable.
 """
 
 import heapq
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 
 class BadFdError(OSError):
@@ -97,13 +97,6 @@ class FdTable:
     def close_all(self) -> None:
         for fd in list(self._slots):
             self.close(fd)
-
-    def fd_of(self, obj: Any) -> Optional[int]:
-        """Reverse lookup: the first fd whose description wraps ``obj``."""
-        for fd, desc in self._slots.items():
-            if desc.obj is obj:
-                return fd
-        return None
 
     def __len__(self) -> int:
         return len(self._slots)

@@ -109,7 +109,7 @@ class IpcEndpoint:
     # -- blocking operations (generators) --------------------------------
     def send(self, msg: IpcMessage):
         """Generator: block until buffer space is available, then enqueue."""
-        while self._out.full:
+        while not self.try_send(msg):
             if self.blocked_sending_since is None:
                 self.blocked_sending_since = self._engine.now
                 probe = self.channel.probe
@@ -117,8 +117,6 @@ class IpcEndpoint:
                     probe.instant("ipc_send_blocked", cat="ipc",
                                   who=self.name, kind=msg.kind)
             yield Wait(self._out.writable_signal, "ipc")
-        self.blocked_sending_since = None
-        self._enqueue(msg)
 
     def recv(self):
         """Generator: block until a message is available; returns it."""
@@ -126,8 +124,7 @@ class IpcEndpoint:
             if self.blocked_receiving_since is None:
                 self.blocked_receiving_since = self._engine.now
             yield Wait(self._in.readable_signal, "ipc")
-        self.blocked_receiving_since = None
-        return self._dequeue()
+        return self.try_recv()
 
     # -- non-blocking operations -----------------------------------------
     def try_send(self, msg: IpcMessage) -> bool:

@@ -1,4 +1,4 @@
-"""Locks: OpenSER-style userspace spinlocks and kernel blocking mutexes.
+"""Locks: OpenSER-style userspace spinlocks.
 
 OpenSER guards its shared-memory structures (transaction table, TCP
 connection hash table) with userspace spinlocks that call ``sched_yield``
@@ -9,7 +9,7 @@ scheduler" during the 50 ops/conn workload.  :class:`SpinLock` models
 exactly that behaviour; the spin and yield costs are charged to the
 profiler so the effect is visible in regenerated profiles.
 
-Both lock types are used from process generators via ``yield from``::
+The lock is used from process generators via ``yield from``::
 
     yield from table_lock.acquire()
     try:
@@ -20,8 +20,7 @@ Both lock types are used from process generators via ``yield from``::
 
 from typing import Optional
 
-from repro.sim.events import Signal
-from repro.sim.primitives import Compute, Wait, YieldCPU
+from repro.sim.primitives import Compute, YieldCPU
 
 
 class SpinLock:
@@ -95,46 +94,3 @@ class SpinLock:
     def __repr__(self) -> str:
         state = f"held by {self.owner!r}" if self.held else "free"
         return f"<SpinLock {self.name!r} {state} acq={self.acquisitions}>"
-
-
-class KMutex:
-    """Kernel-style blocking mutex: contenders sleep on a wait queue.
-
-    Used for in-kernel serialization (socket buffers, accept queues), where
-    the kernel blocks rather than spins.
-    """
-
-    def __init__(self, engine, name: str = "kmutex",
-                 acquire_us: float = 0.3) -> None:
-        self.engine = engine
-        self.name = name
-        self.acquire_us = acquire_us
-        self.held = False
-        self.owner: Optional[str] = None
-        self._waiters = Signal(engine, name=f"{name}.waiters")
-        self.acquisitions = 0
-        self.contentions = 0
-
-    def acquire(self, who: str = "?"):
-        """Generator: block (off-CPU) until the mutex is ours."""
-        yield Compute(self.acquire_us, f"kmutex.{self.name}.acquire")
-        contended = False
-        while self.held:
-            contended = True
-            yield Wait(self._waiters, "lock")
-        if contended:
-            self.contentions += 1
-        self.held = True
-        self.owner = who
-        self.acquisitions += 1
-
-    def release(self) -> None:
-        if not self.held:
-            raise RuntimeError(f"kmutex {self.name!r} released while not held")
-        self.held = False
-        self.owner = None
-        self._waiters.fire_one()
-
-    def __repr__(self) -> str:
-        state = f"held by {self.owner!r}" if self.held else "free"
-        return f"<KMutex {self.name!r} {state}>"

@@ -43,9 +43,8 @@ class Poller:
         self._hot: Set = set()
         self._waker: Signal = None
 
-    def _on_data(self, source=None, value=None) -> None:
-        if source is not None:
-            self._hot.add(source)
+    def _on_data(self, source, value=None) -> None:
+        self._hot.add(source)
         waker = self._waker
         if waker is not None:
             self._waker = None
@@ -80,28 +79,18 @@ class Poller:
         hot.update(ready)
         return ready
 
-    def wait(self, timeout_us: float = None):
-        """Generator: block until at least one source is readable.
-
-        Returns the list of ready sources; on timeout returns ``[]``.
-        """
+    def wait(self):
+        """Generator: block until at least one source is readable;
+        returns the list of ready sources."""
         while True:
             ready = self.ready()
             if ready:
                 return ready
             self._waker = waker = Signal(self.engine,
                                          name=f"{self.name}.waker")
-            timer = None
-            if timeout_us is not None:
-                timer = self.engine.schedule(timeout_us, self._on_data, None)
             # A mid-message poller wait (rare — the loops usually poll
             # between messages) attributes as socket-queue time.
             yield Wait(waker, "sockq")
-            if timer is not None:
-                timer.cancel()
-            self._waker = None
-            if timeout_us is not None and not self.ready():
-                return []
 
     def __repr__(self) -> str:
         return f"<Poller {self.name} sources={len(self.sources)}>"

@@ -29,6 +29,8 @@ from repro.sim.primitives import Wait
 CTRL_SEGMENT_SIZE = 66
 HEADER_OVERHEAD = 66
 MSS = 1448
+#: per-connection receive buffer (the Linux default rmem of the era)
+RCVBUF_BYTES = 65536
 
 
 class TcpError(OSError):
@@ -76,9 +78,7 @@ class TcpListener:
         """Generator: block until a completed connection is available."""
         while not self.accept_queue:
             yield Wait(self.readable_signal)
-        conn = self.accept_queue.pop(0)
-        self.accepted += 1
-        return conn
+        return self.try_accept()
 
     def try_accept(self) -> Optional["TcpConn"]:
         if not self.accept_queue:
@@ -98,8 +98,7 @@ class TcpConn:
     """One endpoint of an established (or in-progress) connection."""
 
     def __init__(self, machine, local_port: int, remote_addr: str,
-                 remote_port: int, initiated: bool,
-                 rcvbuf_bytes: int = 65536) -> None:
+                 remote_port: int, initiated: bool) -> None:
         self.machine = machine
         self.engine = machine.engine
         self.local_port = local_port
@@ -108,7 +107,7 @@ class TcpConn:
         self.initiated = initiated
         self.state = TcpState.SYN_SENT if initiated else TcpState.ESTABLISHED
         self.recv_buffer = StreamBuffer(
-            machine.engine, capacity_bytes=rcvbuf_bytes,
+            machine.engine, capacity_bytes=RCVBUF_BYTES,
             name=f"{machine.name}:{local_port}->{remote_addr}:{remote_port}")
         self.peer: Optional["TcpConn"] = None
         self.connected = Event(machine.engine, name="tcp.connected")
@@ -154,28 +153,13 @@ class TcpConn:
 
     def send(self, data: str):
         """Generator: block under flow control, then ship the bytes."""
-        if not data:
-            return 0
-        if not self.open_for_send:
-            raise ConnectionResetError_(f"send on {self.state.value} connection")
-        fabric = self.machine.fabric
-        while self._flow_space() < len(data):
+        while not self.try_send(data):
             if not self.open_for_send:
-                raise ConnectionResetError_("connection closed while blocked in send")
+                raise ConnectionResetError_(
+                    f"send on {self.state.value} connection")
             # Flow-controlled: the peer's receive window is full, so
             # the wait is network time, not local queueing.
             yield Wait(self.peer.recv_buffer.writable_signal, "network")
-        self.in_flight += len(data)
-        self.bytes_sent += len(data)
-        if fabric.probe is not None:
-            self._mark_send(fabric.probe, data)
-        offset = 0
-        while offset < len(data):
-            chunk = data[offset:offset + MSS]
-            offset += len(chunk)
-            fabric.deliver(self.machine.address, self.remote_addr,
-                           len(chunk) + HEADER_OVERHEAD,
-                           self._segment_arrive, chunk)
         return len(data)
 
     def try_send(self, data: str) -> bool:
@@ -233,10 +217,7 @@ class TcpConn:
         """Generator: block until bytes (or EOF); returns '' at EOF."""
         while not self.recv_buffer.readable():
             yield Wait(self.recv_buffer.readable_signal)
-        data = self.recv_buffer.read(max_bytes)
-        if self._sockq_marks:
-            self._drain_sockq_marks()
-        return data
+        return self.try_recv(max_bytes)
 
     def try_recv(self, max_bytes: int = 1 << 20) -> Optional[str]:
         """Non-blocking read: None when nothing available, '' at EOF."""

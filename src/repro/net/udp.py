@@ -86,11 +86,7 @@ class UdpEndpoint:
         """
         while not self.buffer.queue:
             yield Wait(self._recv_waiters)
-        self.received += 1
-        dgram = self.buffer.pop()
-        if dgram.queued_at is not None:
-            self._note_sockq(dgram)
-        return dgram
+        return self.try_recvfrom()
 
     def try_recvfrom(self) -> Optional[Datagram]:
         if not self.buffer.queue:

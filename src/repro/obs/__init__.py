@@ -15,9 +15,8 @@ the shares; this package reproduces the *mechanism view*:
   fd-cache hit rate, idle-scan cost) and counter rates into
   fixed-interval series, with per-interval CPU-share series that turn
   the paper's 12.0% → 4.6% IPC claim into a time series;
-- :class:`~repro.obs.histogram.StreamingHistogram` provides log-bucketed
-  latency distributions so percentile reporting no longer sorts every
-  sample on large runs;
+- :class:`~repro.obs.histogram.StreamingHistogram` provides mergeable
+  log-bucketed latency distributions for journey attribution;
 - :mod:`~repro.obs.chrome_trace` exports Perfetto-viewable Chrome
   trace-event JSON, :mod:`~repro.obs.metrics` writes metrics JSONL, and
   :class:`~repro.obs.timeline.TimelineReport` renders series as text
@@ -48,6 +47,7 @@ from repro.obs.attribution import (
 )
 from repro.obs.causal import (
     COMPONENTS,
+    IPC_LABELS,
     CausalTracer,
     Segment,
     classify_charge,
@@ -65,7 +65,6 @@ from repro.obs.journey import (
     journeys_to_jsonable,
 )
 from repro.obs.metrics import (
-    IPC_LABELS,
     MetricSampler,
     register_standard_probes,
     write_metrics_jsonl,

@@ -38,9 +38,11 @@ COMPONENTS = ("network", "sockq", "runq", "lock", "ipc", "cpu")
 #: default ring-buffer capacity (segments); ~90 bytes/segment in memory
 DEFAULT_CAPACITY = 500_000
 
-#: Compute labels whose CPU burn is IPC machinery (mirrors
-#: :data:`repro.obs.metrics.IPC_LABELS`)
-IPC_CHARGE_LABELS = frozenset({
+#: Compute labels of the descriptor-request IPC path (worker and
+#: supervisor sides) — the paper's §5.1 "function in which the IPC
+#: occurred".  Journeys attribute these charges to ``ipc``; the metric
+#: sampler's ``cpu_ipc_share`` sums them.
+IPC_LABELS = frozenset({
     "ipc_send_fd_request", "ipc_recv", "receive_fd",
     "tcpconn_send_fd", "ipc_send", "send_fd",
 })
@@ -48,10 +50,9 @@ IPC_CHARGE_LABELS = frozenset({
 
 def classify_charge(label: str) -> str:
     """Map a scheduler charge label to an attribution component."""
-    if (label.startswith("lock.") or label.startswith("kmutex.")
-            or label == "kernel.sched_yield"):
+    if label.startswith("lock.") or label == "kernel.sched_yield":
         return "lock"
-    if label in IPC_CHARGE_LABELS:
+    if label in IPC_LABELS:
         return "ipc"
     return "cpu"
 
@@ -168,9 +169,6 @@ class CausalTracer:
         self._ctx.pop(proc_name, None)
         self._runq_since.pop(proc_name, None)
 
-    def ctx_tid(self, proc_name: str) -> Optional[str]:
-        return self._ctx.get(proc_name)
-
     # ------------------------------------------------------------------
     # scheduler hooks (reached through the probe)
     # ------------------------------------------------------------------
@@ -220,9 +218,6 @@ class CausalTracer:
     def dropped(self) -> int:
         """Segments evicted by the ring buffer (oldest-first)."""
         return self.emitted - len(self.segments)
-
-    def segments_for(self, tid: str) -> List[Segment]:
-        return [seg for seg in self.segments if seg.tid == tid]
 
     def tids(self) -> List[str]:
         """Distinct trace ids present in the buffer, insertion order."""

@@ -1,19 +1,14 @@
 """Log-bucketed streaming latency histograms.
 
-``percentiles()`` in :mod:`repro.clients.workload` sorts every retained
-sample — fine for the bounded per-phone sample lists, wrong for
-million-operation runs.  :class:`StreamingHistogram` records values into
-geometrically-spaced buckets (default 5% resolution), so memory is
-O(buckets), inserts are O(1), and any percentile is recoverable to
-within one bucket's relative width.
-
-Histograms merge (per-phone → per-run) and serialize to plain dicts, so
-they survive the result cache and the parallel runner's process boundary
-like every other :class:`~repro.clients.workload.BenchmarkResult` field.
+:class:`StreamingHistogram` records values into geometrically-spaced
+buckets (default 5% resolution), so memory is O(buckets), inserts are
+O(1), and any percentile is recoverable to within one bucket's relative
+width.  Journey attribution (:mod:`repro.obs.attribution`) builds one per
+caller and merges them into the run's latency summary.
 """
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 #: default relative bucket width (5% ⇒ percentile error ≤ ~5%)
 DEFAULT_RESOLUTION = 0.05
@@ -56,10 +51,6 @@ class StreamingHistogram:
             return
         index = math.floor(math.log(value) * self._inv_log_base)
         self.buckets[index] = self.buckets.get(index, 0) + 1
-
-    def extend(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.add(value)
 
     def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
         """Fold ``other`` into this histogram (resolutions must match)."""
@@ -113,32 +104,6 @@ class StreamingHistogram:
         out = {f"p{point:g}": self.percentile(point) for point in points}
         out["mean"] = self.mean
         return out
-
-    # ------------------------------------------------------------------
-    # serialization
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict:
-        return {
-            "resolution": self.base - 1.0,
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "zeros": self.zeros,
-            "buckets": {str(index): n for index, n in self.buckets.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "StreamingHistogram":
-        hist = cls(resolution=payload["resolution"])
-        hist.count = payload["count"]
-        hist.total = payload["total"]
-        hist.min = payload["min"]
-        hist.max = payload["max"]
-        hist.zeros = payload["zeros"]
-        hist.buckets = {int(index): n
-                        for index, n in payload["buckets"].items()}
-        return hist
 
     def __len__(self) -> int:
         return self.count

@@ -24,11 +24,7 @@ import json
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.kernel.timerwheel import PeriodicTimer
-
-#: labels making up the descriptor-request IPC path (worker + supervisor
-#: sides); the paper's §5.1 "function in which the IPC occurred"
-IPC_LABELS = ("ipc_send_fd_request", "ipc_recv", "receive_fd",
-              "tcpconn_send_fd", "ipc_send", "send_fd")
+from repro.obs.causal import IPC_LABELS
 
 #: labels of the idle-connection examination work (§5.2/§5.3)
 IDLE_LABELS = ("tcpconn_timeout", "tcp_receive_timeout",
@@ -58,13 +54,12 @@ class MetricSampler:
     """
 
     def __init__(self, engine, interval_us: float = DEFAULT_INTERVAL_US,
-                 profiler=None, max_samples: int = MAX_SAMPLES) -> None:
+                 profiler=None) -> None:
         if interval_us <= 0:
             raise ValueError("sampling interval must be positive")
         self.engine = engine
         self.interval_us = float(interval_us)
         self.profiler = profiler
-        self.max_samples = max_samples
         self.series: Dict[str, List[float]] = {}
         self.t0_us: Optional[float] = None
         self.samples = 0
@@ -127,7 +122,7 @@ class MetricSampler:
         self._timer.stop()
 
     def _tick(self) -> None:
-        if self.samples >= self.max_samples:
+        if self.samples >= MAX_SAMPLES:
             self._timer.stop()
             return
         self.samples += 1

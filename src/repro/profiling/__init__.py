@@ -8,6 +8,6 @@ profile during sched_yield storms).
 """
 
 from repro.profiling.profiler import Profiler
-from repro.profiling.report import ProfileReport, top_functions, compare
+from repro.profiling.report import ProfileReport, top_functions
 
-__all__ = ["Profiler", "ProfileReport", "top_functions", "compare"]
+__all__ = ["Profiler", "ProfileReport", "top_functions"]

@@ -1,25 +1,6 @@
 """CPU-time attribution by function label."""
 
-from typing import Dict, Optional
-
-
-def _delta(current: Dict[str, float], earlier: Dict[str, float],
-           kind: str) -> Dict[str, float]:
-    """Positive growth per key since ``earlier``.
-
-    Totals only ever grow, so a decrease means the snapshot predates a
-    :meth:`Profiler.reset` — a silent zero there would corrupt any
-    windowed share computation, so it raises instead.
-    """
-    stale = [key for key, total in earlier.items()
-             if current.get(key, 0.0) < total]
-    if stale:
-        raise ValueError(
-            f"stale profiler snapshot: {kind} totals decreased for "
-            f"{sorted(stale)[:3]} (profiler was reset after the snapshot)")
-    return {key: total - earlier.get(key, 0.0)
-            for key, total in current.items()
-            if total - earlier.get(key, 0.0) > 0.0}
+from typing import Dict
 
 
 class Profiler:
@@ -33,28 +14,37 @@ class Profiler:
     def __init__(self, engine) -> None:
         self.engine = engine
         self.by_label: Dict[str, float] = {}
-        self.by_process: Dict[str, float] = {}
         self.total_us = 0.0
 
     def record(self, label: str, us: float, proc_name: str = "?") -> None:
+        """The probe's ``charge(label, us, proc)`` hook; the profile is
+        aggregated by label only."""
         if us <= 0:
             return
         self.by_label[label] = self.by_label.get(label, 0.0) + us
-        self.by_process[proc_name] = self.by_process.get(proc_name, 0.0) + us
         self.total_us += us
 
     # -- windowed measurement --------------------------------------------
     def snapshot(self) -> Dict[str, float]:
         return dict(self.by_label)
 
-    def snapshot_processes(self) -> Dict[str, float]:
-        return dict(self.by_process)
-
     def delta(self, earlier: Dict[str, float]) -> Dict[str, float]:
-        return _delta(self.by_label, earlier, "label")
+        """Positive growth per label since ``earlier``.
 
-    def delta_processes(self, earlier: Dict[str, float]) -> Dict[str, float]:
-        return _delta(self.by_process, earlier, "process")
+        Totals only ever grow, so a decrease means the snapshot predates
+        a :meth:`reset` — a silent zero there would corrupt any windowed
+        share computation, so it raises instead.
+        """
+        current = self.by_label
+        stale = [key for key, total in earlier.items()
+                 if current.get(key, 0.0) < total]
+        if stale:
+            raise ValueError(
+                f"stale profiler snapshot: label totals decreased for "
+                f"{sorted(stale)[:3]} (profiler was reset after the snapshot)")
+        return {key: total - earlier.get(key, 0.0)
+                for key, total in current.items()
+                if total - earlier.get(key, 0.0) > 0.0}
 
     def share(self, label: str) -> float:
         """Fraction of all profiled CPU time spent in ``label``."""
@@ -64,7 +54,6 @@ class Profiler:
 
     def reset(self) -> None:
         self.by_label.clear()
-        self.by_process.clear()
         self.total_us = 0.0
 
     def __repr__(self) -> str:

@@ -1,6 +1,6 @@
 """Rendering profiles the way the paper discusses them."""
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 
 def top_functions(samples: Dict[str, float], n: int = 15,
@@ -16,19 +16,6 @@ def top_functions(samples: Dict[str, float], n: int = 15,
     total = sum(samples.values()) or 1.0
     rows = sorted(samples.items(), key=lambda kv: kv[1], reverse=True)[:n]
     return [(label, us, us / total) for label, us in rows]
-
-
-def compare(before: Dict[str, float], after: Dict[str, float],
-            labels: Optional[List[str]] = None) -> List[Tuple[str, float, float]]:
-    """Share-of-total before vs after, per label (for the 12.0%→4.6% claim)."""
-    total_before = sum(before.values()) or 1.0
-    total_after = sum(after.values()) or 1.0
-    if labels is None:
-        labels = sorted(set(before) | set(after))
-    return [(label,
-             before.get(label, 0.0) / total_before,
-             after.get(label, 0.0) / total_after)
-            for label in labels]
 
 
 class ProfileReport:

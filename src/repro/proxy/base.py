@@ -29,8 +29,7 @@ class BaseProxyServer:
         self.location = LocationService()
         #: the testbed's probe, read off the machine (None = unobserved)
         self.probe = probe = machine.probe
-        self.txn_table = TransactionTable(self.costs,
-                                          buckets=config.shm_buckets)
+        self.txn_table = TransactionTable(self.costs)
         self.timer_list = TimerList(self.costs)
         self.core = ProxyCore(self.engine, config, self.costs, self.location,
                               self.txn_table, self.timer_list, self.stats,
@@ -71,13 +70,12 @@ class BaseProxyServer:
         for index in range(self.config.workers):
             self.workers.append(self._spawn_worker(index))
         self.processes.extend(self.workers)
-        self.processes.append(self.machine.spawn(
-            self._timer_body(), "timer-proc", nice=self.config.worker_nice))
+        self.processes.append(self.machine.spawn(self._timer_body(),
+                                                 "timer-proc"))
 
     def _spawn_worker(self, index: int):
         return self.machine.spawn(self._worker_body(index),
-                                  f"{self.worker_stem}-{index}",
-                                  nice=self.config.worker_nice)
+                                  f"{self.worker_stem}-{index}")
 
     def _worker_body(self, index: int):
         """Generator: worker ``index``'s event loop."""

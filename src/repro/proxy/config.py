@@ -31,30 +31,14 @@ class ProxyConfig:
 
     # -- §4.3 configuration issues ---------------------------------------
     supervisor_nice: int = -20
-    worker_nice: int = 0
     idle_timeout_us: float = 10_000_000.0    #: 10 s (OpenSER default: 120 s)
 
     # -- plumbing sizes ----------------------------------------------------
     ipc_capacity: int = 256          #: supervisor<->worker channel, messages
     udp_rcvbuf_datagrams: int = 384
-    tcp_rcvbuf_bytes: int = 65536
-    accept_backlog: int = 1024
-    shm_buckets: int = 16384         #: transaction hash table buckets
 
     # -- timer process -------------------------------------------------------
-    timer_tick_us: float = 100_000.0         #: retransmission scan period
     sip_t1_us: float = 500_000.0             #: RFC 3261 T1
-    sip_t2_us: float = 4_000_000.0
-
-    # -- idle management cadence ----------------------------------------------
-    #: workers check their owned connections this often
-    worker_idle_tick_us: float = 1_000_000.0
-    #: minimum gap between supervisor sweeps.  OpenSER swept from its main
-    #: loop; under load that loop turns over far faster than connections
-    #: can possibly expire, and its effective sweep cadence is bounded by
-    #: timestamp granularity.  50 Hz models that bound; 0 sweeps every
-    #: batch (the pathological reading of the code).
-    supervisor_scan_interval_us: float = 10_000.0
 
     # -- failure-mode switches (§6) -----------------------------------------
     #: blocking sends from the supervisor to workers: faithful to OpenSER
@@ -81,6 +65,9 @@ class ProxyConfig:
             raise ValueError("supervisor_nice out of range")
         if self.idle_timeout_us <= 0:
             raise ValueError("idle_timeout_us must be positive")
+        if self.sip_t1_us <= 0:
+            raise ValueError("sip_t1_us must be positive (the timer "
+                             "process ticks every T1/4)")
         if self.overload_controller not in VALID_CONTROLLERS:
             raise ValueError(
                 f"unknown overload controller {self.overload_controller!r}; "
@@ -88,6 +75,18 @@ class ProxyConfig:
         if self.overload_controller == "window" and not self.stateful:
             raise ValueError("the window controller tracks in-flight INVITE "
                              "transactions and needs a stateful proxy")
+
+    @property
+    def sip_t2_us(self) -> float:
+        """RFC 3261 T2, at the RFC's 8×T1 ratio (4 s at the default T1)."""
+        return 8.0 * self.sip_t1_us
+
+    @property
+    def timer_tick_us(self) -> float:
+        """Retransmission-scan period: 100 ms, or T1/4 when T1 is
+        compressed below 400 ms, so proxy retransmissions do not quantize
+        to the tick."""
+        return min(100_000.0, self.sip_t1_us / 4.0)
 
     @property
     def reliable_transport(self) -> bool:

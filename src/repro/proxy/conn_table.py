@@ -62,9 +62,9 @@ class ConnRecord:
 class ConnTable:
     """Shared hash table of connection records."""
 
-    def __init__(self, costs, lock: Optional[SpinLock] = None) -> None:
+    def __init__(self, costs) -> None:
         self.costs = costs
-        self.lock = lock or SpinLock("tcp_conn_hash")
+        self.lock = SpinLock("tcp_conn_hash")
         self._by_id: Dict[int, ConnRecord] = {}
         self._by_alias: Dict[Tuple[str, int], ConnRecord] = {}
         self._next_id = 1

@@ -31,6 +31,10 @@ from repro.proxy.routing import SendAction, ToBinding, ToSource, ToVia
 from repro.sim.primitives import Compute
 from repro.sip.parser import SipParseError, StreamFramer
 
+#: workers (and the threaded acceptor) wake at least this often to check
+#: their connections for idleness
+IDLE_TICK_US = 1_000_000.0
+
 
 class WorkerConn:
     """A connection as its reading worker sees it."""
@@ -63,8 +67,7 @@ class WorkerCtx:
         # the tick: poller order is the order ready sources are served.
         self.poller.add(intake)
         #: guarantees a wake-up when the connections have gone quiet
-        self.tick = TickSource(server.engine,
-                               server.config.worker_idle_tick_us,
+        self.tick = TickSource(server.engine, IDLE_TICK_US,
                                name=f"{self.who}-tick")
         self.poller.add(self.tick)
         #: the connections this worker reads, by kernel connection object
@@ -80,8 +83,7 @@ class ConnectionProxyServer(BaseProxyServer):
 
     def __init__(self, machine, config, costs=None) -> None:
         super().__init__(machine, config, costs)
-        self.listener = TcpListener(machine, config.port,
-                                    backlog=config.accept_backlog)
+        self.listener = TcpListener(machine, config.port, backlog=1024)
         self.conn_table = ConnTable(self.costs)
         if config.idle_strategy == "pq":
             self.idle = PqIdleStrategy(self.costs, config.idle_timeout_us,

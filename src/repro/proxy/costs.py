@@ -20,8 +20,7 @@ Relative magnitudes encode the paper's measured findings:
   ones (§5.3).
 """
 
-from dataclasses import dataclass, field, asdict
-from typing import Dict
+from dataclasses import dataclass
 
 
 @dataclass
@@ -117,13 +116,6 @@ class CostModel:
         """Supervisor-side cost of honouring one descriptor request."""
         return (self.fd_request_handle_us
                 + self.fd_request_per_kconn_us * table_entries / 1000.0)
-
-    def scaled(self, factor: float) -> "CostModel":
-        """A uniformly slower/faster CPU (for sensitivity studies)."""
-        values: Dict[str, float] = {
-            name: value * factor for name, value in asdict(self).items()
-        }
-        return CostModel(**values)
 
     def __repr__(self) -> str:
         return f"<CostModel parse={self.parse_msg_us}us udp={self.udp_recv_us}us tcp={self.tcp_recv_us}us>"

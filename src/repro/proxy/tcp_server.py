@@ -24,6 +24,12 @@ from repro.proxy.connection import (ConnectionProxyServer, WorkerConn,
 from repro.proxy.fd_cache import FdCache
 from repro.sim.primitives import Compute
 
+#: minimum gap between supervisor idle sweeps.  OpenSER swept from its
+#: main loop; under load that loop turns over far faster than connections
+#: can possibly expire, and its effective sweep cadence is bounded by
+#: timestamp granularity.  50 Hz models that bound.
+SCAN_INTERVAL_US = 10_000.0
+
 
 class TcpProxyServer(ConnectionProxyServer):
     """OpenSER over TCP."""
@@ -152,7 +158,7 @@ class TcpProxyServer(ConnectionProxyServer):
                             break
                         yield Compute(self.costs.ipc_recv_us, "ipc_recv")
                         yield from self._handle_worker_msg(source, msg, who)
-            if engine.now - last_scan >= self.config.supervisor_scan_interval_us:
+            if engine.now - last_scan >= SCAN_INTERVAL_US:
                 last_scan = engine.now
                 expired = yield from self.idle.supervisor_pass(
                     self.conn_table, engine.now, who, self.stats)

@@ -18,8 +18,8 @@ from typing import Dict, List
 from repro.kernel.locks import SpinLock
 from repro.kernel.poller import Poller, TickSource
 from repro.proxy.conn_table import ConnRecord
-from repro.proxy.connection import (ConnectionProxyServer, WorkerConn,
-                                    WorkerCtx)
+from repro.proxy.connection import (IDLE_TICK_US, ConnectionProxyServer,
+                                    WorkerConn, WorkerCtx)
 from repro.sim.events import Signal
 from repro.sim.primitives import Compute
 
@@ -42,9 +42,8 @@ class ThreadedTcpProxyServer(ConnectionProxyServer):
         ]
 
     def _spawn_processes(self) -> None:
-        self.manager = self.machine.spawn(
-            self._acceptor_body(), "tcp-acceptor",
-            nice=self.config.worker_nice)
+        self.manager = self.machine.spawn(self._acceptor_body(),
+                                          "tcp-acceptor")
         self.processes.append(self.manager)
         super()._spawn_processes()
 
@@ -76,8 +75,7 @@ class ThreadedTcpProxyServer(ConnectionProxyServer):
         engine = self.engine
         poller = Poller(engine, name="acceptor-poller")
         poller.add(self.listener)
-        tick = TickSource(engine, self.config.worker_idle_tick_us,
-                          name="acceptor-tick")
+        tick = TickSource(engine, IDLE_TICK_US, name="acceptor-tick")
         poller.add(tick)
         while True:
             yield from poller.wait()

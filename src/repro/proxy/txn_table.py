@@ -58,11 +58,10 @@ class ProxyTransaction:
 class TransactionTable:
     """The shared transaction hash table."""
 
-    def __init__(self, costs, buckets: int = 16384,
-                 lock: Optional[SpinLock] = None) -> None:
+    def __init__(self, costs, buckets: int = 16384) -> None:
         self.costs = costs
         self.buckets = buckets
-        self.lock = lock or SpinLock("txn_table")
+        self.lock = SpinLock("txn_table")
         self._by_upstream: Dict[Tuple, ProxyTransaction] = {}
         self._by_branch: Dict[str, ProxyTransaction] = {}
         self.peak_size = 0
@@ -129,9 +128,9 @@ class TimerList:
     transaction).  Lazy deletion: stale entries are discarded at pop time.
     """
 
-    def __init__(self, costs, lock: Optional[SpinLock] = None) -> None:
+    def __init__(self, costs) -> None:
         self.costs = costs
-        self.lock = lock or SpinLock("timer_list")
+        self.lock = SpinLock("timer_list")
         self._heap: List[Tuple[float, int, str, str]] = []
         self._seq = 0
         self.inserted = 0

@@ -12,12 +12,12 @@ Public surface:
   process (used for client phones and other uncontended actors; CPU-bound
   server processes instead run under :class:`repro.kernel.scheduler.Scheduler`).
 - Effect primitives in :mod:`repro.sim.primitives`.
-- :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.Condition`.
+- :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.Signal`.
 - :class:`~repro.sim.rng.RngStreams` — named deterministic RNG streams.
 """
 
 from repro.sim.engine import Engine, Scheduled, SimulationError
-from repro.sim.events import Event, Condition
+from repro.sim.events import Event
 from repro.sim.primitives import (
     Compute,
     Sleep,
@@ -34,7 +34,6 @@ __all__ = [
     "Scheduled",
     "SimulationError",
     "Event",
-    "Condition",
     "Compute",
     "Sleep",
     "Wait",

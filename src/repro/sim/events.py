@@ -77,10 +77,6 @@ class Signal:
         if callback in self._listeners:
             self._listeners.remove(callback)
 
-    @property
-    def waiters(self) -> int:
-        return len(self._callbacks)
-
     def fire(self, value: Any = None) -> None:
         callbacks, self._callbacks = self._callbacks, []
         for callback in callbacks:
@@ -98,34 +94,3 @@ class Signal:
 
     def __repr__(self) -> str:
         return f"<Signal {self.name!r} waiters={len(self._callbacks)}>"
-
-
-class Condition:
-    """A level-triggered condition: waiters wake whenever ``check()`` holds.
-
-    Built from a predicate over external state plus a :class:`Signal` that
-    interested parties pulse via :meth:`notify` after mutating that state.
-    """
-
-    def __init__(self, engine, predicate: Callable[[], bool], name: str = "") -> None:
-        self.engine = engine
-        self.name = name
-        self._predicate = predicate
-        self._signal = Signal(engine, name=f"{name}.signal")
-
-    def holds(self) -> bool:
-        return bool(self._predicate())
-
-    def notify(self) -> None:
-        """Re-test the predicate and wake all waiters if it holds."""
-        if self.holds():
-            self._signal.fire()
-
-    def subscribe(self, callback: Callable[[Any], None]) -> None:
-        if self.holds():
-            self.engine.schedule(0.0, callback, None)
-        else:
-            self._signal.subscribe(callback)
-
-    def __repr__(self) -> str:
-        return f"<Condition {self.name!r} holds={self.holds()}>"

@@ -58,8 +58,8 @@ class Sleep(Effect):
 
 
 class Wait(Effect):
-    """Block until an :class:`~repro.sim.events.Event`/``Signal``/``Condition``
-    wakes us; the fired value becomes the result of the ``yield``.
+    """Block until an :class:`~repro.sim.events.Event` or ``Signal`` wakes
+    us; the fired value becomes the result of the ``yield``.
 
     ``why`` names the wait state for latency attribution (one of
     ``repro.obs.causal.COMPONENTS``: a blocked IPC transfer is ``"ipc"``,

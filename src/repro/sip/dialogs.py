@@ -40,30 +40,9 @@ class Dialog:
             cseq=invite.cseq.number,
         )
 
-    @classmethod
-    def from_uas_invite(cls, invite: SipRequest, local_tag: str) -> "Dialog":
-        """Callee-side dialog from a received INVITE and the tag we minted."""
-        from_addr = invite.from_addr
-        to_addr = invite.to_addr
-        target = invite.contact.uri if invite.contact else \
-            SipUri(from_addr.uri.user, from_addr.uri.host)
-        return cls(
-            call_id=invite.call_id,
-            local_user=to_addr.uri.user,
-            remote_user=from_addr.uri.user,
-            local_tag=local_tag,
-            remote_tag=from_addr.tag or "",
-            remote_target=target,
-        )
-
     def next_cseq(self) -> int:
         self._cseq += 1
         return self._cseq
-
-    @property
-    def key(self) -> tuple:
-        """Dialog id: Call-ID plus both tags (order-insensitive)."""
-        return (self.call_id, frozenset((self.local_tag, self.remote_tag)))
 
     def __repr__(self) -> str:
         return (f"<Dialog {self.local_user}<->{self.remote_user} "

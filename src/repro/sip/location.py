@@ -57,9 +57,6 @@ class LocationService:
         """Install or refresh a binding (latest registration wins)."""
         self._bindings[binding.aor] = binding
 
-    def unregister(self, aor: str) -> None:
-        self._bindings.pop(aor, None)
-
     def lookup(self, aor: str, now: Optional[float] = None) -> Optional[Binding]:
         self.lookups += 1
         binding = self._bindings.get(aor)

@@ -26,13 +26,7 @@ class Testbed:
     def __init__(
         self,
         seed: int = 0,
-        server_cores: int = 4,
-        n_client_machines: int = 3,
-        latency_us: float = 50.0,
-        bandwidth_bytes_per_us: float = 125.0,
         server_fd_limit: int = 16384,
-        quantum_us: float = 2000.0,
-        time_wait_us: float = 60_000_000.0,
         profile: bool = False,
         trace: bool = False,
         causal: bool = False,
@@ -47,18 +41,15 @@ class Testbed:
         self.profiler = probe.profiler if probe is not None else None
         self.tracer = probe.tracer if probe is not None else None
         self.causal = probe.causal if probe is not None else None
-        self.fabric = Fabric(self.engine, latency_us=latency_us,
-                             bandwidth_bytes_per_us=bandwidth_bytes_per_us,
-                             rng=self.rng.stream("net"))
+        # Fabric defaults: the gigabit switch (50 µs one way, 125 bytes/µs).
+        self.fabric = Fabric(self.engine, rng=self.rng.stream("net"))
         self.fabric.probe = probe
-        self.server = Machine(self.engine, SERVER_NAME, n_cores=server_cores,
-                              quantum_us=quantum_us, probe=probe,
-                              fd_limit=server_fd_limit,
-                              time_wait_us=time_wait_us)
+        # Machine defaults: 4 cores, 2 ms quantum, 60 s TIME_WAIT.
+        self.server = Machine(self.engine, SERVER_NAME, probe=probe,
+                              fd_limit=server_fd_limit)
         self.fabric.attach(self.server)
         self.clients: List[Machine] = []
-        for i in range(n_client_machines):
-            name = CLIENT_NAMES[i] if i < len(CLIENT_NAMES) else f"client{i+1}"
+        for name in CLIENT_NAMES:
             client = Machine(self.engine, name, n_cores=2, probe=probe)
             self.fabric.attach(client)
             self.clients.append(client)

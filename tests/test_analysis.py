@@ -8,7 +8,7 @@ from repro.analysis.experiments import (
     TIME_COMPRESSION,
 )
 from repro.analysis.paper_data import CLIENT_COUNTS, PAPER_FIGURES, SERIES
-from repro.analysis.tables import render_comparison, render_figure
+from repro.analysis.tables import render_comparison
 
 
 class TestExperimentSpec:
@@ -68,16 +68,6 @@ class TestTables:
     def grid(self):
         return {"udp": {100: 30000.0, 1000: 28000.0},
                 "tcp-persistent": {100: 15000.0, 1000: 10000.0}}
-
-    def test_render_figure_contains_values(self):
-        text = render_figure("test", self.grid(), clients=(100, 1000))
-        assert "30000" in text
-        assert "TCP persistent" in text
-
-    def test_render_figure_handles_missing_cells(self):
-        grid = {"udp": {100: 30000.0}}
-        text = render_figure("test", grid, clients=(100, 1000))
-        assert "-" in text
 
     def test_render_comparison_shows_ratios(self):
         text = render_comparison("fig3", self.grid(), clients=(100, 1000))

@@ -4,7 +4,7 @@ import pytest
 
 from repro import ProxyConfig, Testbed, Workload, build_proxy
 from repro.clients import BenchmarkManager
-from repro.clients.workload import BenchmarkResult
+from repro.clients.workload import BenchmarkResult, percentiles
 
 
 class TestWorkload:
@@ -16,9 +16,6 @@ class TestWorkload:
         dict(ops_per_conn=0),
         dict(measure_us=0),
         dict(warmup_us=-1.0),
-        dict(call_hold_us=-0.5),
-        dict(ring_delay_us=-100.0),
-        dict(think_time_us=-1e-9),
         dict(register_deadline_us=0),
         dict(mode="half-open"),
         dict(mode="open"),                      # open loop needs a rate
@@ -86,6 +83,38 @@ class TestManager:
         manager = BenchmarkManager(bed, proxy, workload)
         with pytest.raises(RuntimeError, match="failed to register"):
             manager.run()
+
+    def test_phones_and_timer_process_follow_the_proxys_t1(self):
+        bed = Testbed(seed=2, trace=True)
+        proxy = build_proxy(bed.server, ProxyConfig(
+            transport="udp", workers=2, sip_t1_us=20_000.0))
+        assert proxy.config.sip_t2_us == 160_000.0
+        assert proxy.config.timer_tick_us == 5_000.0
+        manager = BenchmarkManager(bed, proxy, Workload(clients=1))
+        manager.setup_phones()
+        for phone in manager.callers + manager.callees:
+            timers = phone.timers
+            assert (timers.t1, timers.t2, timers.t4) == \
+                (20_000.0, 160_000.0, 200_000.0)
+        proxy.start()
+        bed.run(until_us=12_000.0)
+        # The timer process sleeps one tick between passes: two passes
+        # fit in 12 ms at 5 ms (none at the uncompressed 100 ms).
+        ticks = [span.start_us for span in bed.tracer.spans("timer_fire")]
+        assert len(ticks) == 2 and ticks[0] == 5_000.0
+
+    def test_latency_summary_covers_every_sample(self):
+        """One caller completes more than 4096 calls; the setup latency is
+        the exact summary of all of them, not a bucketed estimate."""
+        bed = Testbed(seed=2)
+        proxy = build_proxy(bed.server,
+                            ProxyConfig(transport="udp", workers=2)).start()
+        manager = BenchmarkManager(bed, proxy, Workload(
+            clients=1, warmup_us=0.0, measure_us=3_000_000.0))
+        result = manager.run()
+        samples = manager.callers[0].setup_latencies_us
+        assert len(samples) > 4096
+        assert result.setup_latency_us == percentiles(samples)
 
     def test_stop_halts_phones(self):
         __, __, manager = self.make()

@@ -14,6 +14,7 @@ from repro.clients import BenchmarkManager
 from repro.faults import (DeadlockDetector, FaultInjector, FaultPlan,
                           FaultPlanError, IpcStall, LatencyWindow, LossBurst,
                           Partition, Watchdog, WorkerCrash, WorkerHang)
+from repro.faults import deadlock
 from repro.faults.deadlock import _sccs
 
 
@@ -211,10 +212,10 @@ def test_detector_fires_on_the_section6_cycle():
     assert "supervisor" in record["members"]
     assert any(m.startswith("worker-") for m in record["members"])
     # Detection lag is bounded by one scan period: the cycle's youngest
-    # edge formed within period_us of the detection timestamp... plus
+    # edge formed within PERIOD_US of the detection timestamp... plus
     # the worker->supervisor edge may predate it, which blocked_us
     # reflects (it measures the *youngest* edge).
-    assert record["blocked_us"] <= detector.period_us
+    assert record["blocked_us"] <= deadlock.PERIOD_US
 
 
 def test_detection_timestamp_is_deterministic():

@@ -87,14 +87,6 @@ def test_close_all():
     assert len(table) == 0
 
 
-def test_fd_of_reverse_lookup():
-    table = FdTable(limit=8)
-    obj = object()
-    fd = table.install(FileDescription(obj, "socket"))
-    assert table.fd_of(obj) == fd
-    assert table.fd_of(object()) is None
-
-
 def test_len_and_contains():
     table = FdTable(limit=8)
     fd = table.install(make_desc())

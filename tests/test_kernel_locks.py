@@ -1,11 +1,11 @@
-"""Unit tests for spinlocks and kernel mutexes."""
+"""Unit tests for spinlocks."""
 
 import pytest
 
 from repro.sim.engine import Engine
 from repro.sim.primitives import Compute
 from repro.sim.process import SimProcess
-from repro.kernel.locks import KMutex, SpinLock
+from repro.kernel.locks import SpinLock
 from repro.kernel.scheduler import Scheduler
 
 from conftest import run_until_done
@@ -70,50 +70,3 @@ def test_spinlock_release_unheld_raises():
     lock = SpinLock("t")
     with pytest.raises(RuntimeError):
         lock.release()
-
-
-def test_kmutex_blocks_instead_of_spinning(engine):
-    mutex = KMutex(engine, "m", acquire_us=0.0)
-    order = []
-
-    def holder():
-        yield from mutex.acquire("holder")
-        yield Compute(100.0, "work")
-        order.append(("holder-done", engine.now))
-        mutex.release()
-
-    def waiter():
-        yield Compute(1.0, "startup")
-        yield from mutex.acquire("waiter")
-        order.append(("waiter-in", engine.now))
-        mutex.release()
-
-    h = SimProcess(engine, holder(), "h").start()
-    w = SimProcess(engine, waiter(), "w").start()
-    run_until_done(engine, [h, w])
-    times = dict(order)
-    assert times["waiter-in"] >= times["holder-done"]
-    assert mutex.contentions == 1
-
-
-def test_kmutex_fifo_handoff(engine):
-    mutex = KMutex(engine, "m", acquire_us=0.0)
-    order = []
-
-    def body(tag, delay):
-        yield Compute(delay, "startup")
-        yield from mutex.acquire(tag)
-        order.append(tag)
-        yield Compute(10.0, "cs")
-        mutex.release()
-
-    procs = [SimProcess(engine, body(i, i * 0.1), f"p{i}").start()
-             for i in range(4)]
-    run_until_done(engine, procs)
-    assert order == [0, 1, 2, 3]
-
-
-def test_kmutex_release_unheld_raises(engine):
-    mutex = KMutex(engine, "m")
-    with pytest.raises(RuntimeError):
-        mutex.release()

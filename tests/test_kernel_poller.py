@@ -67,22 +67,6 @@ def test_wait_over_multiple_sources(engine):
     assert proc.result == [chan.b]
 
 
-def test_wait_timeout_returns_empty(engine):
-    poller = Poller(engine)
-    buf = DatagramBuffer(engine, capacity=4)
-    poller.add(buf)
-
-    def body():
-        ready = yield from poller.wait(timeout_us=100.0)
-        return (ready, engine.now)
-
-    proc = SimProcess(engine, body(), "p").start()
-    run_until_done(engine, [proc])
-    ready, when = proc.result
-    assert ready == []
-    assert when == 100.0
-
-
 def test_stale_wakeups_are_harmless(engine):
     """A source that fires while nobody is waiting must not corrupt a later
     wait round."""

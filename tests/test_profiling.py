@@ -3,7 +3,7 @@
 import pytest
 
 from repro.profiling.profiler import Profiler
-from repro.profiling.report import ProfileReport, compare, top_functions
+from repro.profiling.report import ProfileReport, top_functions
 from repro.sim.engine import Engine
 
 
@@ -18,7 +18,6 @@ def test_record_accumulates(profiler):
     profiler.record("send", 2.0, "w0")
     assert profiler.by_label["parse"] == 15.0
     assert profiler.total_us == 17.0
-    assert profiler.by_process["w0"] == 12.0
 
 
 def test_share(profiler):
@@ -43,24 +42,13 @@ def test_snapshot_delta(profiler):
     assert delta == {"a": 7.0, "b": 3.0}
 
 
-def test_snapshot_delta_processes(profiler):
-    profiler.record("a", 10.0, "w0")
-    snap = profiler.snapshot_processes()
-    profiler.record("a", 7.0, "w0")
-    profiler.record("b", 3.0, "w1")
-    assert profiler.delta_processes(snap) == {"w0": 7.0, "w1": 3.0}
-
-
 def test_delta_raises_on_stale_snapshot(profiler):
     profiler.record("a", 10.0, "w0")
     labels = profiler.snapshot()
-    procs = profiler.snapshot_processes()
     profiler.reset()
     profiler.record("a", 2.0, "w0")
     with pytest.raises(ValueError, match="stale"):
         profiler.delta(labels)
-    with pytest.raises(ValueError, match="stale"):
-        profiler.delta_processes(procs)
 
 
 def test_reset(profiler):
@@ -85,15 +73,6 @@ def test_top_functions_kernel_only():
     assert "parse" not in labels
     assert "kernel.sched_yield" in labels
     assert "lock.t.spin" in labels
-
-
-def test_compare_shares():
-    before = {"ipc": 12.0, "other": 88.0}
-    after = {"ipc": 4.6, "other": 95.4}
-    rows = dict((label, (b, a)) for label, b, a in
-                compare(before, after, ["ipc"]))
-    assert rows["ipc"][0] == pytest.approx(0.12)
-    assert rows["ipc"][1] == pytest.approx(0.046)
 
 
 def test_report_renders(profiler):

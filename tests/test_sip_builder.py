@@ -104,11 +104,3 @@ def test_bye_from_dialog(alice, bob):
     assert bye.from_addr.tag == invite.from_addr.tag
     assert bye.to_addr.tag == "bobtag"
     assert bye.cseq.number > invite.cseq.number
-
-
-def test_dialog_from_both_sides_share_key(alice, bob):
-    invite = alice.invite("bob")
-    ok = bob.response_for(invite, 200, to_tag="bobtag", with_contact=True)
-    caller_dialog = Dialog.from_invite_success(invite, ok)
-    callee_dialog = Dialog.from_uas_invite(invite, "bobtag")
-    assert caller_dialog.key == callee_dialog.key

@@ -42,13 +42,6 @@ def test_expired_binding_is_a_miss():
     assert service.lookup("alice@example.com", now=2_000_000.0) is None
 
 
-def test_unregister():
-    service = LocationService()
-    service.register(make_binding())
-    service.unregister("alice@example.com")
-    assert service.lookup("alice@example.com") is None
-
-
 def test_binding_carries_transport_and_conn():
     conn = object()
     binding = Binding("bob@example.com", SipUri.parse("sip:bob@client2"),
