@@ -232,6 +232,54 @@ def test_blocking_ops_clear_markers_on_completion(engine):
     assert chan.b.blocked_receiving_since is None
 
 
+def test_sender_beaten_to_the_slot_keeps_waiting(engine):
+    """One freed slot wakes every blocked sender; the loser enqueues
+    nothing and re-blocks, marked from the winner's transfer."""
+    chan = IpcChannel(engine, capacity=1)
+    assert chan.a.try_send(IpcMessage("fill"))
+    sent = []
+
+    def sender(kind):
+        yield from chan.a.send(IpcMessage(kind))
+        sent.append((kind, engine.now))
+
+    procs = [SimProcess(engine, sender(kind), kind).start()
+             for kind in ("x", "y")]
+    engine.run(until=50.0)
+    assert chan.a.blocked_sending_since == 0.0
+    engine.schedule_at(100.0, chan.b.try_recv)
+    engine.run(until=150.0)
+    assert sent == [("x", 100.0)]
+    assert chan.a.blocked_sending_since == 100.0  # y is still blocked
+    assert chan.b.pending() == 1  # x only
+    engine.schedule_at(200.0, chan.b.try_recv)
+    run_until_done(engine, procs)
+    assert sent == [("x", 100.0), ("y", 200.0)]
+    assert chan.a.blocked_sending_since is None
+
+
+def test_receivers_woken_together_each_get_one_message(engine):
+    chan = IpcChannel(engine, capacity=4)
+    got = []
+
+    def receiver(tag):
+        msg = yield from chan.b.recv()
+        got.append((tag, msg.kind, engine.now))
+
+    procs = [SimProcess(engine, receiver(tag), tag).start()
+             for tag in ("r0", "r1")]
+    engine.schedule_at(100.0, chan.a.try_send, IpcMessage("m0"))
+    engine.schedule_at(200.0, chan.a.try_send, IpcMessage("m1"))
+    engine.run(until=150.0)
+    assert [kind for __, kind, __ in got] == ["m0"]
+    assert chan.b.blocked_receiving_since == 100.0  # the loser re-blocked
+    run_until_done(engine, procs)
+    assert sorted(kind for __, kind, __ in got) == ["m0", "m1"]
+    assert {tag for tag, __, __ in got} == {"r0", "r1"}
+    assert got[1][2] == 200.0
+    assert chan.b.blocked_receiving_since is None
+
+
 # ----------------------------------------------------------------------
 # stall / unstall / drain (fault injection + worker restart)
 # ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
 from repro.kernel.sockets import PortExhaustedError
+from repro.sim.primitives import Sleep
 from repro.net.tcp import (
     ConnectionRefusedError_,
     ConnectionResetError_,
@@ -154,6 +155,117 @@ def test_flow_control_blocks_sender(engine):
     run_until_done(engine, procs)
     times = dict(events)
     assert times["sent-second"] >= 10_000.0  # blocked until the drain began
+
+
+def test_flow_controlled_send_ships_each_byte_once(engine):
+    """A send woken by every drain retries until the whole run fits; the
+    retries must not ship a partial or a second copy."""
+    __, machines = lan(engine)
+    listener = TcpListener(machines["server"], 5060)
+    state = {}
+
+    def client():
+        conn = yield from connect(machines["client"], "server", 5060)
+        state["client"] = conn
+        state["lengths"] = [(yield from conn.send("a" * 60000)),
+                            (yield from conn.send("b" * 30000))]
+
+    def server():
+        conn = yield from listener.accept()
+        yield Sleep(10_000.0)
+        data = ""
+        while len(data) < 90000:
+            data += yield from conn.recv(10000)  # many small drains
+        state["data"] = data
+
+    procs = [machines["client"].spawn_light(client(), "c").start(),
+             machines["server"].spawn_light(server(), "s").start()]
+    run_until_done(engine, procs)
+    engine.run(until=engine.now + 1000.0)
+    assert state["lengths"] == [60000, 30000]
+    assert state["data"] == "a" * 60000 + "b" * 30000
+    assert state["client"].bytes_sent == 90000
+    assert state["client"].in_flight == 0
+    assert state["client"].peer.bytes_received == 90000
+
+
+def test_close_while_blocked_in_send_raises(engine):
+    __, machines = lan(engine)
+    listener = TcpListener(machines["server"], 5060)
+    state = {"errors": []}
+
+    def client():
+        conn = yield from connect(machines["client"], "server", 5060)
+        state["client"] = conn
+        yield from conn.send("a" * 60000)
+        try:
+            yield from conn.send("b" * 30000)  # blocks: window is full
+        except ConnectionResetError_ as exc:
+            state["errors"].append((engine.now, exc))
+
+    def closer():
+        yield Sleep(5_000.0)
+        state["client"].close()
+
+    def server():
+        conn = yield from listener.accept()
+        yield Sleep(10_000.0)
+        yield from conn.recv()  # frees the window, waking the sender
+
+    procs = [machines["client"].spawn_light(client(), "c").start(),
+             machines["client"].spawn_light(closer(), "x").start(),
+             machines["server"].spawn_light(server(), "s").start()]
+    run_until_done(engine, procs)
+    ((when, __),) = state["errors"]
+    assert when >= 10_000.0
+    assert state["client"].bytes_sent == 60000
+
+
+def test_acceptors_woken_together_each_get_one_connection(engine):
+    """Every blocked acceptor wakes on a SYN; the one that loses the race
+    goes back to waiting instead of returning nothing."""
+    __, machines = lan(engine)
+    listener = TcpListener(machines["server"], 5060)
+    accepted = []
+
+    def acceptor(tag):
+        conn = yield from listener.accept()
+        accepted.append((tag, conn, engine.now))
+
+    def client(delay):
+        yield Sleep(delay)
+        yield from connect(machines["client"], "server", 5060)
+
+    procs = [machines["server"].spawn_light(acceptor(i), f"a{i}").start()
+             for i in range(2)]
+    procs += [machines["client"].spawn_light(client(d), f"c{d}").start()
+              for d in (0.0, 1_000.0)]
+    run_until_done(engine, procs)
+    assert [conn is None for __, conn, __ in accepted] == [False, False]
+    assert accepted[0][1] is not accepted[1][1]
+    assert accepted[1][2] >= 1_000.0  # the loser waited for the second SYN
+    assert listener.accepted == 2
+
+
+def test_recv_returns_at_most_max_bytes(engine):
+    __, machines = lan(engine)
+    listener = TcpListener(machines["server"], 5060)
+    got = []
+
+    def client():
+        conn = yield from connect(machines["client"], "server", 5060)
+        yield from conn.send("abcdefghij")
+
+    def server():
+        conn = yield from listener.accept()
+        got.append((yield from conn.recv(4)))
+        got.append((yield from conn.recv(4)))
+        got.append(conn.try_recv())
+
+    procs = [machines["client"].spawn_light(client(), "c").start(),
+             machines["server"].spawn_light(server(), "s").start()]
+    run_until_done(engine, procs)
+    assert got == ["abcd", "efgh", "ij"]
 
 
 def test_close_delivers_eof(engine):

@@ -83,6 +83,27 @@ def test_try_recvfrom_nonblocking(engine):
     assert server_sock.try_recvfrom().payload == "x"
 
 
+def test_blocking_and_nonblocking_receives_count_alike(engine):
+    __, machines = make_lan(engine, ["client", "server"])
+    server_sock = UdpEndpoint(machines["server"], 5060)
+    client_sock = UdpEndpoint(machines["client"], 40000)
+    got = []
+
+    def receiver():
+        got.append((yield from server_sock.recvfrom()).payload)
+
+    proc = machines["server"].spawn_light(receiver(), "rx").start()
+    for payload in ("first", "second"):
+        client_sock.sendto(payload, "server", 5060)
+    run_until_done(engine, [proc])
+    engine.run()
+    got.append(server_sock.try_recvfrom().payload)
+    assert got == ["first", "second"]
+    assert server_sock.received == 2
+    assert server_sock.try_recvfrom() is None
+    assert server_sock.received == 2
+
+
 def test_close_unbinds(engine):
     __, machines = make_lan(engine, ["server"])
     sock = UdpEndpoint(machines["server"], 5060)
