@@ -58,7 +58,7 @@ def run_figure(fd_cache: bool, idle_strategy: str,
                series=("tcp-50", "tcp-500", "tcp-persistent", "udp"),
                clients=(100, 500, 1000), seed: int = 1,
                jobs: Optional[int] = None, **spec_overrides):
-    """Parallel, memoizing counterpart of :func:`repro.analysis.run_figure`.
+    """Run a figure grid through the memo; returns results[series][clients].
 
     ``jobs=None`` fans uncached cells across all cores.
     """

@@ -12,7 +12,6 @@ from repro.analysis.experiments import (
     ExperimentSpec,
     figure_specs,
     run_cell,
-    run_figure,
     TCP_WORKERS,
     UDP_WORKERS,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "ExperimentSpec",
     "figure_specs",
     "run_cell",
-    "run_figure",
     "run_cells",
     "CellOutcome",
     "ResultCache",

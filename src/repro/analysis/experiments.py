@@ -99,7 +99,6 @@ class ExperimentSpec:
     offered_cps: Optional[float] = None
     #: overload controller name (see :data:`repro.overload.VALID_CONTROLLERS`)
     controller: str = "none"
-    controller_params: Dict = field(default_factory=dict)
     #: compressed SIP T1 for overload cells (None = the config default
     #: 500 ms).  T2/T4 and the timer tick follow from it on both the proxy
     #: and the phones (:class:`~repro.proxy.config.ProxyConfig`), so
@@ -185,7 +184,6 @@ def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
         idle_timeout_us=spec.idle_timeout_us,
         stateful=spec.stateful,
         overload_controller=spec.controller,
-        overload_params=dict(spec.controller_params),
         **t1_kw,
         **spec.config_overrides,
     )
@@ -284,27 +282,3 @@ def figure_specs(fd_cache: bool, idle_strategy: str,
                            idle_strategy=idle_strategy, seed=seed,
                            **spec_overrides)
             for name in series for count in clients]
-
-
-def run_figure(fd_cache: bool, idle_strategy: str,
-               series=("tcp-50", "tcp-500", "tcp-persistent", "udp"),
-               clients=(100, 500, 1000), seed: int = 1,
-               jobs: int = 1, cache=None,
-               **spec_overrides) -> Dict[str, Dict[int, BenchmarkResult]]:
-    """Run a full figure grid; returns results[series][clients].
-
-    ``jobs`` > 1 fans the cells across worker processes and ``cache``
-    (a :class:`~repro.analysis.cache.ResultCache`) skips already-computed
-    cells; both go through :func:`repro.analysis.runner.run_cells`, so
-    results are deterministic and identical to the serial path (they are
-    the serializable form — no live ``proxy`` attached).
-    """
-    from repro.analysis.runner import run_cells  # avoid an import cycle
-
-    specs = figure_specs(fd_cache, idle_strategy, series=series,
-                         clients=clients, seed=seed, **spec_overrides)
-    outcomes = run_cells(specs, jobs=jobs, cache=cache)
-    grid: Dict[str, Dict[int, BenchmarkResult]] = {name: {} for name in series}
-    for spec, outcome in zip(specs, outcomes):
-        grid[spec.series][spec.clients] = outcome.result
-    return grid

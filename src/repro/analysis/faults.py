@@ -7,9 +7,9 @@ the measurement window, and splits the sampled ``client_goodput_cps``
 series into three windows:
 
 - **pre**    — ``[t0, t0 + fault_at_us)``: the healthy baseline;
-- **during** — ``[fault_at_us, fault_at_us + settle_us)``: the damage
+- **during** — ``[fault_at_us, fault_at_us + SETTLE_US)``: the damage
   plus detection/recovery transient;
-- **post**   — ``[fault_at_us + settle_us, end]``: where a resilient
+- **post**   — ``[fault_at_us + SETTLE_US, end]``: where a resilient
   server is back near baseline.
 
 ``recovery_ratio = post / pre`` is the figure's headline number: with
@@ -25,7 +25,8 @@ and detection timestamps stay seed-reproducible.
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.experiments import ExperimentSpec
-from repro.analysis.overload import OVERLOAD_T1_US, capacity_spec
+from repro.analysis.overload import OVERLOAD_T1_US, measure_capacity
+from repro.analysis.runner import run_cells
 from repro.faults import FaultPlan, WorkerCrash
 from repro.obs.metrics import series_window_mean
 
@@ -34,32 +35,24 @@ DEFAULT_SERIES = ("tcp-persistent",)
 #: so goodput changes isolate the *fault*, not overload
 DEFAULT_LOAD_FACTOR = 0.7
 
-DEFAULT_WARMUP_US = 300_000.0
-DEFAULT_MEASURE_US = 900_000.0
+WARMUP_US = 300_000.0
+MEASURE_US = 900_000.0
 #: fault offset into the measurement window
 DEFAULT_FAULT_AT_US = 300_000.0
 #: transient allowance between "fault hits" and "recovery judged"
-DEFAULT_SETTLE_US = 200_000.0
+SETTLE_US = 200_000.0
 
 #: metric sampling interval for the goodput series
 SAMPLE_US = 10_000.0
 
 
-def default_crash_plan(fault_at_us: float = DEFAULT_FAULT_AT_US,
-                       worker: int = 0) -> FaultPlan:
-    """The figure's canonical fault: one worker dies mid-measurement."""
-    return FaultPlan([WorkerCrash(start_us=fault_at_us, worker=worker)])
-
-
 def faults_spec(series: str, clients: int, offered_cps: float,
                 plan: FaultPlan, watchdog: bool, seed: int = 1,
-                workers: Optional[int] = None,
-                warmup_us: float = DEFAULT_WARMUP_US,
-                measure_us: float = DEFAULT_MEASURE_US) -> ExperimentSpec:
+                workers: Optional[int] = None) -> ExperimentSpec:
     """One open-loop fault-injection cell."""
     return ExperimentSpec(series=series, clients=clients, seed=seed,
-                          workers=workers, warmup_us=warmup_us,
-                          measure_us=measure_us,
+                          workers=workers, warmup_us=WARMUP_US,
+                          measure_us=MEASURE_US,
                           sip_t1_us=OVERLOAD_T1_US,
                           offered_cps=offered_cps,
                           sample_us=SAMPLE_US,
@@ -69,16 +62,16 @@ def faults_spec(series: str, clients: int, offered_cps: float,
                           watchdog=watchdog)
 
 
-def _cell_summary(result, fault_at_us: float, settle_us: float) -> Dict:
+def _cell_summary(result, fault_at_us: float) -> Dict:
     """Windowed goodput + fault record for one cell (JSON-ready)."""
     t0, t_end = result.metrics["window_us"]
     pre = series_window_mean(result.metrics, "client_goodput_cps",
                              from_us=t0, to_us=t0 + fault_at_us)
     during = series_window_mean(result.metrics, "client_goodput_cps",
                                 from_us=t0 + fault_at_us,
-                                to_us=t0 + fault_at_us + settle_us)
+                                to_us=t0 + fault_at_us + SETTLE_US)
     post = series_window_mean(result.metrics, "client_goodput_cps",
-                              from_us=t0 + fault_at_us + settle_us,
+                              from_us=t0 + fault_at_us + SETTLE_US,
                               to_us=t_end)
     faults = result.faults or {}
     return {
@@ -104,28 +97,16 @@ def run_faults_figure(series: Sequence[str] = DEFAULT_SERIES,
                       workers: Optional[int] = None,
                       load_factor: float = DEFAULT_LOAD_FACTOR,
                       fault_at_us: float = DEFAULT_FAULT_AT_US,
-                      settle_us: float = DEFAULT_SETTLE_US,
-                      plan: Optional[FaultPlan] = None,
-                      jobs: int = 1, cache=None,
-                      progress=None) -> Dict:
+                      jobs: int = 1, cache=None) -> Dict:
     """Run the fault-resilience grid; returns JSON-ready figure data.
 
     Phase 1 calibrates closed-loop capacity per series (cells shared
-    with fig-overload, so they cache across figures); phase 2 runs each
-    series' fault plan with the watchdog off and on.
+    with fig-overload, so they cache across figures); phase 2 runs the
+    figure's canonical fault — worker 0 dies ``fault_at_us`` into the
+    measurement window — with the watchdog off and on.
     """
-    from repro.analysis.runner import run_cells  # avoid an import cycle
-
-    plan = plan or default_crash_plan(fault_at_us)
-    cap_specs = [capacity_spec(name, clients=clients, seed=seed,
-                               workers=workers) for name in series]
-    cap_outcomes = run_cells(cap_specs, jobs=jobs, cache=cache,
-                             progress=progress)
-    capacity = {}
-    for name, outcome in zip(series, cap_outcomes):
-        # Two measured operations (INVITE + BYE) complete per call.
-        capacity[name] = outcome.result.throughput_ops_s / 2.0
-
+    plan = FaultPlan([WorkerCrash(start_us=fault_at_us, worker=0)])
+    capacity = measure_capacity(series, clients, seed, workers, jobs, cache)
     specs, index = [], []
     for name in series:
         for watchdog in (False, True):
@@ -134,20 +115,19 @@ def run_faults_figure(series: Sequence[str] = DEFAULT_SERIES,
                 offered_cps=load_factor * capacity[name],
                 plan=plan, watchdog=watchdog, seed=seed, workers=workers))
             index.append((name, watchdog))
-    outcomes = run_cells(specs, jobs=jobs, cache=cache, progress=progress)
+    outcomes = run_cells(specs, jobs=jobs, cache=cache)
 
     grid: Dict[str, Dict[str, Dict]] = {name: {} for name in series}
     for (name, watchdog), outcome in zip(index, outcomes):
         key = "watchdog-on" if watchdog else "watchdog-off"
-        grid[name][key] = _cell_summary(outcome.result, fault_at_us,
-                                        settle_us)
+        grid[name][key] = _cell_summary(outcome.result, fault_at_us)
     return {
         "t1_us": OVERLOAD_T1_US,
         "clients": clients,
         "seed": seed,
         "load_factor": load_factor,
         "fault_at_us": fault_at_us,
-        "settle_us": settle_us,
+        "settle_us": SETTLE_US,
         "plan": plan.to_dict(),
         "capacity_cps": capacity,
         "grid": grid,

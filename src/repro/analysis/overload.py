@@ -35,6 +35,7 @@ cells cache on disk and fan out across processes like any figure grid.
 from typing import Dict, Optional, Sequence
 
 from repro.analysis.experiments import ExperimentSpec
+from repro.analysis.runner import run_cells
 
 #: compressed SIP T1 for overload cells (real: 500 ms)
 OVERLOAD_T1_US = 20_000.0
@@ -71,8 +72,7 @@ def overload_spec(series: str, clients: int, offered_cps: float,
                   warmup_us: float = DEFAULT_WARMUP_US,
                   measure_us: float = DEFAULT_MEASURE_US,
                   scale_windows: bool = True,
-                  sample_us: Optional[float] = None,
-                  controller_params: Optional[Dict] = None) -> ExperimentSpec:
+                  sample_us: Optional[float] = None) -> ExperimentSpec:
     """One open-loop cell of the overload grid."""
     return ExperimentSpec(series=series, clients=clients, seed=seed,
                           workers=workers, warmup_us=warmup_us,
@@ -80,9 +80,22 @@ def overload_spec(series: str, clients: int, offered_cps: float,
                           sip_t1_us=OVERLOAD_T1_US,
                           offered_cps=offered_cps,
                           controller=controller,
-                          controller_params=dict(controller_params or {}),
                           sample_us=sample_us,
                           scale_windows=scale_windows)
+
+
+def measure_capacity(series: Sequence[str], clients: int, seed: int,
+                     workers: Optional[int], jobs: int,
+                     cache) -> Dict[str, float]:
+    """Closed-loop capacity in calls/s per series, from one
+    :func:`capacity_spec` cell each (shared by the overload and faults
+    figures, so the cells cache across both)."""
+    outcomes = run_cells([capacity_spec(name, clients=clients, seed=seed,
+                                        workers=workers)
+                          for name in series], jobs=jobs, cache=cache)
+    # Two measured operations (INVITE + BYE) complete per call.
+    return {name: outcome.result.throughput_ops_s / 2.0
+            for name, outcome in zip(series, outcomes)}
 
 
 def _cell_summary(factor: float, result) -> Dict:
@@ -110,40 +123,26 @@ def run_overload_figure(series: Sequence[str] = DEFAULT_SERIES,
                         load_factors: Sequence[float] = DEFAULT_LOAD_FACTORS,
                         clients: int = 100, seed: int = 1,
                         workers: Optional[int] = None,
-                        warmup_us: float = DEFAULT_WARMUP_US,
-                        measure_us: float = DEFAULT_MEASURE_US,
-                        scale_windows: bool = True,
                         sample_us: Optional[float] = None,
-                        jobs: int = 1, cache=None,
-                        progress=None) -> Dict:
+                        jobs: int = 1, cache=None) -> Dict:
     """Run the full overload grid; returns the JSON-ready figure data.
 
     Phase 1 measures closed-loop capacity per series; phase 2 fans out
     ``series × controllers × load_factors`` open-loop cells.  Both
     phases go through the cached parallel runner.
     """
-    from repro.analysis.runner import run_cells  # avoid an import cycle
-
-    kw = dict(clients=clients, seed=seed, workers=workers,
-              warmup_us=warmup_us, measure_us=measure_us,
-              scale_windows=scale_windows)
-    cap_specs = [capacity_spec(name, **kw) for name in series]
-    cap_outcomes = run_cells(cap_specs, jobs=jobs, cache=cache,
-                             progress=progress)
-    capacity = {}
-    for name, outcome in zip(series, cap_outcomes):
-        # Two measured operations (INVITE + BYE) complete per call.
-        capacity[name] = outcome.result.throughput_ops_s / 2.0
-
+    capacity = measure_capacity(series, clients, seed, workers, jobs, cache)
     specs, index = [], []
     for name in series:
         for controller in controllers:
             for factor in load_factors:
                 specs.append(overload_spec(
-                    name, offered_cps=factor * capacity[name],
-                    controller=controller, sample_us=sample_us, **kw))
+                    name, clients=clients,
+                    offered_cps=factor * capacity[name],
+                    controller=controller, seed=seed, workers=workers,
+                    sample_us=sample_us))
                 index.append((name, controller, factor))
-    outcomes = run_cells(specs, jobs=jobs, cache=cache, progress=progress)
+    outcomes = run_cells(specs, jobs=jobs, cache=cache)
 
     grid: Dict[str, Dict[str, list]] = {
         name: {controller: [] for controller in controllers}

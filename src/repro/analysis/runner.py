@@ -29,7 +29,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.analysis.cache import ResultCache, spec_key
 from repro.analysis.experiments import ExperimentSpec, run_cell
@@ -78,15 +78,12 @@ def _pool(jobs: int):
 
 def run_cells(specs: Iterable[ExperimentSpec],
               jobs: Optional[int] = None,
-              cache: Optional[ResultCache] = None,
-              progress: Optional[Callable[[CellOutcome], None]] = None,
-              ) -> List[CellOutcome]:
+              cache: Optional[ResultCache] = None) -> List[CellOutcome]:
     """Run a batch of cells, fanning cache misses across ``jobs`` workers.
 
     Returns one :class:`CellOutcome` per input spec, in input order.
     ``jobs=None`` picks :func:`default_jobs`; ``jobs=1`` runs serially
-    in-process.  ``progress`` (if given) is called once per computed cell
-    as results arrive, in deterministic order.
+    in-process.
     """
     specs = list(specs)
     for spec in specs:
@@ -148,8 +145,4 @@ def run_cells(specs: Iterable[ExperimentSpec],
         outcomes[index] = CellOutcome(specs[index],
                                       BenchmarkResult(**result_dict),
                                       elapsed_s=elapsed, cached=False)
-
-    if progress is not None:
-        for outcome in outcomes:
-            progress(outcome)
     return outcomes

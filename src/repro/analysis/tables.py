@@ -49,7 +49,7 @@ def render_comparison(figure_key: str,
 
 
 def throughput_grid(results) -> Dict[str, Dict[int, float]]:
-    """Extract ops/s from a run_figure() result grid."""
+    """Extract ops/s from a ``results[series][clients]`` figure grid."""
     return {name: {count: res.throughput_ops_s
                    for count, res in row.items()}
             for name, row in results.items()}

@@ -33,6 +33,12 @@ class Workload:
     offered_cps: float = 0.0       #: open-loop Poisson arrival rate, calls/s
 
     def validate(self) -> None:
+        # NaN passes every ``<=`` check below and an infinite window never
+        # ends: a non-finite time or rate would hang the cell.
+        for name in ("warmup_us", "measure_us", "register_deadline_us",
+                     "offered_cps"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.clients < 1:
             raise ValueError("need at least one client pair")
         if self.ops_per_conn is not None and self.ops_per_conn < 1:

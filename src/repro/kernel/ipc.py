@@ -99,9 +99,6 @@ class IpcEndpoint:
     def readable_signal(self) -> Signal:
         return self._in.readable_signal
 
-    def writable(self) -> bool:
-        return not self._out.full
-
     @property
     def writable_signal(self) -> Signal:
         return self._out.writable_signal

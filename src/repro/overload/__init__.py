@@ -1,10 +1,10 @@
 """Overload control: admission policies for load past saturation.
 
-The subsystem has three pieces:
+The subsystem is one base class plus two control laws:
 
-- the :class:`~repro.overload.controller.OverloadController` interface
-  the proxy core consults per arriving INVITE (plus the shared
-  :class:`~repro.overload.controller.OccupancySignal` probe);
+- :class:`~repro.overload.controller.OverloadController` — the interface
+  the proxy core consults per arriving INVITE, and the 20 ms tick that
+  samples CPU occupancy and receive-queue fill for the laws below;
 - :class:`~repro.overload.occupancy.LocalOccupancyController` — the
   classic occupancy-triggered 503 shedder;
 - :class:`~repro.overload.window.WindowController` — per-upstream
@@ -15,14 +15,9 @@ name to an instance (``"none"`` → ``None``: the collapse baseline, with
 zero per-message overhead).
 """
 
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.overload.controller import (
-    DEFAULT_CONTROL_INTERVAL_US,
-    OccupancySignal,
-    OverloadController,
-    PeriodicController,
-)
+from repro.overload.controller import OverloadController
 from repro.overload.occupancy import LocalOccupancyController
 from repro.overload.window import WindowController
 
@@ -34,8 +29,7 @@ CONTROLLERS = {
 VALID_CONTROLLERS = ("none",) + tuple(sorted(CONTROLLERS))
 
 
-def build_controller(name: str, params: Optional[Dict] = None
-                     ) -> Optional[OverloadController]:
+def build_controller(name: str) -> Optional[OverloadController]:
     """Instantiate the named controller (``"none"`` → ``None``)."""
     if name == "none":
         return None
@@ -44,17 +38,14 @@ def build_controller(name: str, params: Optional[Dict] = None
     except KeyError:
         raise ValueError(f"unknown overload controller {name!r}; "
                          f"expected one of {VALID_CONTROLLERS}") from None
-    return cls(params)
+    return cls()
 
 
 __all__ = [
     "OverloadController",
-    "PeriodicController",
-    "OccupancySignal",
     "LocalOccupancyController",
     "WindowController",
     "build_controller",
     "CONTROLLERS",
     "VALID_CONTROLLERS",
-    "DEFAULT_CONTROL_INTERVAL_US",
 ]

@@ -22,16 +22,16 @@ from typing import Callable, Dict, Optional
 
 from repro.kernel.timerwheel import PeriodicTimer
 
-#: how often control laws re-evaluate their signals (µs of simulated time)
-DEFAULT_CONTROL_INTERVAL_US = 20_000.0
-
 
 class OverloadController:
     """Admission policy for new INVITEs (base class admits everything).
 
-    Lifecycle: constructed from config, then :meth:`bind` is called once
-    by :meth:`repro.proxy.base.BaseProxyServer.start` with the live
-    server.  Hooks:
+    Lifecycle: constructed by name, then :meth:`bind` is called once by
+    :meth:`repro.proxy.base.BaseProxyServer.start` with the live server;
+    from then on, every :attr:`control_interval_us` the tick refreshes
+    :attr:`occupancy` (CPU busy fraction over the interval just ended)
+    and :attr:`queue_fill` (the transport's receive-queue fill) and
+    hands both to :meth:`update`, the control law.  Hooks:
 
     - :meth:`admit` — called by the core's fast path for every arriving
       INVITE *before* any parsing/transaction work; return False to shed
@@ -46,24 +46,41 @@ class OverloadController:
     name = "base"
     #: advertised in the 503's Retry-After header (seconds)
     retry_after_s = 1
+    #: how often the control law re-evaluates its signals (µs of
+    #: simulated time)
+    control_interval_us = 20_000.0
 
-    def __init__(self, params: Optional[Dict] = None) -> None:
-        self.params = dict(params or {})
-        self.proxy = None
-        self.engine = None
+    def __init__(self) -> None:
+        self.occupancy = 0.0
+        self.queue_fill = 0.0
+        self._timer: Optional[PeriodicTimer] = None
 
     # -- lifecycle -----------------------------------------------------
     def bind(self, proxy) -> None:
         """Attach to a started proxy server and begin controlling."""
-        self.proxy = proxy
-        self.engine = proxy.engine
-        self._on_bind()
-
-    def _on_bind(self) -> None:
-        """Subclass hook: signals are available, timers may start."""
+        self._scheduler = proxy.machine.scheduler
+        self._n_cores = len(self._scheduler.cores)
+        self._queue_fill_fn = proxy.queue_fill
+        self._last_busy = self._scheduler.total_busy_us()
+        self._timer = PeriodicTimer(proxy.engine, self.control_interval_us,
+                                    self._tick)
+        self._timer.start()
 
     def stop(self) -> None:
-        """Detach timers (the proxy is being torn down)."""
+        """Detach the timer (the proxy is being torn down)."""
+        if self._timer is not None:
+            self._timer.stop()
+
+    def _tick(self) -> None:
+        busy = self._scheduler.total_busy_us()
+        self.occupancy = (busy - self._last_busy) / (
+            self.control_interval_us * self._n_cores)
+        self._last_busy = busy
+        self.queue_fill = self._queue_fill_fn()
+        self.update(self.occupancy, self.queue_fill)
+
+    def update(self, occupancy: float, queue_fill: float) -> None:
+        """The control law; subclasses adjust their admission state."""
 
     # -- admission -----------------------------------------------------
     def admit(self, now: float, source) -> bool:
@@ -87,58 +104,3 @@ class OverloadController:
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
-
-
-class OccupancySignal:
-    """Shared occupancy probe: per-interval CPU busy fraction plus the
-    transport's receive-queue fill.
-
-    Both :class:`~repro.overload.occupancy.LocalOccupancyController` and
-    :class:`~repro.overload.window.WindowController` drive their control
-    laws from this pair; reading it never perturbs the simulation.
-    """
-
-    def __init__(self, proxy) -> None:
-        self.scheduler = proxy.machine.scheduler
-        self.n_cores = len(self.scheduler.cores)
-        self.queue_fill_fn = proxy.queue_fill
-        self._last_busy = self.scheduler.total_busy_us()
-        self.occupancy = 0.0
-        self.queue_fill = 0.0
-
-    def sample(self, interval_us: float) -> None:
-        """Refresh both signals over the interval just ended."""
-        busy = self.scheduler.total_busy_us()
-        self.occupancy = (busy - self._last_busy) / (interval_us *
-                                                     self.n_cores)
-        self._last_busy = busy
-        self.queue_fill = self.queue_fill_fn()
-
-
-class PeriodicController(OverloadController):
-    """A controller whose law runs every ``control_interval_us``."""
-
-    def __init__(self, params: Optional[Dict] = None) -> None:
-        super().__init__(params)
-        self.control_interval_us = float(self.params.get(
-            "control_interval_us", DEFAULT_CONTROL_INTERVAL_US))
-        self.signal: Optional[OccupancySignal] = None
-        self._timer: Optional[PeriodicTimer] = None
-
-    def _on_bind(self) -> None:
-        self.signal = OccupancySignal(self.proxy)
-        self._timer = PeriodicTimer(self.engine, self.control_interval_us,
-                                    self._tick)
-        self._timer.start()
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-
-    def _tick(self) -> None:
-        self.signal.sample(self.control_interval_us)
-        self.update(self.signal.occupancy, self.signal.queue_fill)
-
-    def update(self, occupancy: float, queue_fill: float) -> None:
-        """The control law; subclasses adjust their admission state."""
-        raise NotImplementedError

@@ -13,33 +13,31 @@ INVITE deposits *f* tokens and admission spends one — exactly an
 ``accept f of 1`` pattern with no RNG.
 """
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
-from repro.overload.controller import PeriodicController
+from repro.overload.controller import OverloadController
 
 
-class LocalOccupancyController(PeriodicController):
+class LocalOccupancyController(OverloadController):
     """Occupancy-triggered 503 rejection with multiplicative backoff."""
 
     name = "local-occupancy"
+    #: occupancy the law steers toward (fraction of all cores busy)
+    target = 0.85
+    #: queue fill that triggers an immediate backoff.  High on purpose:
+    #: Poisson bursts routinely fill a quarter of the receive buffer at
+    #: 1× load, and shedding on those would cost real goodput — the
+    #: panic is for *sustained* buildup, the leading edge of collapse.
+    queue_high = 0.6
+    queue_backoff = 0.7
+    #: floor under the acceptance fraction (never shed everything)
+    min_accept = 0.05
+    #: cap on per-tick growth, so recovery cannot overshoot straight
+    #: back into collapse
+    max_growth = 1.25
 
-    def __init__(self, params: Optional[Dict] = None) -> None:
-        super().__init__(params)
-        get = self.params.get
-        #: occupancy the law steers toward (fraction of all cores busy)
-        self.target = float(get("target_occupancy", 0.85))
-        #: queue fill that triggers an immediate backoff.  High on
-        #: purpose: Poisson bursts routinely fill a quarter of the
-        #: receive buffer at 1× load, and shedding on those would cost
-        #: real goodput — the panic is for *sustained* buildup, the
-        #: leading edge of collapse.
-        self.queue_high = float(get("queue_high", 0.6))
-        self.queue_backoff = float(get("queue_backoff", 0.7))
-        #: floor under the acceptance fraction (never shed everything)
-        self.min_accept = float(get("min_accept", 0.05))
-        #: cap on per-tick growth, so recovery cannot overshoot straight
-        #: back into collapse
-        self.max_growth = float(get("max_growth", 1.25))
+    def __init__(self) -> None:
+        super().__init__()
         self.accept_fraction = 1.0
         self._tokens = 0.0
 
@@ -70,8 +68,6 @@ class LocalOccupancyController(PeriodicController):
     def gauge_probes(self) -> Dict[str, Callable[[], float]]:
         return {
             "accept_fraction": lambda: self.accept_fraction,
-            "occupancy": lambda: (self.signal.occupancy
-                                  if self.signal is not None else 0.0),
-            "queue_fill": lambda: (self.signal.queue_fill
-                                   if self.signal is not None else 0.0),
+            "occupancy": lambda: self.occupancy,
+            "queue_fill": lambda: self.queue_fill,
         }

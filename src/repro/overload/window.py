@@ -4,7 +4,7 @@ The feedback-window scheme of Shen & Schulzrinne's TCP overload-control
 work, enforced proxy-side: each upstream source (a TCP connection
 record, or a UDP source address) may have at most ``window`` INVITE
 transactions outstanding; excess arrivals are shed with 503.  The window
-is AIMD-adjusted from the shared occupancy signal — additive increase
+is AIMD-adjusted from the base class's occupancy signal — additive increase
 while the server has headroom, multiplicative decrease when occupancy or
 the receive queue says overload — and an admitted call's completion (or
 timeout) releases its slot.
@@ -15,33 +15,34 @@ window automatically admits fewer calls per second (Little's law), and
 the shed traffic never enters the retransmission spiral.
 
 Per-source state lives in a plain dict keyed by the source object (the
-TCP servers' ``ConnRecord``/the UDP ``(addr, port)`` pair); the
+TCP servers' ``ConnRecord``, the UDP ``(addr, port)`` pair, the
+``SctpAssociation``: all hashable, the two classes by identity); the
 transports call :meth:`forget_source` when a connection dies so closed
 upstreams cannot leak slots.
 """
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
-from repro.overload.controller import PeriodicController
+from repro.overload.controller import OverloadController
 
 
-class WindowController(PeriodicController):
+class WindowController(OverloadController):
     """Per-upstream AIMD feedback window over in-flight INVITEs."""
 
     name = "window"
+    target = 0.85
+    queue_high = 0.25
+    window_min = 1.0
+    window_max = 64.0
+    window_initial = 8.0
+    #: additive increase per control tick with headroom
+    increase = 0.25
+    #: multiplicative decrease factor on overload
+    decrease = 0.7
 
-    def __init__(self, params: Optional[Dict] = None) -> None:
-        super().__init__(params)
-        get = self.params.get
-        self.target = float(get("target_occupancy", 0.85))
-        self.queue_high = float(get("queue_high", 0.25))
-        self.window_min = float(get("window_min", 1.0))
-        self.window_max = float(get("window_max", 64.0))
-        #: additive increase per control tick with headroom
-        self.increase = float(get("increase", 0.25))
-        #: multiplicative decrease factor on overload
-        self.decrease = float(get("decrease", 0.7))
-        self.window = float(get("window_initial", 8.0))
+    def __init__(self) -> None:
+        super().__init__()
+        self.window = self.window_initial
         self._inflight: Dict[object, int] = {}
 
     # -- control law ---------------------------------------------------
@@ -53,23 +54,13 @@ class WindowController(PeriodicController):
 
     # -- admission -----------------------------------------------------
     def admit(self, now: float, source) -> bool:
-        try:
-            inflight = self._inflight.get(source, 0)
-        except TypeError:  # unhashable source: never throttle it
-            return True
-        return inflight < self.window
+        return self._inflight.get(source, 0) < self.window
 
     def note_admitted(self, source) -> None:
-        try:
-            self._inflight[source] = self._inflight.get(source, 0) + 1
-        except TypeError:
-            pass
+        self._inflight[source] = self._inflight.get(source, 0) + 1
 
     def note_done(self, source, success: bool = True) -> None:
-        try:
-            left = self._inflight.get(source, 0) - 1
-        except TypeError:
-            return
+        left = self._inflight.get(source, 0) - 1
         if left > 0:
             self._inflight[source] = left
         else:
@@ -80,10 +71,7 @@ class WindowController(PeriodicController):
             self.window = max(self.window_min, self.window * self.decrease)
 
     def forget_source(self, source) -> None:
-        try:
-            self._inflight.pop(source, None)
-        except TypeError:
-            pass
+        self._inflight.pop(source, None)
 
     # -- observability -------------------------------------------------
     def inflight_total(self) -> int:
@@ -93,6 +81,5 @@ class WindowController(PeriodicController):
         return {
             "window": lambda: self.window,
             "inflight": lambda: float(self.inflight_total()),
-            "occupancy": lambda: (self.signal.occupancy
-                                  if self.signal is not None else 0.0),
+            "occupancy": lambda: self.occupancy,
         }

@@ -37,8 +37,7 @@ class BaseProxyServer:
         self.core.probe = probe
         self.txn_table.lock.probe = self.timer_list.lock.probe = probe
         #: overload controller ("none" → None; see :mod:`repro.overload`)
-        self.controller = build_controller(config.overload_controller,
-                                           config.overload_params)
+        self.controller = build_controller(config.overload_controller)
         self.core.controller = self.controller
         self.processes: List = []
         #: the worker processes by index (a subset of :attr:`processes`)

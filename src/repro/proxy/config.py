@@ -1,7 +1,6 @@
 """Proxy configuration (the knobs §4.3 discusses, and the §5 fixes)."""
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
 
 from repro.overload import VALID_CONTROLLERS
 
@@ -50,8 +49,6 @@ class ProxyConfig:
     #: "local-occupancy" (occupancy-triggered 503 shedding) or "window"
     #: (per-upstream feedback window) — see :mod:`repro.overload`
     overload_controller: str = "none"
-    #: controller tuning knobs, passed through to its constructor
-    overload_params: Dict = field(default_factory=dict)
 
     def validate(self) -> None:
         if self.transport not in VALID_TRANSPORTS:

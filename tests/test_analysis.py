@@ -6,6 +6,7 @@ from repro.analysis.experiments import (
     ExperimentSpec,
     SCALED_IDLE_TIMEOUT_US,
     TIME_COMPRESSION,
+    run_cell,
 )
 from repro.analysis.paper_data import CLIENT_COUNTS, PAPER_FIGURES, SERIES
 from repro.analysis.tables import render_comparison
@@ -46,6 +47,14 @@ class TestExperimentSpec:
     def test_explicit_windows_win(self):
         spec = ExperimentSpec(series="tcp-50", warmup_us=1.0, measure_us=2.0)
         assert spec.windows() == (1.0, 2.0)
+
+    @pytest.mark.parametrize("scale", ["nan", "inf"])
+    def test_non_finite_repro_scale_rejected(self, scale, monkeypatch):
+        # A NaN/infinite measurement window would never end the cell.
+        monkeypatch.setenv("REPRO_SCALE", scale)
+        with pytest.raises(ValueError):
+            run_cell(ExperimentSpec(series="udp", clients=4, workers=2,
+                                    warmup_us=20e3, measure_us=20e3))
 
 
 class TestPaperData:

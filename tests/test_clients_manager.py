@@ -21,6 +21,14 @@ class TestWorkload:
         dict(mode="open"),                      # open loop needs a rate
         dict(mode="open", offered_cps=-5.0),
         dict(offered_cps=100.0),                # rate needs the open loop
+        dict(warmup_us=float("nan")),
+        dict(warmup_us=float("inf")),
+        dict(measure_us=float("nan")),
+        dict(measure_us=float("inf")),
+        dict(register_deadline_us=float("nan")),
+        dict(register_deadline_us=float("inf")),
+        dict(mode="open", offered_cps=float("nan")),
+        dict(mode="open", offered_cps=float("inf")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):

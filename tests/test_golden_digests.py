@@ -14,6 +14,11 @@ The *observed* digests run the same six cells with every observer on
 what the sinks recorded, so a change to the instrumentation seam — who
 calls which hook, when, with what — is pinned on every flavor, not only
 on the ``tcp-persistent`` cell ``BENCHMARK.json`` observes.
+
+The *overload* digests run four sampled open-loop cells far past
+capacity, one per (transport, controller) pair, so both control laws —
+their admission decisions, their per-tick signal arithmetic and the
+gauges the sampler reads from them — are pinned inside a live cell.
 """
 
 import dataclasses
@@ -23,6 +28,7 @@ import json
 import pytest
 
 from repro.analysis.experiments import ExperimentSpec, run_cell
+from repro.analysis.overload import overload_spec
 
 GOLDEN = {
     "udp": "1325ffacd1fa05fa",
@@ -40,6 +46,14 @@ GOLDEN_OBSERVED = {
     "tcp-persistent": "a176364ed9960a08",
     "tcp-threaded": "13ad695c05f2c456",
     "tcp-threaded-50": "2d734bcd5ea48e97",
+}
+
+#: (series, offered calls/s, controller) -> digest of the sampled result
+GOLDEN_OVERLOAD = {
+    ("udp", 20_000.0, "local-occupancy"): "ccde21d2092c7f50",
+    ("udp", 20_000.0, "window"): "5847faa26252bda4",
+    ("tcp-persistent", 8_000.0, "local-occupancy"): "b0fba43062a0e050",
+    ("tcp-persistent", 8_000.0, "window"): "8a6fdd02b4bc8b34",
 }
 
 
@@ -83,3 +97,15 @@ def test_small_cell_observed_digest_is_unchanged(series):
     unobserved = dataclasses.replace(result, profile={}, metrics={},
                                      attribution={})
     assert _digest(dataclasses.asdict(unobserved)) == GOLDEN[series]
+
+
+@pytest.mark.parametrize("series,offered_cps,controller",
+                         sorted(GOLDEN_OVERLOAD))
+def test_overload_cell_digest_is_unchanged(series, offered_cps, controller):
+    result = run_cell(overload_spec(
+        series, clients=8, offered_cps=offered_cps, controller=controller,
+        workers=4, warmup_us=60_000.0, measure_us=150_000.0,
+        scale_windows=False, sample_us=10_000.0))
+    assert result.rejections_503 > 0
+    assert _digest(dataclasses.asdict(result)) == \
+        GOLDEN_OVERLOAD[series, offered_cps, controller]
