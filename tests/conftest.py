@@ -1,5 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.kernel.machine import Machine
@@ -33,6 +36,20 @@ def make_lan(engine, names, latency_us=50.0, **machine_kwargs):
         fabric.attach(machine)
         machines[name] = machine
     return fabric, machines
+
+
+def map_in_workers(fn, args):
+    """``[fn(arg) for arg in args]``, with the calls spread over forked
+    workers (at most one per CPU) so a test's independent multi-second
+    cells run side by side.  ``fn`` must be module-level and return
+    something picklable; cells are seeded, so the results are the same
+    as a serial run's."""
+    args = list(args)
+    jobs = min(len(args), os.cpu_count() or 1)
+    if jobs <= 1:
+        return [fn(arg) for arg in args]
+    with multiprocessing.get_context("fork").Pool(processes=jobs) as pool:
+        return pool.map(fn, args, chunksize=1)
 
 
 @pytest.fixture

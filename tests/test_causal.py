@@ -18,6 +18,8 @@ from repro.obs.attribution import (
 )
 from repro.overload.controller import OverloadController
 
+from conftest import map_in_workers
+
 INVITE = ("INVITE sip:bob@example.com SIP/2.0\r\n"
           "Via: SIP/2.0/UDP client1:5060;branch=z9hG4bK776asdhds\r\n"
           "Call-ID: a84b4c76e66710@client1\r\n"
@@ -483,20 +485,26 @@ class TestJourneyExport:
 # ---------------------------------------------------------------------------
 # the acceptance figure (slow)
 # ---------------------------------------------------------------------------
+def _attr_figure_cell(fix):
+    """One fix's cell of the TCP attribution figure (JSON-ready)."""
+    from repro.analysis.attribution import run_attr_figure
+
+    return run_attr_figure(transport="tcp", fixes=(fix,))["grid"][fix]
+
+
 @pytest.mark.slow
 def test_fd_cache_collapses_critical_path_ipc_share():
     """Acceptance: the fd cache moves TCP critical-path IPC share from
     ~12% (paper Table 3: 12.0%) to under 5% (paper: 4.6%)."""
-    from repro.analysis.attribution import run_attr_figure
-
-    data = run_attr_figure(transport="tcp", fixes=("none", "fdcache"))
-    none_share = data["ipc_share"]["none"]
-    cached_share = data["ipc_share"]["fdcache"]
+    fixes = ("none", "fdcache")
+    grid = dict(zip(fixes, map_in_workers(_attr_figure_cell, fixes)))
+    none_share = grid["none"]["attribution"]["shares"]["ipc"]
+    cached_share = grid["fdcache"]["attribution"]["shares"]["ipc"]
     assert 0.08 <= none_share <= 0.18, none_share
     assert cached_share < 0.05, cached_share
     assert cached_share < none_share / 2.0
-    for fix in ("none", "fdcache"):
-        attribution = data["grid"][fix]["attribution"]
+    for fix in fixes:
+        attribution = grid[fix]["attribution"]
         total = sum(attribution["components_us"].values())
         assert total == pytest.approx(attribution["mean_total_us"],
                                       rel=0.01)

@@ -407,7 +407,7 @@ def test_fig_faults_recovery_ratio(tmp_path):
     from repro.analysis.cache import ResultCache
     from repro.analysis.faults import render_faults_figure, run_faults_figure
 
-    data = run_faults_figure(clients=16, workers=4, seed=3,
+    data = run_faults_figure(clients=16, workers=4, seed=3, jobs=2,
                              cache=ResultCache(tmp_path / "cache"))
     cells = data["grid"]["tcp-persistent"]
     on, off = cells["watchdog-on"], cells["watchdog-off"]
@@ -425,7 +425,7 @@ def test_fig_faults_cli_smoke(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     out_json = tmp_path / "faults.json"
     assert main(["fig-faults", "--smoke", "--workers", "4", "--seed", "3",
-                 "--json", str(out_json), "--jobs", "1"]) == 0
+                 "--json", str(out_json), "--jobs", "2"]) == 0
     data = json.loads(out_json.read_text())
     assert data["grid"]["tcp-persistent"]["watchdog-on"]["recovery_ratio"] \
         >= 0.9
