@@ -1,7 +1,7 @@
 """What does CPython's cyclic collector cost one cell, and what does it find?
 
     python benchmarks/gc_audit.py --workload udp-closed-100
-        [--seed 1] [--collector as-is|on|off]
+        [--seed 1] [--collector as-is|on|off] [--retained]
 
 Runs one ``benchmarks/perf`` workload twice, each time in a fresh
 subprocess of this script, and prints
@@ -16,6 +16,11 @@ subprocess of this script, and prints
   because it sat in a reference cycle (``gc.DEBUG_SAVEALL``, result still
   referenced), by type.  "cyclic garbage: 0" means every object of the cell
   died by reference count.
+
+``--retained`` runs a third pass instead: under ``tracemalloc``, the
+heap growth between the end of registration and the end of
+``BenchmarkManager.run()`` — what the calls left behind — in KB per
+completed call, and the 15 allocation lines that grew most.
 
 ``--collector on`` makes ``gc.disable()`` a no-op for the run, ``off``
 disables the collector up front and makes ``gc.enable()`` a no-op; together
@@ -33,6 +38,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "perf")]
@@ -42,6 +48,7 @@ from repro.clients import BenchmarkManager  # noqa: E402
 from workloads import WORKLOADS, spec_kwargs  # noqa: E402
 
 TOP = 12
+TOP_LINES = 15
 
 
 def _by_type(objects) -> list:
@@ -120,10 +127,53 @@ def garbage_pass(spec) -> dict:
     return {"garbage": garbage}
 
 
+def _where(frame) -> str:
+    """``file:line``, repo files relative to the repo, others by name."""
+    path = pathlib.Path(frame.filename)
+    try:
+        path = path.relative_to(HERE.parent)
+    except ValueError:
+        path = pathlib.Path(path.parent.name, path.name)
+    return f"{path}:{frame.lineno}"
+
+
+def retained_pass(spec) -> dict:
+    snapshots = {}
+    manager_run = BenchmarkManager.run
+    registration = BenchmarkManager._registration_phase
+
+    def snapshot(name):
+        snapshots[name] = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(False, tracemalloc.__file__)])
+
+    def audited_registration(self):
+        registration(self)
+        snapshot("registered")
+
+    def audited_run(self):
+        result = manager_run(self)
+        snapshot("ran")
+        return result
+
+    BenchmarkManager._registration_phase = audited_registration
+    BenchmarkManager.run = audited_run
+    tracemalloc.start()
+    result = run_cell(spec)
+    tracemalloc.stop()
+    growth = snapshots["ran"].compare_to(snapshots["registered"], "lineno")
+    return {
+        "calls_completed": result.calls_completed,
+        "retained_bytes": sum(stat.size_diff for stat in growth),
+        "top": [(_where(stat.traceback[0]), stat.size_diff, stat.count_diff)
+                for stat in growth[:TOP_LINES]],
+    }
+
+
 def child(args) -> int:
     spec = ExperimentSpec(**spec_kwargs(args.workload, "bench", args.seed))
     _force_collector(args.collector)
-    passes = {"timing": timing_pass, "garbage": garbage_pass}
+    passes = {"timing": timing_pass, "garbage": garbage_pass,
+              "retained": retained_pass}
     print(json.dumps(passes[args.audit_pass](spec)))
     return 0
 
@@ -148,17 +198,36 @@ def _table(rows, limit=TOP) -> None:
               f"({len(rest)} other types)")
 
 
+def report_retained(args) -> int:
+    retained = _run_pass(args, "retained")
+    calls = retained["calls_completed"]
+    total = retained["retained_bytes"]
+    print(f"workload: {args.workload}  seed: {args.seed}  "
+          f"collector: {args.collector}")
+    print(f"retained from end of registration to end of manager.run(): "
+          f"{total / 1e6:.1f} MB over {calls} completed calls = "
+          f"{total / 1e3 / max(calls, 1):.1f} KB per call")
+    print(f"top {TOP_LINES} allocation lines by growth:")
+    for where, size, count in retained["top"]:
+        print(f"    {size / 1e6:>8.2f} MB  {count:>+9}  {where}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--collector", choices=("as-is", "on", "off"),
                         default="as-is")
-    parser.add_argument("--audit-pass", choices=("timing", "garbage"),
-                        help=argparse.SUPPRESS)
+    parser.add_argument("--retained", action="store_true",
+                        help="report the heap growth per completed call")
+    parser.add_argument("--audit-pass", help=argparse.SUPPRESS,
+                        choices=("timing", "garbage", "retained"))
     args = parser.parse_args(argv)
     if args.audit_pass:
         return child(args)
+    if args.retained:
+        return report_retained(args)
 
     timing = _run_pass(args, "timing")
     garbage = _run_pass(args, "garbage")["garbage"]

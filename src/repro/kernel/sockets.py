@@ -148,24 +148,33 @@ class PortAllocator:
         self.time_wait_us = time_wait_us
         self._in_use: Set[int] = set()
         self._time_wait: Set[int] = set()
-        self._free: Deque[int] = collections.deque(range(lo, hi))
+        # The pool is range(lo, hi) followed by released ports in release
+        # order, without materializing the range: ports below ``_next``
+        # have been handed out, and ``_free`` queues the returned ones
+        # behind the never-allocated rest (the FdTable idiom).
+        self._next = lo
+        self._free: Deque[int] = collections.deque()
         self.exhaustions = 0
 
     @property
     def available(self) -> int:
-        return len(self._free)
+        return self.hi - self._next + len(self._free)
 
     @property
     def in_time_wait(self) -> int:
         return len(self._time_wait)
 
     def allocate(self) -> int:
-        if not self._free:
+        if self._next < self.hi:
+            port = self._next
+            self._next += 1
+        elif self._free:
+            port = self._free.popleft()
+        else:
             self.exhaustions += 1
             raise PortExhaustedError(
                 f"{self.name}: no ephemeral ports "
                 f"(in_use={len(self._in_use)}, time_wait={len(self._time_wait)})")
-        port = self._free.popleft()
         self._in_use.add(port)
         return port
 
@@ -185,5 +194,5 @@ class PortAllocator:
             self._free.append(port)
 
     def __repr__(self) -> str:
-        return (f"<PortAllocator {self.name} free={len(self._free)} "
+        return (f"<PortAllocator {self.name} free={self.available} "
                 f"in_use={len(self._in_use)} tw={len(self._time_wait)}>")

@@ -12,6 +12,8 @@ from repro.sim.engine import Engine, Scheduled
 class Timer:
     """A one-shot timer that can be cancelled or restarted."""
 
+    __slots__ = ("engine", "fn", "args", "_handle", "__weakref__")
+
     def __init__(self, engine: Engine, fn: Callable, *args: Any) -> None:
         self.engine = engine
         self.fn = fn

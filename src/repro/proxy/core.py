@@ -273,8 +273,11 @@ class ProxyCore:
             self.stats.routing_failures += 1
             return []
         forwarded_text = response.render()
+        # Only the timer process's retransmission reads the forwarded
+        # request, and it skips answered transactions (DESIGN.md §3c).
         yield from self.txn_table.update(
-            txn, who, responded=True, last_response_text=forwarded_text)
+            txn, who, responded=True, last_response_text=forwarded_text,
+            forwarded_text=None, forward_target=None)
         if response.is_final and not txn.completed:
             txn.completed = True
             self.stats.transactions_completed += 1

@@ -8,7 +8,7 @@ Two flavours:
   registered at that moment and is then forgotten.
 """
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Sequence, Tuple
 
 
 class Event:
@@ -25,14 +25,17 @@ class Event:
         self.name = name
         self.fired = False
         self.value: Any = None
-        self._callbacks: List[Callable[[Any], None]] = []
+        #: a list from the first subscribe on; a shared () until then
+        self._callbacks: Sequence[Callable[[Any], None]] = ()
 
     def subscribe(self, callback: Callable[[Any], None]) -> None:
         """Invoke ``callback(value)`` when the event fires (or now if it has)."""
         if self.fired:
             self.engine.schedule(0.0, callback, self.value)
-        else:
+        elif self._callbacks:
             self._callbacks.append(callback)
+        else:
+            self._callbacks = [callback]
 
     def fire(self, value: Any = None) -> None:
         """Fire the event, waking all subscribers.  Firing twice is an error."""
@@ -40,7 +43,7 @@ class Event:
             raise RuntimeError(f"event {self.name!r} fired twice")
         self.fired = True
         self.value = value
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             self.engine.schedule(0.0, callback, value)
 
@@ -61,27 +64,34 @@ class Signal:
     def __init__(self, engine, name: str = "") -> None:
         self.engine = engine
         self.name = name
-        self._callbacks: List[Callable[[Any], None]] = []
+        #: a list from the first subscribe on; a shared () until then
+        self._callbacks: Sequence[Callable[[Any], None]] = ()
         #: persistent listeners, called synchronously on every fire (used
-        #: by pollers so they need not re-subscribe per wait round)
-        self._listeners: List[Callable[[Any], None]] = []
+        #: by pollers so they need not re-subscribe per wait round); a
+        #: tuple that listen/unlisten replace, so fire needs no copy
+        self._listeners: Tuple[Callable[[Any], None], ...] = ()
 
     def subscribe(self, callback: Callable[[Any], None]) -> None:
-        self._callbacks.append(callback)
+        if self._callbacks:
+            self._callbacks.append(callback)
+        else:
+            self._callbacks = [callback]
 
     def listen(self, callback: Callable[[Any], None]) -> None:
         """Persistently observe every fire (not cleared by firing)."""
-        self._listeners.append(callback)
+        self._listeners += (callback,)
 
     def unlisten(self, callback: Callable[[Any], None]) -> None:
-        if callback in self._listeners:
-            self._listeners.remove(callback)
+        listeners = self._listeners
+        if callback in listeners:
+            i = listeners.index(callback)
+            self._listeners = listeners[:i] + listeners[i + 1:]
 
     def fire(self, value: Any = None) -> None:
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             self.engine.schedule(0.0, callback, value)
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(value)
 
     def fire_one(self, value: Any = None) -> bool:

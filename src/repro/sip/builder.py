@@ -100,7 +100,8 @@ class MessageBuilder:
 
     def ack_for(self, invite: SipRequest, response: SipResponse) -> SipRequest:
         """The ACK acknowledging a 2xx to our INVITE (new branch, per RFC)."""
-        target = response.contact.uri if response.contact else invite.uri
+        contact = response.contact
+        target = contact.uri if contact else invite.uri
         ack = SipRequest("ACK", target)
         ack.add("Via", self._via(self.new_branch()))
         ack.add("Max-Forwards", "70")

@@ -29,7 +29,8 @@ class Dialog:
         """Caller-side dialog from our INVITE and its 2xx response."""
         from_addr = invite.from_addr
         to_addr = response.to_addr
-        target = response.contact.uri if response.contact else invite.uri
+        contact = response.contact
+        target = contact.uri if contact else invite.uri
         return cls(
             call_id=invite.call_id,
             local_user=from_addr.uri.user,

@@ -1,5 +1,6 @@
 """Structured header values: Via, CSeq, and name-addr headers."""
 
+import sys
 from typing import Dict, Optional
 
 from repro.sip.uri import SipUri
@@ -68,7 +69,7 @@ class CSeq:
 
     def __init__(self, number: int, method: str) -> None:
         self.number = number
-        self.method = method.upper()
+        self.method = sys.intern(method.upper())
 
     @classmethod
     def parse(cls, text: str) -> "CSeq":

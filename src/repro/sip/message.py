@@ -1,5 +1,6 @@
 """SIP message model: requests and responses with ordered headers."""
 
+import sys
 from typing import List, Optional, Tuple
 
 from repro.sip.headers import Address, CSeq, Via
@@ -40,6 +41,8 @@ REASON_PHRASES = {
 
 class SipMessage:
     """Common behaviour of requests and responses."""
+
+    __slots__ = ("headers", "body")
 
     def __init__(self, headers: Optional[List[Tuple[str, str]]] = None,
                  body: str = "") -> None:
@@ -164,11 +167,13 @@ class SipMessage:
 class SipRequest(SipMessage):
     """A SIP request: ``METHOD sip:uri SIP/2.0``."""
 
+    __slots__ = ("method", "uri")
+
     def __init__(self, method: str, uri: SipUri,
                  headers: Optional[List[Tuple[str, str]]] = None,
                  body: str = "") -> None:
         super().__init__(headers, body)
-        self.method = method.upper()
+        self.method = sys.intern(method.upper())
         self.uri = uri
 
     @property
@@ -184,6 +189,8 @@ class SipRequest(SipMessage):
 
 class SipResponse(SipMessage):
     """A SIP response: ``SIP/2.0 200 OK``."""
+
+    __slots__ = ("status", "reason")
 
     def __init__(self, status: int, reason: Optional[str] = None,
                  headers: Optional[List[Tuple[str, str]]] = None,

@@ -50,6 +50,11 @@ class ClientTransaction:
     - ``on_timeout()`` if no final response within 64×T1.
     """
 
+    __slots__ = ("engine", "request", "send_fn", "reliable", "timers",
+                 "on_response", "on_timeout", "state", "branch",
+                 "retransmissions", "_interval", "_retransmit_timer",
+                 "_timeout_timer", "final_response", "_text", "__weakref__")
+
     def __init__(self, engine, request: SipRequest,
                  send_fn: Callable[[str], None], reliable: bool,
                  timers: Optional[TransactionTimers] = None,
@@ -63,15 +68,19 @@ class ClientTransaction:
         self.on_response = on_response
         self.on_timeout = on_timeout
         self.state = TxnState.CALLING
-        self.branch = request.top_via.branch if request.top_via else None
+        via = request.top_via
+        self.branch = via.branch if via else None
         self.retransmissions = 0
         self._interval = self.timers.t1
         self._retransmit_timer = Timer(engine, self._retransmit)
         self._timeout_timer = Timer(engine, self._timed_out)
         self.final_response: Optional[SipResponse] = None
+        #: the request as first sent; retransmissions repeat it verbatim
+        self._text: Optional[str] = None
 
     def start(self) -> None:
-        self.send_fn(self.request.render())
+        self._text = self.request.render()
+        self.send_fn(self._text)
         if not self.reliable:
             self._retransmit_timer.start(self._interval)
         self._timeout_timer.start(self.timers.timeout)
@@ -123,7 +132,7 @@ class ClientTransaction:
                 and self.request.method != "INVITE"):
             return
         self.retransmissions += 1
-        self.send_fn(self.request.render())
+        self.send_fn(self._text)
         self._interval = min(self._interval * 2.0, self.timers.t2)
         self._retransmit_timer.start(self._interval)
 
@@ -142,19 +151,30 @@ class ClientTransaction:
 
 class ServerTransaction:
     """UAS transaction: absorb request retransmissions, repeat the final
-    response until acknowledged (INVITE) or until timer J/H expires."""
+    response until acknowledged (INVITE) or until timer J/H expires.
+
+    It keeps the request's method and key and the last response's wire
+    text, never the messages: a finished INVITE transaction lingers for
+    64×T1 to absorb retransmissions, and that replay is all it can still
+    do (DESIGN.md §3c)."""
+
+    __slots__ = ("engine", "method", "send_fn", "reliable", "timers", "key",
+                 "state", "last_text", "retransmissions",
+                 "request_retransmissions_absorbed", "_interval",
+                 "_retransmit_timer", "_give_up_timer", "__weakref__")
 
     def __init__(self, engine, request: SipRequest,
                  send_fn: Callable[[str], None], reliable: bool,
                  timers: Optional[TransactionTimers] = None) -> None:
         self.engine = engine
-        self.request = request
+        self.method = request.method
         self.send_fn = send_fn
         self.reliable = reliable
         self.timers = timers or TransactionTimers()
         self.key = request.transaction_key()
         self.state = TxnState.PROCEEDING
-        self.last_response: Optional[SipResponse] = None
+        #: the last response as sent; replays repeat it verbatim
+        self.last_text: Optional[str] = None
         self.retransmissions = 0
         self.request_retransmissions_absorbed = 0
         self._interval = self.timers.t1
@@ -163,11 +183,11 @@ class ServerTransaction:
 
     def respond(self, response: SipResponse) -> None:
         """Send a response; final responses arm the retransmit machinery."""
-        self.last_response = response
-        self.send_fn(response.render())
+        self.last_text = response.render()
+        self.send_fn(self.last_text)
         if response.is_final:
             self.state = TxnState.COMPLETED
-            if self.request.method == "INVITE":
+            if self.method == "INVITE":
                 if not self.reliable:
                     self._retransmit_timer.start(self._interval)
                 self._give_up_timer.start(self.timers.timeout)
@@ -179,8 +199,8 @@ class ServerTransaction:
     def handle_request_retransmission(self) -> None:
         """The same request arrived again: replay our last response."""
         self.request_retransmissions_absorbed += 1
-        if self.last_response is not None:
-            self.send_fn(self.last_response.render())
+        if self.last_text is not None:
+            self.send_fn(self.last_text)
 
     def handle_ack(self) -> None:
         """ACK confirms our 2xx: stop retransmitting."""
@@ -194,7 +214,7 @@ class ServerTransaction:
         if self.state is not TxnState.COMPLETED:
             return
         self.retransmissions += 1
-        self.send_fn(self.last_response.render())
+        self.send_fn(self.last_text)
         self._interval = min(self._interval * 2.0, self.timers.t2)
         self._retransmit_timer.start(self._interval)
 
@@ -204,5 +224,5 @@ class ServerTransaction:
         self._give_up_timer.close()
 
     def __repr__(self) -> str:
-        return (f"<ServerTransaction {self.request.method} "
+        return (f"<ServerTransaction {self.method} "
                 f"{self.state.value}>")

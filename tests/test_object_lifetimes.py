@@ -13,6 +13,7 @@ probes) are tolerated; anything that scales with calls is not.
 import collections
 import dataclasses
 import gc
+import tracemalloc
 
 import pytest
 
@@ -20,6 +21,8 @@ from repro.analysis import experiments
 from repro.analysis.experiments import ExperimentSpec, run_cell
 from repro.analysis.overload import overload_spec
 from repro.faults import FaultPlan, WorkerCrash
+from repro.sip.message import SipMessage
+from repro.sip.transaction import ServerTransaction
 
 #: one-off set-up cycles are tolerated up to this many objects per cell
 MAX_GARBAGE = 200
@@ -129,3 +132,57 @@ def test_run_cell_restores_the_collector(enabled, monkeypatch):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if before else gc.disable)()
+
+
+#: heap growth per completed call a cell may keep (DESIGN.md §3c, fourth
+#: rule): ≈5.1 KB on the retention cell below, 11.8 KB when finished
+#: transactions kept their messages
+MAX_RETAINED_BYTES_PER_CALL = 7_000
+
+
+def test_finished_transactions_keep_text_not_messages(monkeypatch):
+    """What a cell keeps alive after its calls are done: lingering server
+    transactions hold wire text, answered proxy transactions drop the
+    forwarded request, and the heap grows by a bounded amount per call."""
+    seen = {}
+    registration = experiments.BenchmarkManager._registration_phase
+    manager_run = experiments.BenchmarkManager.run
+
+    def registered(self):
+        registration(self)
+        seen["registered"] = tracemalloc.get_traced_memory()[0]
+
+    def ran(self):
+        result = manager_run(self)
+        seen["ran"] = tracemalloc.get_traced_memory()[0]
+        seen["phones"] = self.callers + self.callees
+        return result
+
+    monkeypatch.setattr(experiments.BenchmarkManager,
+                        "_registration_phase", registered)
+    monkeypatch.setattr(experiments.BenchmarkManager, "run", ran)
+    tracemalloc.start()
+    try:
+        # Half the golden window: ≈1 100 calls, ≈7 s under tracemalloc.
+        result = run_cell(dataclasses.replace(small_cell("udp"),
+                                              measure_us=50_000.0))
+    finally:
+        tracemalloc.stop()
+    calls = result.calls_completed
+    assert calls > 0
+    lingering = [txn for phone in seen["phones"]
+                 for txn in phone._uas_invites.values()]
+    assert len(lingering) >= calls  # every answered INVITE, for 64×T1
+    alive = [obj for obj in gc.get_objects()
+             if type(obj) is ServerTransaction]
+    assert len(alive) >= len(lingering)  # BYE ones too, pinned for T4
+    for txn in alive:
+        assert not [ref for ref in gc.get_referents(txn)
+                    if isinstance(ref, SipMessage)], txn
+    answered = [txn for txn in result.proxy.txn_table._by_branch.values()
+                if txn.responded]
+    assert answered
+    assert all(txn.forwarded_text is None and txn.forward_target is None
+               for txn in answered)
+    per_call = (seen["ran"] - seen["registered"]) / calls
+    assert per_call <= MAX_RETAINED_BYTES_PER_CALL, per_call

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for core data structures and
 protocol invariants."""
 
+import collections
 import string
 
 import pytest
@@ -249,6 +250,42 @@ class TestPortAllocatorProperties:
                     continue
                 assert p not in live
                 live.add(p)
+
+    @settings(max_examples=200)
+    @given(st.integers(min_value=100, max_value=110),
+           st.integers(min_value=1, max_value=12),
+           st.lists(st.one_of(
+               st.just(("alloc",)),
+               st.tuples(st.just("free"), st.integers(0, 50), st.booleans()),
+               st.tuples(st.just("tick"), st.integers(1, 25))),
+               max_size=120))
+    def test_hands_out_ports_in_pool_order(self, lo, width, steps):
+        """Same ports, same exhaustion step and same ``available`` as a
+        plain FIFO pool: ``deque(range(lo, hi))``, released ports appended
+        (after TIME_WAIT, in reclaim order)."""
+        engine = Engine()
+        ports = PortAllocator(engine, lo=lo, hi=lo + width, time_wait_us=10.0)
+        model = collections.deque(range(lo, lo + width))
+        live = []
+        for step in steps:
+            if step[0] == "alloc":
+                if model:
+                    port = ports.allocate()
+                    assert port == model.popleft()
+                    live.append(port)
+                else:
+                    with pytest.raises(PortExhaustedError):
+                        ports.allocate()
+            elif step[0] == "free" and live:
+                port = live.pop(step[1] % len(live))
+                ports.release(port, time_wait=step[2])
+                if step[2]:
+                    engine.schedule(10.0, model.append, port)
+                else:
+                    model.append(port)
+            elif step[0] == "tick":
+                engine.run(until=engine.now + step[1])
+            assert ports.available == len(model)
 
 
 class TestStreamBufferProperties:

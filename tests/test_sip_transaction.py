@@ -54,6 +54,25 @@ class TestClientTransaction:
         engine.run(until=3_400_000.0)  # retransmits at 0.5s, 1.5s (next: 3.5s)
         assert len(wire) == 3
         assert txn.retransmissions == 2
+        assert wire == [txn.request.render()] * 3  # verbatim, byte for byte
+
+    def test_non_invite_retransmits_first_send_in_proceeding(
+            self, engine, alice, bob):
+        """Timer E keeps firing after a 1xx (at T2), always the same text."""
+        wire = []
+        invite = alice.invite("bob")
+        bye = alice.bye(Dialog.from_invite_success(
+            invite, bob.response_for(invite, 200, to_tag="b")))
+        txn = ClientTransaction(engine, bye, collect(wire), reliable=False,
+                                timers=TransactionTimers(t1_us=10_000.0,
+                                                         t2_us=40_000.0))
+        txn.start()
+        engine.run(until=25_000.0)  # timer E at 10 ms
+        txn.handle_response(bob.response_for(bye, 100))
+        engine.run(until=200_000.0)  # then every 40 ms
+        assert txn.state is TxnState.PROCEEDING
+        assert len(wire) >= 5
+        assert wire == [bye.render()] * len(wire)
 
     def test_tcp_never_retransmits(self, engine, alice):
         wire = []
@@ -125,6 +144,7 @@ class TestServerTransaction:
         txn.respond(bob.response_for(invite, 200, to_tag="b"))
         engine.run(until=350_000.0)  # retransmits at 100ms and 300ms
         assert len(wire) == 3
+        assert wire == [wire[0]] * 3
         txn.handle_ack()
         engine.run(until=10_000_000.0)
         assert len(wire) == 3
@@ -147,6 +167,27 @@ class TestServerTransaction:
         assert len(wire) == 2
         assert wire[0] == wire[1]
         assert txn.request_retransmissions_absorbed == 1
+
+    def test_every_resend_is_the_last_response_verbatim(
+            self, engine, alice, bob):
+        """Replays (duplicate INVITE) and timer G repeat the text of the
+        last response sent, byte for byte: 180 until the 200, then 200."""
+        wire = []
+        invite = alice.invite("bob")
+        txn = ServerTransaction(engine, invite, collect(wire),
+                                reliable=False,
+                                timers=TransactionTimers(t1_us=10_000.0))
+        ringing = bob.response_for(invite, 180, to_tag="b")
+        ok = bob.response_for(invite, 200, to_tag="b", with_contact=True)
+        txn.respond(ringing)
+        txn.handle_request_retransmission()
+        txn.respond(ok)
+        txn.handle_request_retransmission()
+        engine.run(until=35_000.0)  # timer G at 10 ms and 30 ms
+        txn.handle_ack()
+        txn.handle_request_retransmission()  # absorbed after the ACK too
+        assert wire == [ringing.render()] * 2 + [ok.render()] * 5
+        assert txn.last_text == ok.render()
 
     def test_give_up_without_ack(self, engine, alice, bob):
         timers = TransactionTimers(t1_us=1_000.0)
