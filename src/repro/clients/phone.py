@@ -208,8 +208,13 @@ class Phone:
             return
         self.conn = conn
         self._ops_on_conn = 0
-        proc = self.machine.spawn_light(self._conn_reader(conn),
-                                        f"{self.user}-rdr")
+        self._track(self.machine.spawn_light(self._conn_reader(conn),
+                                             f"{self.user}-rdr"))
+
+    def _track(self, proc) -> None:
+        """Start a reader and keep it for :meth:`stop`, forgetting the
+        finished ones (every reconnect leaves a dead reader behind)."""
+        self.processes = [p for p in self.processes if p.alive]
         self.processes.append(proc.start())
 
     def _conn_reader(self, conn):
@@ -241,9 +246,8 @@ class Phone:
         """Accept proxy-initiated connections and read them too."""
         while True:
             conn = yield from self.listener.accept()
-            proc = self.machine.spawn_light(self._conn_reader(conn),
-                                            f"{self.user}-in-rdr")
-            self.processes.append(proc.start())
+            self._track(self.machine.spawn_light(self._conn_reader(conn),
+                                                 f"{self.user}-in-rdr"))
 
     def _udp_recv_loop(self):
         while True:

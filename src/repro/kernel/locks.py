@@ -43,10 +43,12 @@ class SpinLock:
         # burn rate is what matters, and coarser batches keep the event
         # count (and therefore wall-clock simulation time) manageable.
         self.name = name
-        self.try_us = try_us
-        self.spin_us = spin_us
         self.spins_before_yield = spins_before_yield
-        self.yield_syscall_us = yield_syscall_us
+        # Effects are never mutated, so every acquire yields the same ones.
+        self._try = Compute(try_us, f"lock.{name}.acquire")
+        self._spin = Compute(spin_us, f"lock.{name}.spin")
+        self._yield_syscall = Compute(yield_syscall_us, "kernel.sched_yield")
+        self._yield = YieldCPU()
         self.held = False
         self.owner: Optional[str] = None
         #: optional probe (spans only on the contended path, so the
@@ -59,7 +61,7 @@ class SpinLock:
 
     def acquire(self, who: str = "?"):
         """Generator: spin (burning CPU) until the lock is ours."""
-        yield Compute(self.try_us, f"lock.{self.name}.acquire")
+        yield self._try
         contended = False
         span = None
         while self.held:
@@ -71,12 +73,12 @@ class SpinLock:
                                             holder=self.owner)
             spun = 0
             while self.held and spun < self.spins_before_yield:
-                yield Compute(self.spin_us, f"lock.{self.name}.spin")
+                yield self._spin
                 spun += 1
             if self.held:
                 self.yields += 1
-                yield Compute(self.yield_syscall_us, "kernel.sched_yield")
-                yield YieldCPU()
+                yield self._yield_syscall
+                yield self._yield
         if contended:
             self.contentions += 1
             if span is not None:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.obs.causal import COMPONENTS, CausalTracer
 from repro.obs.histogram import StreamingHistogram
-from repro.obs.journey import Journey
+from repro.obs.journey import Journey, decompose, journey_windows
 
 ALL_COMPONENTS = COMPONENTS + ("other",)
 
@@ -69,18 +69,18 @@ def render_waterfall(causal: CausalTracer, call_id: str,
     single INVITE's trip — network, socket queue, run queue, IPC round
     trip, CPU service — reads top to bottom like a waterfall view.
     """
-    from repro.obs.journey import build_journeys
-
-    journeys = [j for j in build_journeys(causal) if call_id in j.tid]
-    if not journeys:
-        return f"no completed journey matches call-id {call_id!r}"
+    rows_by_tid = causal.rows_by_tid()
     lines = []
-    for j in journeys:
+    for tid, who, t0, t1 in journey_windows(causal):
+        if call_id not in tid:
+            continue
+        segs = sorted((causal.segment(row)
+                       for row in rows_by_tid.get(tid, ())),
+                      key=lambda s: (s.start_us, s.end_us))
+        j = Journey(tid, who, t0, t1, decompose(segs, t0, t1))
         lines.append(f"journey {j.tid}  caller={j.who}  "
                      f"total={j.total_us:.1f}us")
         span = j.total_us or 1.0
-        segs = sorted((s for s in causal.segments if s.tid == j.tid),
-                      key=lambda s: (s.start_us, s.end_us))
         for seg in segs:
             lo = max(seg.start_us, j.start_us)
             hi = min(seg.end_us, j.end_us)
@@ -97,6 +97,8 @@ def render_waterfall(causal: CausalTracer, call_id: str,
                          if v > 0)
         lines.append(f"  {'sum':>8} {comp}")
         lines.append("")
+    if not lines:
+        return f"no completed journey matches call-id {call_id!r}"
     return "\n".join(lines).rstrip()
 
 

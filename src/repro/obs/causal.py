@@ -9,9 +9,10 @@ answers it automatically:
 - every SIP message is tagged with a **trace id** derived from its
   Call-ID and CSeq method (``sniff``), so INVITE and BYE transactions
   sharing a dialog stay distinct;
-- instrumented components emit :class:`Segment` records — one interval
-  of simulated time attributed to a *kind* drawn from
-  :data:`COMPONENTS` — into a bounded ring buffer;
+- instrumented components emit segments — one interval of simulated
+  time attributed to a *kind* drawn from :data:`COMPONENTS` — into a
+  bounded ring buffer stored as columns (a :class:`Segment` is only a
+  view built on request);
 - the phone marks ``uac_send``/``uac_final`` instants that delimit each
   transaction's journey window (:mod:`repro.obs.journey` reconstructs
   the critical path between them).
@@ -29,13 +30,16 @@ wakes.  A ``Sleep``, or a ``Wait`` that names no reason, attributes
 nothing.
 """
 
-import collections
+from array import array
+from itertools import chain
 from typing import Dict, List, Optional
 
 #: critical-path components, in stacked-figure order
 COMPONENTS = ("network", "sockq", "runq", "lock", "ipc", "cpu")
 
-#: default ring-buffer capacity (segments); ~90 bytes/segment in memory
+#: default ring-buffer capacity (segments); 51 bytes/segment in memory:
+#: four list slots and two doubles per row, list growth included
+#: (measured on an observed small ``tcp-persistent`` cell)
 DEFAULT_CAPACITY = 500_000
 
 #: Compute labels of the descriptor-request IPC path (worker and
@@ -93,9 +97,19 @@ class CausalTracer:
             raise ValueError("causal tracer capacity must be positive")
         self.engine = engine
         self.capacity = capacity
-        self.segments: collections.deque = collections.deque(maxlen=capacity)
-        #: segments ever recorded (≥ len(segments) once evicting)
+        # The ring store: row r of these parallel columns is one segment.
+        # note() appends until ``capacity`` rows exist, then overwrites
+        # row ``emitted % capacity``, the oldest.
+        self._tid: List[str] = []
+        self._kind: List[str] = []
+        self._who: List[str] = []
+        self._detail: List[Optional[str]] = []
+        #: start_us and end_us of row r at 2r and 2r + 1
+        self._times = array("d")
+        #: segments ever recorded (≥ len(self) once evicting)
         self.emitted = 0
+        #: the one string kept per trace id (see :meth:`trace_id`)
+        self._tid_strings: Dict[str, str] = {}
         #: journey-window marks: (tid, which, who, t_us) with which in
         #: {"uac_send", "uac_final"}
         self.marks: List[tuple] = []
@@ -135,6 +149,17 @@ class CausalTracer:
         method = cseq.rsplit(" ", 1)[-1] if cseq else ""
         return f"{call_id}/{method}" if method else call_id
 
+    def trace_id(self, text: str) -> Optional[str]:
+        """:meth:`sniff`, returning one shared string per trace id.
+
+        The probe's ``sniff`` hook: every segment and tagged message of a
+        transaction then refers to one string, not a copy per message.
+        """
+        tid = self.sniff(text)
+        if tid is None:
+            return None
+        return self._tid_strings.setdefault(tid, tid)
+
     # ------------------------------------------------------------------
     # recording
     # ------------------------------------------------------------------
@@ -144,9 +169,23 @@ class CausalTracer:
         """Record one attributed interval (no-op for untagged traffic)."""
         if tid is None or end_us <= start_us:
             return
-        self.segments.append(Segment(tid, kind, who, start_us, end_us,
-                                     detail))
-        self.emitted += 1
+        row = self.emitted
+        self.emitted = row + 1
+        if row < self.capacity:
+            self._tid.append(tid)
+            self._kind.append(kind)
+            self._who.append(who)
+            self._detail.append(detail)
+            self._times.append(start_us)
+            self._times.append(end_us)
+            return
+        row %= self.capacity
+        self._tid[row] = tid
+        self._kind[row] = kind
+        self._who[row] = who
+        self._detail[row] = detail
+        self._times[2 * row] = start_us
+        self._times[2 * row + 1] = end_us
 
     def mark(self, tid: Optional[str], which: str, who: str) -> None:
         """Record a journey-window boundary at the current time."""
@@ -214,20 +253,55 @@ class CausalTracer:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    def _rows(self):
+        """Row indices of the buffer, oldest first."""
+        n = len(self._tid)
+        head = self.emitted % n if self.emitted > n else 0
+        return chain(range(head, n), range(head))
+
+    def segment(self, row: int) -> Segment:
+        """A :class:`Segment` view of one row."""
+        times = self._times
+        return Segment(self._tid[row], self._kind[row], self._who[row],
+                       times[2 * row], times[2 * row + 1], self._detail[row])
+
+    @property
+    def segments(self) -> List[Segment]:
+        """Every buffered segment, oldest first (views built per access)."""
+        return [self.segment(row) for row in self._rows()]
+
+    def rows_by_tid(self) -> Dict[str, array]:
+        """Row indices per trace id, each oldest first; trace ids in the
+        order they first appear."""
+        groups: Dict[str, array] = {}
+        tids = self._tid
+        for row in self._rows():
+            rows = groups.get(tids[row])
+            if rows is None:
+                rows = groups[tids[row]] = array("I")
+            rows.append(row)
+        return groups
+
+    def intervals(self, rows) -> List[tuple]:
+        """``(start_us, end_us, kind)`` of each of ``rows``."""
+        times, kinds = self._times, self._kind
+        return [(times[2 * row], times[2 * row + 1], kinds[row])
+                for row in rows]
+
     @property
     def dropped(self) -> int:
         """Segments evicted by the ring buffer (oldest-first)."""
-        return self.emitted - len(self.segments)
+        return self.emitted - len(self._tid)
 
     def tids(self) -> List[str]:
         """Distinct trace ids present in the buffer, insertion order."""
-        seen = dict.fromkeys(seg.tid for seg in self.segments)
-        return list(seen)
+        tids = self._tid
+        return list(dict.fromkeys(tids[row] for row in self._rows()))
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self._tid)
 
     def __repr__(self) -> str:
-        return (f"<CausalTracer segments={len(self.segments)}"
+        return (f"<CausalTracer segments={len(self)}"
                 f"/{self.capacity} marks={len(self.marks)} "
                 f"dropped={self.dropped}>")

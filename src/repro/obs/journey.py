@@ -13,9 +13,13 @@ than double-counted, and the decomposition sums to the window length by
 construction (uncovered time lands in ``"other"``).
 """
 
+from operator import itemgetter
 from typing import Dict, List, Optional
 
 from repro.obs.causal import COMPONENTS, CausalTracer
+
+#: sort key of an ``(start_us, end_us, kind)`` interval: by start, then end
+_START_END = itemgetter(0, 1)
 
 
 class Journey:
@@ -57,17 +61,25 @@ def decompose(segments, start_us: float, end_us: float) -> Dict[str, float]:
     window time no segment explains under ``"other"``; the values always
     sum to exactly ``end_us - start_us``.
     """
+    return _walk(sorted([(seg.start_us, seg.end_us, seg.kind)
+                         for seg in segments], key=_START_END),
+                 start_us, end_us)
+
+
+def _walk(intervals, start_us: float, end_us: float) -> Dict[str, float]:
+    """:func:`decompose` over ``(start_us, end_us, kind)`` intervals
+    already sorted by start, then end (ties in recording order)."""
     components = {kind: 0.0 for kind in COMPONENTS}
     components["other"] = 0.0
     cursor = start_us
-    for seg in sorted(segments, key=lambda s: (s.start_us, s.end_us)):
-        lo = max(seg.start_us, cursor)
-        hi = min(seg.end_us, end_us)
+    for seg_start, seg_end, kind in intervals:
+        lo = max(seg_start, cursor)
+        hi = min(seg_end, end_us)
         if hi <= lo:
             continue
         if lo > cursor:
             components["other"] += lo - cursor
-        components[seg.kind] = components.get(seg.kind, 0.0) + (hi - lo)
+        components[kind] = components.get(kind, 0.0) + (hi - lo)
         cursor = hi
     if cursor < end_us:
         components["other"] += end_us - cursor
@@ -108,15 +120,14 @@ def build_journeys(causal: CausalTracer,
     measured interval (warmup and drain-phase calls are excluded the
     same way the latency histograms exclude them).
     """
-    by_tid: Dict[str, list] = {}
-    for seg in causal.segments:
-        by_tid.setdefault(seg.tid, []).append(seg)
+    rows_by_tid = causal.rows_by_tid()
     journeys = []
     for tid, who, t0, t1 in journey_windows(causal):
         if window is not None and not (window[0] <= t0 <= window[1]):
             continue
-        components = decompose(by_tid.get(tid, ()), t0, t1)
-        journeys.append(Journey(tid, who, t0, t1, components))
+        intervals = causal.intervals(rows_by_tid.get(tid, ()))
+        intervals.sort(key=_START_END)
+        journeys.append(Journey(tid, who, t0, t1, _walk(intervals, t0, t1)))
     return journeys
 
 

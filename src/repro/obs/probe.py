@@ -44,7 +44,7 @@ class Probe:
             self.runq_pop = causal.on_runq_pop
             self.block_start = causal.on_block_start
             self.block_end = causal.on_block_end
-            self.sniff, self.note = causal.sniff, causal.note
+            self.sniff, self.note = causal.trace_id, causal.note
             self.mark, self.count = causal.mark, causal.count
             self.ctx_begin, self.ctx_end = causal.ctx_begin, causal.ctx_end
             self.charge = (self._charge_both if profiler is not None

@@ -21,7 +21,9 @@ load and a branch.
 import collections
 from typing import Dict, Iterator, List, Optional
 
-#: default ring-buffer capacity (events); ~100 bytes/event in memory
+#: default ring-buffer capacity (events); 88 bytes/event allocated here
+#: (the Span and its deque slot, measured on an observed small
+#: ``tcp-persistent`` cell), plus the attrs dict each call site builds
 DEFAULT_CAPACITY = 200_000
 
 

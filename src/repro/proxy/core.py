@@ -7,7 +7,7 @@ every step charges calibrated CPU on the simulated cores; the transport
 architectures wrap it with their own receive/transmit machinery.
 """
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.proxy.routing import SendAction, ToBinding, ToSource, ToVia
 from repro.proxy.txn_table import ProxyTransaction, TimerList, TransactionTable
@@ -47,6 +47,8 @@ class ProxyCore:
         #: means no admission check at all — the collapse baseline pays
         #: zero overhead
         self.controller = None
+        #: span lane names, ``"<host>/<who>"``, one string per process
+        self._lanes: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # entry point
@@ -55,7 +57,7 @@ class ProxyCore:
         """Generator: handle one received message; returns [SendAction]."""
         probe = self.probe
         span = (probe.begin("process_msg", cat="proxy",
-                            who=f"{self.via_host}/{who}",
+                            who=self._lane(who),
                             transport=self.config.transport)
                 if probe is not None else None)
         if span is None:
@@ -66,6 +68,12 @@ class ProxyCore:
             probe.end(span)
         span.set(actions=len(actions))
         return actions
+
+    def _lane(self, who: str) -> str:
+        lane = self._lanes.get(who)
+        if lane is None:
+            lane = self._lanes[who] = f"{self.via_host}/{who}"
+        return lane
 
     def _process(self, text: str, source, who: str, span=None):
         self._pending_register_contact = None
@@ -81,7 +89,7 @@ class ProxyCore:
             # the upstream transaction and stops the retransmit clock.
             return (yield from self._reject_overload(text, source, span))
         parse_span = (self.probe.begin("parse_msg", cat="proxy",
-                                       who=f"{self.via_host}/{who}")
+                                       who=self._lane(who))
                       if span is not None else None)
         yield Compute(self.costs.parse_cost(len(text), len(self.location)),
                       "parse_msg")
@@ -172,7 +180,7 @@ class ProxyCore:
         upstream_key = request.transaction_key()
         probe = self.probe
         match_span = (probe.begin("txn_match", cat="proxy",
-                                  who=f"{self.via_host}/{who}",
+                                  who=self._lane(who),
                                   method=request.method)
                       if probe is not None else None)
         txn = yield from self.txn_table.lookup_upstream(upstream_key, who)

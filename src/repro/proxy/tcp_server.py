@@ -188,7 +188,7 @@ class TcpProxyServer(ConnectionProxyServer):
             self.stats.fd_requests += 1
             probe = self.probe
             span = (probe.begin("tcpconn_send_fd", cat="ipc",
-                                who=f"{self.machine.name}/{who}",
+                                who=self.manager.name,
                                 conn=record.conn_id)
                     if probe is not None else None)
             yield Compute(self.costs.fd_request_cost(len(self.conn_table)) +

@@ -226,6 +226,52 @@ class TestAggregate:
             assert kind in text
 
 
+class TestWaterfall:
+    #: render_waterfall(causal, "c9", width=20) for the tracer below, as the
+    #: segment-object implementation printed it
+    EXPECTED = (
+        "journey c9/INVITE  caller=caller0  total=90.0us\n"
+        "   network ..####                   20.0us  fabric\n"
+        "     sockq ......##                 12.0us  server:udp\n"
+        "       cpu ..........###            15.0us  server/w1 (parse_msg)\n"
+        "   network .............#####       25.0us  fabric\n"
+        "       sum network=45.0  sockq=12.0  cpu=15.0  other=18.0\n"
+        "\n"
+        "journey c9/BYE  caller=caller0  total=50.0us\n"
+        "   network #                         4.0us  fabric\n"
+        "      lock ..#                       1.0us  server/w0 "
+        "(lock.txn_table.spin)\n"
+        "       cpu ..#################      44.0us  server/w0 (t_unref)\n"
+        "       sum network=4.0  lock=1.0  cpu=44.0  other=1.0")
+
+    def test_output_is_unchanged(self, engine):
+        """Two journeys match, one does not; the ring has wrapped, so the
+        oldest two rows (one of them a c9 segment) are gone."""
+        causal = CausalTracer(engine, capacity=8)
+        for row in [
+                ("old/INVITE", "cpu", "server/w0", 0.0, 5.0, "parse_msg"),
+                ("c9/INVITE", "network", "fabric", 10.0, 40.0, None),
+                ("c9/INVITE", "cpu", "server/w1", 55.0, 70.0, "parse_msg"),
+                ("c9/INVITE", "network", "fabric", 20.0, 40.0, None),
+                ("x1/INVITE", "cpu", "server/w0", 12.0, 30.0, "parse_msg"),
+                ("c9/INVITE", "sockq", "server:udp", 40.0, 52.0, None),
+                ("c9/BYE", "lock", "server/w0", 205.0, 206.0,
+                 "lock.txn_table.spin"),
+                ("c9/BYE", "network", "fabric", 200.0, 204.0, None),
+                ("c9/INVITE", "network", "fabric", 70.0, 95.0, None),
+                ("c9/BYE", "cpu", "server/w0", 206.0, 300.0, "t_unref")]:
+            causal.note(*row)
+        causal.marks = [("c9/INVITE", "uac_send", "caller0", 10.0),
+                        ("x1/INVITE", "uac_send", "caller1", 11.0),
+                        ("c9/INVITE", "uac_final", "caller0", 100.0),
+                        ("x1/INVITE", "uac_final", "caller1", 31.0),
+                        ("c9/BYE", "uac_send", "caller0", 200.0),
+                        ("c9/BYE", "uac_final", "caller0", 250.0)]
+        assert render_waterfall(causal, "c9", width=20) == self.EXPECTED
+        assert render_waterfall(causal, "zz") == \
+            "no completed journey matches call-id 'zz'"
+
+
 # ---------------------------------------------------------------------------
 # StreamingHistogram.merge (satellite: per-phone fold without re-bucketing)
 # ---------------------------------------------------------------------------

@@ -17,10 +17,12 @@ import tracemalloc
 
 import pytest
 
+import repro.obs
 from repro.analysis import experiments
 from repro.analysis.experiments import ExperimentSpec, run_cell
 from repro.analysis.overload import overload_spec
 from repro.faults import FaultPlan, WorkerCrash
+from repro.obs.causal import Segment
 from repro.sip.message import SipMessage
 from repro.sip.transaction import ServerTransaction
 
@@ -186,3 +188,36 @@ def test_finished_transactions_keep_text_not_messages(monkeypatch):
                for txn in answered)
     per_call = (seen["ran"] - seen["registered"]) / calls
     assert per_call <= MAX_RETAINED_BYTES_PER_CALL, per_call
+
+
+#: bytes the causal tracer may hold per recorded segment (DESIGN.md §3b):
+#: ≈50 in its columns, ≈120 when every row was a ``Segment`` object
+MAX_CAUSAL_BYTES_PER_SEGMENT = 64
+
+
+def test_causal_tracer_keeps_columns_not_segments(monkeypatch):
+    """Until journeys are built, the causal tracer's rows live in its
+    columns: no ``Segment`` object exists, and what ``obs/causal.py``
+    allocated stays within a bounded number of bytes per segment."""
+    seen = {}
+    build_journeys = repro.obs.build_journeys
+
+    def measured(causal, window=None):
+        seen["segments"] = sum(1 for obj in gc.get_objects()
+                               if type(obj) is Segment)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, "*/repro/obs/causal.py")])
+        seen["bytes"] = sum(stat.size for stat in held.statistics("filename"))
+        return build_journeys(causal, window)
+
+    monkeypatch.setattr(repro.obs, "build_journeys", measured)
+    tracemalloc.start()
+    try:
+        result = run_cell(dataclasses.replace(
+            small_cell("tcp-persistent", **OBSERVED), measure_us=50_000.0))
+    finally:
+        tracemalloc.stop()
+    assert result.attribution["journeys"] > 0
+    assert seen["segments"] == 0
+    per_segment = seen["bytes"] / result.causal.emitted
+    assert per_segment <= MAX_CAUSAL_BYTES_PER_SEGMENT, per_segment

@@ -11,6 +11,7 @@ from repro.kernel.fdtable import EmfileError, FdTable, FileDescription
 from repro.kernel.ipc import IpcChannel, IpcMessage
 from repro.kernel.poller import Poller, TickSource
 from repro.kernel.sockets import PortAllocator, PortExhaustedError, StreamBuffer
+from repro.obs.causal import CausalTracer
 from repro.sim.engine import Engine
 from repro.sip.headers import Address, CSeq, Via
 from repro.sip.message import COMPACT_FORMS, SipRequest, SipResponse
@@ -364,6 +365,40 @@ class TestPollerProperties:
                 assert poller.ready() == full_scan()
         assert poller.ready() == full_scan()
         assert poller.sources == added
+
+
+# ---------------------------------------------------------------------------
+# causal tracer ring store
+# ---------------------------------------------------------------------------
+note_call = st.tuples(
+    st.sampled_from([None, "a/INVITE", "b/BYE", "c/INVITE"]),
+    st.sampled_from(["cpu", "sockq", "lock"]),
+    st.sampled_from(["server/w0", "fabric"]),
+    st.integers(min_value=0, max_value=20).map(float),
+    st.integers(min_value=0, max_value=20).map(float),
+    st.sampled_from([None, "parse_msg"]))
+
+
+class TestCausalRingProperties:
+    @given(st.integers(min_value=1, max_value=8),
+           st.lists(note_call, max_size=40))
+    def test_matches_a_bounded_deque(self, capacity, calls):
+        """The newest ``capacity`` recorded rows survive, oldest first;
+        untagged and empty intervals are not recorded at all."""
+        causal = CausalTracer(Engine(), capacity=capacity)
+        model = collections.deque(maxlen=capacity)
+        recorded = 0
+        for tid, kind, who, start, end, detail in calls:
+            causal.note(tid, kind, who, start, end, detail)
+            if tid is not None and end > start:
+                model.append((tid, kind, who, start, end, detail))
+                recorded += 1
+            assert len(causal) == len(model)
+        assert causal.emitted == recorded
+        assert causal.dropped == recorded - len(model)
+        assert causal.tids() == list(dict.fromkeys(row[0] for row in model))
+        assert [(s.tid, s.kind, s.who, s.start_us, s.end_us, s.detail)
+                for s in causal.segments] == list(model)
 
 
 # ---------------------------------------------------------------------------
