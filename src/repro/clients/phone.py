@@ -393,10 +393,14 @@ class Phone:
         except SipParseError:
             return
         if not message.is_request:
-            via = message.top_via
-            branch = via.branch if via is not None else None
-            txn = self._client_txns.get(branch)
-            if txn is not None and txn.matches(message):
+            try:
+                via = message.top_via
+                txn = self._client_txns.get(
+                    via.branch if via is not None else None)
+                matched = txn is not None and txn.matches(message)
+            except ValueError:  # a Via or CSeq value that does not parse
+                return
+            if matched:
                 txn.handle_response(message)
             return
         method = message.method

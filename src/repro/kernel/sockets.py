@@ -12,6 +12,7 @@
 """
 
 import collections
+import sys
 from typing import Deque, List, Optional, Set
 
 from repro.sim.events import Signal
@@ -58,6 +59,10 @@ class DatagramBuffer:
         return f"<DatagramBuffer {self.name} {len(self.queue)}/{self.capacity}>"
 
 
+#: suffix of a stream buffer's readable-signal name
+_READABLE = ".readable"
+
+
 class StreamBuffer:
     """Bounded byte buffer carrying real payload text (TCP receive side).
 
@@ -65,23 +70,43 @@ class StreamBuffer:
     its own framing (the SIP layer frames on ``Content-Length``).
     """
 
+    __slots__ = ("engine", "capacity", "_chunks", "_size", "readable_signal",
+                 "_writable_signal", "eof", "total_bytes", "consumed")
+
     def __init__(self, engine, capacity_bytes: int = 65536,
                  name: str = "stream") -> None:
         self.engine = engine
-        self.name = name
         self.capacity = capacity_bytes
         #: pushed runs not yet read; a plain list (an empty deque is
         #: 760 B, and most of a churn cell's buffers are empty)
         self._chunks: List[str] = []
         self._size = 0
-        self.readable_signal = Signal(engine, name=f"{name}.readable")
-        self.writable_signal = Signal(engine, name=f"{name}.writable")
+        self.readable_signal = Signal(engine, name=f"{name}{_READABLE}")
+        #: built by the first flow-controlled sender (:attr:`writable_signal`)
+        self._writable_signal: Optional[Signal] = None
         self.eof = False
         self.total_bytes = 0
         #: bytes handed to readers — with :attr:`total_bytes` this gives
         #: the stream offsets the causal tracer's socket-queue markers
         #: are keyed to (delivered vs consumed)
         self.consumed = 0
+
+    @property
+    def name(self) -> str:
+        """Built on demand from the readable signal's name, so a buffer
+        holds one formatted string instead of two.  Interned: every
+        causal ``sockq`` segment of a connection shares one string."""
+        return sys.intern(self.readable_signal.name[:-len(_READABLE)])
+
+    @property
+    def writable_signal(self) -> Signal:
+        """Fires when a read frees space.  Built on first access: only a
+        flow-controlled sender waits on it, and most buffers never fill."""
+        signal = self._writable_signal
+        if signal is None:
+            signal = self._writable_signal = Signal(
+                self.engine, name=f"{self.name}.writable")
+        return signal
 
     @property
     def size(self) -> int:
@@ -122,7 +147,8 @@ class StreamBuffer:
         taken = len(data)
         self._size -= taken
         self.consumed += taken
-        self.writable_signal.fire()
+        if self._writable_signal is not None:  # no sender ever waited
+            self._writable_signal.fire()
         return data
 
     def __repr__(self) -> str:

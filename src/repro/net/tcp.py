@@ -97,6 +97,12 @@ class TcpListener:
 class TcpConn:
     """One endpoint of an established (or in-progress) connection."""
 
+    __slots__ = ("machine", "engine", "local_port", "remote_addr",
+                 "remote_port", "initiated", "state", "recv_buffer", "peer",
+                 "connected", "error", "in_flight", "sent_fin",
+                 "received_fin", "fin_first", "finalized", "bytes_sent",
+                 "bytes_received", "_causal_marks", "_sockq_marks")
+
     def __init__(self, machine, local_port: int, remote_addr: str,
                  remote_port: int, initiated: bool) -> None:
         self.machine = machine
@@ -110,7 +116,10 @@ class TcpConn:
             machine.engine, capacity_bytes=RCVBUF_BYTES,
             name=f"{machine.name}:{local_port}->{remote_addr}:{remote_port}")
         self.peer: Optional["TcpConn"] = None
-        self.connected = Event(machine.engine, name="tcp.connected")
+        #: fired by the handshake's outcome; the accepting side is born
+        #: ESTABLISHED, so only the initiator has one
+        self.connected: Optional[Event] = (
+            Event(machine.engine, name="tcp.connected") if initiated else None)
         self.error: Optional[TcpError] = None
         self.in_flight = 0
         self.sent_fin = False

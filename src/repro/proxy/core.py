@@ -20,6 +20,9 @@ from repro.sip.parser import SipParseError, parse_message
 
 #: how long a completed transaction lingers to absorb retransmissions
 GC_LINGER_US = 1_000_000.0
+#: headers without which a request is not processed (RFC 3261 §16.3
+#: step 1, "reasonable syntax"; §8.1.1 makes them mandatory)
+MANDATORY_HEADERS = frozenset(("To", "From", "Call-ID", "CSeq", "Via"))
 
 
 class ProxyCore:
@@ -138,21 +141,34 @@ class ProxyCore:
     def _process_request(self, request: SipRequest, source,
                          who: str) -> List[SendAction]:
         method = request.method
+        if method not in ("REGISTER", "ACK", "INVITE", "BYE"):
+            # Anything else: politely decline, on the request line alone.
+            reply = self._make_response(request, 501, "Not Implemented")
+            return [SendAction(reply.render(), ToSource(source), "reply")]
+        # the dict's keys are the header names, collected without a
+        # Python-level loop on every request
+        if not MANDATORY_HEADERS.issubset(dict(request.headers)):
+            # Malformed: charged the parse only, answered 400 unless it
+            # is an ACK (which gets no response).
+            self.stats.parse_errors += 1
+            if method == "ACK":
+                return []
+            reply = self._make_response(request, 400)
+            return [SendAction(reply.render(), ToSource(source), "reply")]
         if method == "REGISTER":
             return (yield from self._process_register(request, source))
         if method == "ACK":
             return (yield from self._process_ack(request, who))
-        if method in ("INVITE", "BYE"):
-            return (yield from self._process_relay(request, source, who))
-        # Anything else: politely decline.
-        reply = self._make_response(request, 501, "Not Implemented")
-        return [SendAction(reply.render(), ToSource(source), "reply")]
+        return (yield from self._process_relay(request, source, who))
 
     def _process_register(self, request: SipRequest,
                           source) -> List[SendAction]:
         yield Compute(self.costs.registrar_update_us, "save_usrloc")
-        contact = request.contact
-        to_addr = request.to_addr
+        try:
+            contact = request.contact
+            to_addr = request.to_addr
+        except ValueError:  # an address that does not parse is no address
+            contact = to_addr = None
         if contact is None or to_addr is None:
             self.stats.parse_errors += 1
             reply = self._make_response(request, 400)
@@ -177,7 +193,11 @@ class ProxyCore:
 
     def _process_relay(self, request: SipRequest, source,
                        who: str) -> List[SendAction]:
-        upstream_key = request.transaction_key()
+        try:
+            upstream_key = request.transaction_key()
+            max_forwards = request.max_forwards
+        except ValueError:  # a Via, CSeq or Max-Forwards value
+            return self._malformed()
         probe = self.probe
         match_span = (probe.begin("txn_match", cat="proxy",
                                   who=self._lane(who),
@@ -206,7 +226,6 @@ class ProxyCore:
             actions.append(SendAction(trying_text, ToSource(source), "reply"))
 
         # Max-Forwards (RFC 3261 §16.3 check 2).
-        max_forwards = request.max_forwards
         if max_forwards is not None and max_forwards <= 0:
             reply = self._make_response(request, 483)
             return [SendAction(reply.render(), ToSource(source), "reply")]
@@ -218,7 +237,8 @@ class ProxyCore:
             reply = self._make_response(request, 404)
             return [SendAction(reply.render(), ToSource(source), "reply")]
 
-        forwarded, our_branch = yield from self._build_forward(request)
+        forwarded, our_branch = yield from self._build_forward(request,
+                                                               max_forwards)
         if self.config.stateful:
             txn = ProxyTransaction(
                 upstream_key=upstream_key,
@@ -247,12 +267,16 @@ class ProxyCore:
     def _process_ack(self, request: SipRequest, who: str) -> List[SendAction]:
         # ACK for a 2xx is end-to-end: route it like a new request, no
         # transaction state (RFC 3261 §16.11 last paragraph behaviour).
+        try:
+            max_forwards = request.max_forwards
+        except ValueError:
+            return self._malformed()
         yield Compute(self.costs.route_lookup_us, "lookup_contact")
         binding = self._resolve_uri(request.uri)
         if binding is None:
             self.stats.routing_failures += 1
             return []
-        forwarded, __ = yield from self._build_forward(request)
+        forwarded, __ = yield from self._build_forward(request, max_forwards)
         return [SendAction(forwarded, ToBinding(binding), "forward_request")]
 
     # ------------------------------------------------------------------
@@ -260,7 +284,10 @@ class ProxyCore:
     # ------------------------------------------------------------------
     def _process_response(self, response: SipResponse, source,
                           who: str) -> List[SendAction]:
-        top = response.top_via
+        try:
+            top = response.top_via
+        except ValueError:
+            return self._malformed()
         if top is None or top.host != self.via_host:
             self.stats.routing_failures += 1
             return []
@@ -269,7 +296,10 @@ class ProxyCore:
         response.remove_first("Via")
         if not self.config.stateful:
             # Stateless proxying: forward by the next Via (§16.11).
-            next_via = response.top_via
+            try:
+                next_via = response.top_via
+            except ValueError:
+                return self._malformed()
             if next_via is None:
                 self.stats.routing_failures += 1
                 return []
@@ -337,8 +367,10 @@ class ProxyCore:
         self._branch_counter += 1
         return f"{BRANCH_MAGIC}-pxy-{self._branch_counter:x}"
 
-    def _build_forward(self, request: SipRequest):
-        """Generator: clone-and-forward a request with our Via pushed."""
+    def _build_forward(self, request: SipRequest,
+                       max_forwards: Optional[int]):
+        """Generator: clone-and-forward a request with our Via pushed and
+        ``max_forwards`` (the request's, already read) decremented."""
         yield Compute(self.costs.build_forward_us, "forward_request")
         our_branch = self.new_branch()
         via = Via(self.config.transport.split("-")[0], self.via_host,
@@ -346,10 +378,15 @@ class ProxyCore:
         forwarded = SipRequest(request.method, request.uri,
                                list(request.headers), request.body)
         forwarded.add_first("Via", via.render())
-        max_forwards = request.max_forwards
         if max_forwards is not None:
             forwarded.set("Max-Forwards", str(max_forwards - 1))
         return forwarded.render(), our_branch
+
+    def _malformed(self) -> List[SendAction]:
+        """A header value the proxy acts on does not parse: counted as a
+        parse error, and nothing is sent."""
+        self.stats.parse_errors += 1
+        return []
 
     def _make_response(self, request: SipRequest, status: int,
                        reason: Optional[str] = None) -> SipResponse:

@@ -12,6 +12,7 @@ effects through the simulated multi-core scheduler.
 """
 
 import enum
+from functools import partial
 from typing import Any, Callable, Iterator, Optional
 
 from repro.sim.engine import Engine, SimulationError
@@ -35,6 +36,10 @@ ALIVE_STATES = (ProcessState.NEW, ProcessState.LIVE)
 class SimProcess:
     """A simulated process executing a generator of effects."""
 
+    #: KernelProcess adds its scheduler state in a ``__dict__``
+    __slots__ = ("engine", "name", "gen", "state", "result", "error",
+                 "_done", "_epoch")
+
     def __init__(self, engine: Engine, body: Iterator, name: str = "proc") -> None:
         self.engine = engine
         self.name = name
@@ -42,9 +47,22 @@ class SimProcess:
         self.state = ProcessState.NEW
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self.done = Event(engine, name=f"{name}.done")
+        #: built by the first access to :attr:`done`
+        self._done: Optional[Event] = None
         #: incremented on every resume; lets stale wakeups be discarded
         self._epoch = 0
+
+    @property
+    def done(self) -> Event:
+        """Fires with the result (``None`` if killed or failed) when the
+        process ends.  Built on first access — nothing in the model waits
+        on it — and already fired if the process has ended by then."""
+        done = self._done
+        if done is None:
+            done = self._done = Event(self.engine, name=f"{self.name}.done")
+            if self.state not in ALIVE_STATES:
+                done.fire(self.result)
+        return done
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -64,7 +82,8 @@ class SimProcess:
         self._epoch += 1
         self.state = ProcessState.KILLED
         self.gen.close()
-        self.done.fire(None)
+        if self._done is not None:
+            self._done.fire(None)
 
     @property
     def alive(self) -> bool:
@@ -93,8 +112,13 @@ class SimProcess:
         except BaseException as exc:  # noqa: BLE001 - surfaced to the engine
             self.state = ProcessState.FAILED
             self.error = exc
-            self.done.fire(None)
+            if self._done is not None:
+                self._done.fire(None)
             raise
+
+    def _wake(self, epoch: int, value: Any) -> None:
+        """A waited-on source fired; :meth:`_resume` drops it if stale."""
+        self._resume(value, epoch)
 
     def _dispatch(self, effect) -> None:
         """Interpret one effect.  Subclasses override CPU-related cases."""
@@ -104,7 +128,9 @@ class SimProcess:
         elif isinstance(effect, Sleep):
             self.engine.schedule(effect.us, self._resume, None, epoch)
         elif isinstance(effect, Wait):
-            effect.source.subscribe(lambda value: self._resume(value, epoch))
+            # the plain function, not a bound method: one object fewer
+            # per parked wait
+            effect.source.subscribe(partial(SimProcess._wake, self, epoch))
         elif isinstance(effect, YieldCPU):
             self._on_yield(epoch)
         elif isinstance(effect, Fork):
@@ -132,7 +158,8 @@ class SimProcess:
     def _finish(self, value: Any) -> None:
         self.state = ProcessState.DONE
         self.result = value
-        self.done.fire(value)
+        if self._done is not None:
+            self._done.fire(value)
 
     def __repr__(self) -> str:
         return f"<SimProcess {self.name!r} {self.state.value}>"

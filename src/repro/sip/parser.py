@@ -133,6 +133,8 @@ class StreamFramer:
     read buffer does.
     """
 
+    __slots__ = ("_buffer", "max_message_bytes", "messages_framed")
+
     def __init__(self, max_message_bytes: int = MAX_MESSAGE_BYTES) -> None:
         self._buffer = ""
         self.max_message_bytes = max_message_bytes
@@ -174,6 +176,11 @@ class StreamFramer:
                     raise SipParseError(
                         f"bad Content-Length while framing: {value!r}"
                     ) from None
+                if content_length < 0:
+                    # would frame an empty message forever (or cut the
+                    # stream into garbage)
+                    raise SipParseError(
+                        f"negative Content-Length while framing: {value!r}")
                 break
         end = body_start + content_length
         if len(self._buffer) < end:

@@ -174,3 +174,24 @@ def test_stop_kills_processes(engine):
     engine.run(until=500_000.0)
     caller.stop()
     assert all(not proc.alive for proc in caller.processes)
+
+
+@pytest.mark.parametrize("name, value", [("Via", "garbage"),
+                                         ("CSeq", "abc INVITE")])
+def test_unparsable_response_header_is_ignored(engine, name, value):
+    """A response whose Via or CSeq does not parse is dropped like one
+    that does not parse at all; the call it names carries on."""
+    proxy, go, caller, callee = make_pair(engine, think_time_us=1e9)
+    proxy.drop_methods.add("INVITE")
+    engine.run(until=1_000_000.0)
+    go.fire(None)
+    engine.run(until=engine.now + 1_000.0)
+    ((branch, txn),) = caller._client_txns.items()
+    ringing = MessageBuilder("bob", "example.com", "client2", 30000, "udp",
+                             __import__("random").Random(2)).response_for(
+        txn.request, 180, to_tag="t")
+    ringing.set(name, value)
+    state = txn.state
+    caller._dispatch(ringing.render())
+    assert txn.state is state
+    assert caller._client_txns[branch] is txn

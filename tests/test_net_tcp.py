@@ -157,6 +157,38 @@ def test_flow_control_blocks_sender(engine):
     assert times["sent-second"] >= 10_000.0  # blocked until the drain began
 
 
+def test_blocked_sender_is_woken_by_the_read_that_frees_space(engine):
+    """The writable signal exists only once a sender blocked on it, and the
+    reader's ``read()`` fires it: the sender ships at the drain's instant."""
+    __, machines = lan(engine)
+    listener = TcpListener(machines["server"], 5060)
+    state = {}
+
+    def client():
+        conn = yield from connect(machines["client"], "server", 5060)
+        yield from conn.send("a" * 60000)
+        state["built_before_block"] = (
+            conn.peer.recv_buffer._writable_signal is not None)
+        yield from conn.send("b" * 30000)  # window full: blocks
+        state["sent"] = engine.now
+
+    def server():
+        conn = yield from listener.accept()
+        yield Sleep(10_000.0)
+        state["drained"] = engine.now
+        data = ""
+        while len(data) < 90000:
+            data += yield from conn.recv()
+        state["data"] = data
+
+    procs = [machines["client"].spawn_light(client(), "c").start(),
+             machines["server"].spawn_light(server(), "s").start()]
+    run_until_done(engine, procs)
+    assert state["built_before_block"] is False
+    assert state["sent"] == state["drained"]
+    assert state["data"] == "a" * 60000 + "b" * 30000
+
+
 def test_flow_controlled_send_ships_each_byte_once(engine):
     """A send woken by every drain retries until the whole run fits; the
     retries must not ship a partial or a second copy."""

@@ -22,6 +22,10 @@ from repro.analysis import experiments
 from repro.analysis.experiments import ExperimentSpec, run_cell
 from repro.analysis.overload import overload_spec
 from repro.faults import FaultPlan, WorkerCrash
+from repro.kernel.machine import Machine
+from repro.net.fabric import Fabric
+from repro.net.tcp import TcpListener, connect
+from repro.sim.engine import Engine
 from repro.obs.causal import Segment
 from repro.sip.message import SipMessage
 from repro.sip.transaction import ServerTransaction
@@ -221,3 +225,62 @@ def test_causal_tracer_keeps_columns_not_segments(monkeypatch):
     assert seen["segments"] == 0
     per_segment = seen["bytes"] / result.causal.emitted
     assert per_segment <= MAX_CAUSAL_BYTES_PER_SEGMENT, per_segment
+
+
+#: wake-up sources and completion events a lingering connection may cost
+#: (DESIGN.md §3c, fifth rule): ≈1.03 Signals and ≈0.51 Events per live
+#: ``TcpConn`` on the cell below, 2.03 and 1.52 when every buffer built its
+#: writable signal, every accepted side a ``connected`` event and every
+#: process a ``done`` event
+MAX_SIGNALS_PER_CONN = 1.2
+MAX_EVENTS_PER_CONN = 0.7
+
+
+def test_churn_cell_builds_signals_and_events_on_first_use():
+    """A churn cell ends holding thousands of abandoned connections, each
+    with a parked reader; what they keep is their receive buffer's
+    readable signal and the initiator's ``connected`` event, not a signal
+    or event per object that nothing waits on."""
+    gc.collect()
+    result = run_cell(small_cell("tcp-50"))
+    assert result.calls_completed > 0
+    live = collections.Counter(type(obj).__name__
+                               for obj in gc.get_objects())
+    conns = live["TcpConn"]
+    assert conns > 1000  # the lingering population the idle sweep reaps
+    assert live["Signal"] / conns <= MAX_SIGNALS_PER_CONN, live["Signal"]
+    assert live["Event"] / conns <= MAX_EVENTS_PER_CONN, live["Event"]
+
+
+def test_names_built_on_demand_keep_their_values():
+    """A buffer's name is the causal ``sockq`` segment's ``who``, and a
+    ``done`` event looked at after the end still carries the result."""
+    engine = Engine()
+    fabric = Fabric(engine, latency_us=50.0)
+    client, server = Machine(engine, "client"), Machine(engine, "server")
+    fabric.attach(client)
+    fabric.attach(server)
+    listener = TcpListener(server, 5060)
+    conns = {}
+
+    def dial():
+        conns["client"] = yield from connect(client, "server", 5060)
+        return "dialled"
+
+    def accept():
+        conns["server"] = yield from listener.accept()
+
+    proc = client.spawn_light(dial(), "dial").start()
+    server.spawn_light(accept(), "accept").start()
+    engine.run()
+    port = conns["client"].local_port
+    assert conns["client"].recv_buffer.name == f"client:{port}->server:5060"
+    assert conns["server"].recv_buffer.name == f"server:5060->client:{port}"
+    # one string per connection, however many segments name it
+    assert conns["server"].recv_buffer.name is conns["server"].recv_buffer.name
+    assert conns["client"].connected.fired is True
+    assert conns["client"].connected.value is True
+    done = proc.done
+    assert done.fired is True
+    assert done.value == "dialled"
+    assert done.name == "client/dial.done"

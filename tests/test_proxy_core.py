@@ -324,3 +324,81 @@ class TestMalformed:
         actions = drive(engine, core.process(options.render(),
                                              ("client1", 20000)))
         assert parse_message(actions[0].text).status == 501
+
+    @pytest.mark.parametrize("name, value", [
+        ("Via", "garbage"), ("CSeq", "abc INVITE"), ("Max-Forwards", "x")])
+    def test_unparsable_request_header_counts_parse_error(self, engine, name,
+                                                          value):
+        """A value that does not parse ends the message, not the worker."""
+        core = make_core(engine)
+        register(engine, core, bob(), ("client2", 40000))
+        invite = alice().invite("bob")
+        invite.set(name, value)
+        actions = drive(engine, core.process(invite.render(),
+                                             ("client1", 20000)))
+        assert actions == []
+        assert core.stats.parse_errors == 1
+        assert core.stats.transactions_created == 0
+
+    @pytest.mark.parametrize("name", ["Contact", "To"])
+    def test_unparsable_register_address_gets_400(self, engine, name):
+        core = make_core(engine)
+        register_ = bob().register()
+        register_.set(name, "<sip:bob@client2")  # unterminated name-addr
+        actions = drive(engine, core.process(register_.render(),
+                                             ("client2", 40000)))
+        assert [parse_message(a.text).status for a in actions] == [400]
+        assert core.stats.parse_errors == 1
+        assert len(core.location) == 0
+
+    @pytest.mark.parametrize("stateful, bad", [(True, 0), (False, 0),
+                                               (False, 1)])
+    def test_unparsable_response_via_counts_parse_error(self, engine,
+                                                        stateful, bad):
+        """Our Via (``bad`` 0) or, proxying statelessly, the next one (1)."""
+        core = make_core(engine, stateful=stateful)
+        __, actions = TestInvite().setup_call(engine, core)
+        ringing = bob().response_for(parse_message(actions[-1].text), 180,
+                                     to_tag="t")
+        vias = [i for i, (n, __) in enumerate(ringing.headers) if n == "Via"]
+        ringing.headers[vias[bad]] = ("Via", "garbage")
+        actions = drive(engine, core.process(ringing.render(),
+                                             ("client2", 40000)))
+        assert actions == []
+        assert core.stats.parse_errors == 1
+
+
+class TestMandatoryHeaders:
+    """RFC 3261 §16.3 step 1: a request missing To, From, Call-ID, CSeq or
+    Via is answered 400 (an ACK dropped), charged only its parse."""
+
+    def send_without(self, engine, core, request, name):
+        request.headers = [(n, v) for n, v in request.headers if n != name]
+        text = request.render()
+        start = engine.now
+        actions = drive(engine, core.process(text, ("client1", 20000)))
+        charged = engine.now - start
+        assert charged == pytest.approx(
+            core.costs.parse_cost(len(text), len(core.location)))
+        return actions
+
+    @pytest.mark.parametrize("name", ["Call-ID", "CSeq", "From", "To", "Via"])
+    def test_invite_missing_header_gets_400(self, engine, name):
+        core = make_core(engine)
+        register(engine, core, bob(), ("client2", 40000))
+        actions = self.send_without(engine, core, alice().invite("bob"), name)
+        assert [parse_message(a.text).status for a in actions] == [400]
+        assert isinstance(actions[0].target, ToSource)
+        assert core.stats.parse_errors == 1
+        assert core.stats.transactions_created == 0
+
+    def test_ack_missing_to_is_dropped(self, engine):
+        core = make_core(engine)
+        register(engine, core, bob(), ("client2", 40000))
+        caller = alice()
+        invite = caller.invite("bob")
+        ok = bob().response_for(invite, 200, to_tag="t")
+        actions = self.send_without(engine, core, caller.ack_for(invite, ok),
+                                    "To")
+        assert actions == []
+        assert core.stats.parse_errors == 1

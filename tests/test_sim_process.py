@@ -123,6 +123,53 @@ def test_done_event_fires_on_completion(engine):
     assert results == ["ok"]
 
 
+@pytest.mark.parametrize("end", ["return", "kill", "fail"])
+def test_done_looked_at_after_the_end_is_already_fired(engine, end):
+    """``done`` is built on first access; built after the process ended,
+    it is fired with what the process ended with, and late subscribers
+    are woken as for an event fired on time."""
+    def body():
+        yield Compute(1.0)
+        if end == "fail":
+            raise ValueError("boom")
+        return "ok"
+
+    proc = SimProcess(engine, body(), "p").start()
+    if end == "kill":
+        engine.run(until=0.5)
+        proc.kill()
+    elif end == "fail":
+        with pytest.raises(ValueError):
+            engine.run()
+    else:
+        run_until_done(engine, [proc])
+    expected = "ok" if end == "return" else None
+    assert proc.done.fired is True
+    assert proc.done.value == expected
+    assert proc.done.name == "p.done"
+    woken = []
+    proc.done.subscribe(woken.append)
+    engine.run()
+    assert woken == [expected]
+
+
+def test_wakeup_after_kill_is_dropped(engine):
+    signal = Signal(engine, "s")
+    progressed = []
+
+    def body():
+        yield Wait(signal)
+        progressed.append(engine.now)
+
+    proc = SimProcess(engine, body(), "p").start()
+    engine.run()
+    proc.kill()
+    signal.fire()
+    engine.run()
+    assert progressed == []
+    assert proc.state is ProcessState.KILLED
+
+
 def test_exception_propagates_and_marks_failed(engine):
     def body():
         yield Compute(1.0)

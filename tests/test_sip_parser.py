@@ -166,3 +166,14 @@ class TestStreamFramer:
         framer = StreamFramer()
         framer.feed(INVITE_TEXT + OK_TEXT)
         assert framer.messages_framed == 2
+
+    @pytest.mark.parametrize("length", ["-100000", "-5"])
+    def test_negative_content_length_rejected(self, length):
+        """A negative length cut empty frames forever (or garbage ones);
+        ``_try_extract`` is called directly so a regression fails instead
+        of hanging in ``feed``'s loop."""
+        framer = StreamFramer()
+        framer._buffer = OK_TEXT.replace("Content-Length: 0",
+                                         f"Content-Length: {length}")
+        with pytest.raises(SipParseError, match="negative"):
+            framer._try_extract()
