@@ -10,8 +10,11 @@ dynamic report:
    its default (literal comparison; anything computed counts as
    non-default).  ``NEVER`` = no call site anywhere does; ``TESTS`` =
    only tests do.  ``**splats`` are resolved through the dict literals,
-   ``dict(...)`` calls and ``d["key"] = ...`` writes of the enclosing
-   function or module; what cannot be resolved is listed as opaque.
+   ``dict(...)`` calls, ``a if c else b`` and ``d["key"] = ...`` writes
+   of the enclosing function or module; a function that passes its own
+   ``**kwargs`` on (``make_lan(engine, names, **machine_kwargs)``) is
+   followed to its call sites.  What cannot be resolved is listed as
+   opaque.
 2. **Method and function parameters** that only tests, or nobody, give a
    non-default value (matched by name, so a method name shared by several
    definitions pools their call sites — conservative).
@@ -32,6 +35,8 @@ Usage::
     python benchmarks/traffic_audit.py [--root DIR] [--calls] [--out FILE]
 
 ``--root`` audits another checkout (default: this one).
+:func:`findings` returns what reports 1, 2 and 3a flag as data;
+``tests/test_config_surface.py`` fails on any entry it does not allowlist.
 """
 
 import argparse
@@ -193,77 +198,36 @@ def is_default(value, default) -> bool:
         return ast.dump(value) == ast.dump(default)
 
 
-class CallVisitor(ast.NodeVisitor):
-    """Binds every call's arguments to the targets its name may mean."""
+class Scope:
+    """Where a call sits: its file, area, module (and the names it imports
+    with ``from ... import``) and enclosing function."""
 
-    def __init__(self, rel, area, tree, ctors, funcs):
-        self.rel, self.area, self.module = rel, area, tree
-        self.ctors, self.funcs = ctors, funcs
-        self.classes, self.scopes = [], []
+    def __init__(self, rel, area, module, imported, function):
+        self.rel, self.area = rel, area
+        self.module, self.imported = module, imported
+        self.function = function
 
-    def visit_ClassDef(self, node):
-        self.classes.append(node.name)
-        self.generic_visit(node)
-        self.classes.pop()
-
-    def visit_FunctionDef(self, node):
-        self.scopes.append(node)
-        self.generic_visit(node)
-        self.scopes.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_Call(self, node):
-        self.generic_visit(node)
-        func = node.func
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name == "cls" and self.classes:
-                name = self.classes[-1]
-            targets = self.ctors.get(name, []) + [
-                t for t in self.funcs.get(name, ()) if t.kind == "function"]
-        elif isinstance(func, ast.Attribute) and func.attr != "__init__":
-            targets = (self.ctors.get(func.attr, [])
-                       + self.funcs.get(func.attr, []))
-        else:
-            return
-        for target in targets:
-            self._bind(target, node)
-
-    def _site(self, node, default=False):
+    def site(self, node, default=False):
         return Site(self.area, self.rel, node.lineno, ast.unparse(node),
                     default)
 
-    def _bind(self, target, call):
-        pairs = []
-        for index, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                target.opaque.append(self._site(arg))
-                break
-            if index < len(target.positional):
-                pairs.append((target.positional[index], arg))
-        for kw in call.keywords:
-            if kw.arg is not None:
-                pairs.append((kw.arg, kw.value))
-                continue
-            resolved = self._resolve(kw.value)
-            if resolved is None:
-                target.opaque.append(self._site(kw.value))
-            else:
-                pairs.extend(resolved)
-        for param, value in pairs:
-            if param in target.defaults:
-                target.sites[param].append(self._site(
-                    value, is_default(value, target.defaults[param])))
+    def forwards(self, node) -> bool:
+        """Is ``node`` the enclosing function's own ``**kwargs``?"""
+        kwarg = self.function.args.kwarg if self.function else None
+        return kwarg is not None and isinstance(node, ast.Name) and \
+            node.id == kwarg.arg
 
-    def _resolve(self, node):
+    def resolve(self, node):
         """``[(key, value_expr)]`` a ``**`` argument expands to, or None."""
         if isinstance(node, ast.Name):
-            if self.scopes:
-                found = self._writes(ast.walk(self.scopes[-1]), node.id)
+            if self.function is not None:
+                found = self._writes(ast.walk(self.function), node.id)
                 if found is not None:
                     return found
             return self._writes(self.module.body, node.id)
+        if isinstance(node, ast.IfExp):  # either branch may be the one
+            body, orelse = self.resolve(node.body), self.resolve(node.orelse)
+            return None if body is None or orelse is None else body + orelse
         if isinstance(node, ast.Dict):
             items = zip(node.keys, node.values)
         elif isinstance(node, ast.Call) and not node.args and \
@@ -275,7 +239,7 @@ class CallVisitor(ast.NodeVisitor):
         out = []
         for key, value in items:
             if key is None:  # a nested ** splat
-                sub = self._resolve(value)
+                sub = self.resolve(value)
                 if sub is None:
                     return None
                 out.extend(sub)
@@ -292,7 +256,7 @@ class CallVisitor(ast.NodeVisitor):
                 for tgt in stmt.targets:
                     if isinstance(tgt, ast.Name) and tgt.id == name:
                         sub = (None if isinstance(stmt.value, ast.Name)
-                               else self._resolve(stmt.value))
+                               else self.resolve(stmt.value))
                         if sub is None:
                             return None
                         seen = True
@@ -312,6 +276,126 @@ class CallVisitor(ast.NodeVisitor):
         return out if seen else None
 
 
+def bind(target, call, scope, forwards, absorbed=None):
+    """Record ``call``'s arguments as sites of ``target``'s parameters.
+
+    ``absorbed`` is given when ``call`` reaches ``target`` only through
+    wrappers that forward their ``**kwargs``: then positional arguments
+    and the wrappers' own named parameters (``absorbed``) never reach it.
+    A ``**`` splat of the enclosing function's own ``**kwargs`` is queued
+    on ``forwards`` for :func:`follow_forwards`.
+    """
+    skip = absorbed or frozenset()
+    pairs = []
+    if absorbed is None:
+        for index, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                target.opaque.append(scope.site(arg))
+                break
+            if index < len(target.positional):
+                pairs.append((target.positional[index], arg))
+    for kw in call.keywords:
+        if kw.arg is not None:
+            pairs.append((kw.arg, kw.value))
+            continue
+        resolved = scope.resolve(kw.value)
+        if resolved is not None:
+            pairs.extend(resolved)
+        elif scope.forwards(kw.value):
+            forwards.append((scope.function, scope.rel, target, skip))
+        else:
+            target.opaque.append(scope.site(kw.value))
+    for param, value in pairs:
+        if param in target.defaults and param not in skip:
+            target.sites[param].append(scope.site(
+                value, is_default(value, target.defaults[param])))
+
+
+class CallVisitor(ast.NodeVisitor):
+    """Binds every call's arguments to the targets its name may mean, and
+    indexes ``name(...)`` and ``self.name(...)`` calls for
+    :func:`follow_forwards`."""
+
+    def __init__(self, rel, area, tree, ctors, funcs, calls, forwards):
+        self.rel, self.area, self.module = rel, area, tree
+        self.imported = {alias.asname or alias.name
+                         for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom)
+                         for alias in node.names}
+        self.ctors, self.funcs = ctors, funcs
+        self.calls, self.forwards = calls, forwards
+        self.classes, self.scopes = [], []
+
+    def visit_ClassDef(self, node):
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_FunctionDef(self, node):
+        self.scopes.append(node)
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        scope = Scope(self.rel, self.area, self.module, self.imported,
+                      self.scopes[-1] if self.scopes else None)
+        func = node.func
+        if isinstance(func, ast.Attribute) and \
+                getattr(func.value, "id", None) == "self":
+            self.calls[func.attr].append((scope, node))
+        if isinstance(func, ast.Name):
+            self.calls[func.id].append((scope, node))
+            name = func.id
+            if name == "cls" and self.classes:
+                name = self.classes[-1]
+            targets = self.ctors.get(name, []) + [
+                t for t in self.funcs.get(name, ()) if t.kind == "function"]
+        elif isinstance(func, ast.Attribute) and func.attr != "__init__":
+            targets = (self.ctors.get(func.attr, [])
+                       + self.funcs.get(func.attr, []))
+        else:
+            return
+        for target in targets:
+            bind(target, node, scope, self.forwards)
+
+
+def follow_forwards(forwards, calls):
+    """Bind the call sites of every function that passes its own
+    ``**kwargs`` on to a target — ``make_lan(engine, names,
+    ephemeral_ports=2)`` sets ``Machine(ephemeral_ports)`` — through
+    chains of such wrappers.  A call site counts in the wrapper's own
+    file, or in a file that imports the wrapper's name."""
+    seen = set()
+    while forwards:
+        function, home, target, absorbed = forwards.pop()
+        if (function, target) in seen:
+            continue
+        seen.add((function, target))
+        args = function.args
+        own = absorbed | {a.arg for a in
+                          args.posonlyargs + args.args + args.kwonlyargs}
+        for scope, call in calls.get(function.name, ()):
+            if scope.rel == home or function.name in scope.imported:
+                bind(target, call, scope, forwards, own)
+
+
+def settables(modules):
+    """``(classes, funcs)``: the constructors with defaulted parameters in
+    source order, and every function/method target by name, with each
+    call site bound to the parameters it sets."""
+    ctors, funcs = collect_targets(modules)
+    calls, forwards = defaultdict(list), []
+    for rel, area, tree in modules:
+        CallVisitor(rel, area, tree, ctors, funcs, calls, forwards).visit(tree)
+    follow_forwards(forwards, calls)
+    classes = sorted((t for ts in ctors.values() for t in ts
+                      if t.defaults), key=lambda t: (t.rel, t.lineno))
+    return classes, funcs
+
+
 def _describe(sites):
     """(tag, counts text, sites to print) for one settable value."""
     moved = [s for s in sites if not s.default]
@@ -327,11 +411,7 @@ def _describe(sites):
 
 
 def report_settables(modules, out):
-    ctors, funcs = collect_targets(modules)
-    for rel, area, tree in modules:
-        CallVisitor(rel, area, tree, ctors, funcs).visit(tree)
-    classes = sorted((t for ts in ctors.values() for t in ts
-                      if t.defaults), key=lambda t: (t.rel, t.lineno))
+    classes, funcs = settables(modules)
     tally = Counter()
     lines = []
     for target in classes:
@@ -369,7 +449,9 @@ def report_settables(modules, out):
 # ----------------------------------------------------------------------
 # report 3: references by name
 # ----------------------------------------------------------------------
-def report_references(modules, out):
+def references(modules):
+    """``(orphans, attrs)``: report 3a's ``[(tag, qualname, rel, line)]``
+    and report 3b's ``[(classes, attr)]``."""
     defs = defaultdict(list)       # name -> [(qualname, rel, line)]
     attrs = defaultdict(set)       # public self.attr -> {class}
     for rel, __, tree in modules:
@@ -432,18 +514,47 @@ def report_references(modules, out):
             return None
         return "TESTS" if counts["tests"] else "NOWHERE"
 
+    orphans = [(tag(refs[name]), qual, rel, line)
+               for name in sorted(defs)
+               if not name.startswith("test") and tag(refs[name]) is not None
+               for qual, rel, line in defs[name]]
+    test_only = [("/".join(sorted(attrs[name])), name)
+                 for name in sorted(attrs)
+                 if name not in defs and tag(outside[name]) == "TESTS"]
+    return orphans, test_only
+
+
+def report_references(modules, out):
+    orphans, test_only = references(modules)
     out.append("== 3a. definitions referenced only from tests, or nowhere ==")
-    for name in sorted(defs):
-        if name.startswith("test") or tag(refs[name]) is None:
-            continue
-        for qual, rel, line in defs[name]:
-            out.append(f"{tag(refs[name]):<8} {qual} ({rel}:{line})")
+    out.extend(f"{tag:<8} {qual} ({rel}:{line})"
+               for tag, qual, rel, line in orphans)
     out.append("")
     out.append("== 3b. public attributes that, outside their own class, "
                "only tests read ==")
-    for name in sorted(attrs):
-        if name not in defs and tag(outside[name]) == "TESTS":
-            out.append(f"TESTS    {'/'.join(sorted(attrs[name]))}.{name}")
+    out.extend(f"TESTS    {classes}.{name}" for classes, name in test_only)
+
+
+def findings(modules):
+    """``{entry: tag}`` for every line reports 1, 2 and 3a flag, named as
+    the report prints it: ``Class.param`` (1), ``function(param)`` or
+    ``Class.method(param)`` (2), ``Class.method`` or ``function`` (3a)."""
+    classes, funcs = settables(modules)
+    flagged = {}
+    for target in classes:
+        for param in target.defaults:
+            tag = _describe(target.sites[param])[0]
+            if tag:
+                flagged[f"{target.key}.{param}"] = tag
+    for targets in funcs.values():
+        for target in targets:
+            for param in target.defaults:
+                tag = _describe(target.sites[param])[0]
+                if tag:
+                    flagged[f"{target.key}({param})"] = tag
+    for tag, qual, __, __ in references(modules)[0]:
+        flagged[qual] = tag
+    return flagged
 
 
 # ----------------------------------------------------------------------
@@ -558,8 +669,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     root = args.root.resolve()
     modules = load_modules(root)
-    head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=root,
-                          capture_output=True, text=True).stdout.strip()
+    head = subprocess.run(["git", "describe", "--always", "--dirty"],
+                          cwd=root, capture_output=True,
+                          text=True).stdout.strip()
     out = [f"traffic audit at commit {head or 'unknown'}: "
            f"{len(modules)} files", ""]
     report_settables(modules, out)

@@ -10,8 +10,8 @@ Layout: one JSON file per cell under ``benchmarks/results/.cache/``
 (override with ``REPRO_CACHE_DIR``), named by a SHA-256 of the canonical
 spec payload.  The payload embeds:
 
-- every field of the spec (including ``config_overrides`` and a
-  serialized cost model, when one is set);
+- every field of the spec (including a serialized cost model, when one
+  is set);
 - the effective ``REPRO_SCALE`` and ``TIME_COMPRESSION`` values, since
   both change the numbers a cell produces;
 - ``SCHEMA_VERSION``, bumped whenever the simulator's behaviour changes

@@ -23,8 +23,9 @@ timeout itself (Tab. S2) override this.
 """
 
 import gc
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.clients import BenchmarkManager, BenchmarkResult, Workload
@@ -47,10 +48,15 @@ SERIES_DEF = {
 
 
 def _scale() -> float:
+    raw = os.environ.get("REPRO_SCALE", "1.0")
     try:
-        return float(os.environ.get("REPRO_SCALE", "1.0"))
+        scale = float(raw)
     except ValueError:
-        return 1.0
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"REPRO_SCALE={raw!r}: expected a positive number "
+                         "(e.g. 0.5 halves the measurement windows)")
+    return scale
 
 
 #: simulated-time compression for connection-churn dynamics
@@ -107,7 +113,6 @@ class ExperimentSpec:
     #: exempt this cell's windows from REPRO_SCALE (experiments whose
     #: effect needs a minimum absolute duration, like Tab. S2)
     scale_windows: bool = True
-    config_overrides: Dict = field(default_factory=dict)
     # -- fault-injection cells (fig-faults) -----------------------------
     #: serialized :class:`repro.faults.FaultPlan` (``plan.to_dict()``;
     #: None = no injected faults).  Event times are relative to the
@@ -164,6 +169,12 @@ class ExperimentSpec:
 
 def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
     """Run one cell; returns the client-measured result."""
+    if spec.series not in SERIES_DEF:
+        raise ValueError(f"ExperimentSpec.series={spec.series!r}: expected "
+                         f"one of {', '.join(SERIES_DEF)}")
+    if spec.offered_cps is not None and not spec.offered_cps > 0:
+        raise ValueError(f"ExperimentSpec.offered_cps={spec.offered_cps!r}: "
+                         "expected a rate > 0, or None for a closed loop")
     gc.collect()  # a previous cell's world is one big cycle: free it first
     scale = _scale()
     # Sampling needs a profiler for the CPU-share series; the profiler
@@ -185,7 +196,6 @@ def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
         stateful=spec.stateful,
         overload_controller=spec.controller,
         **t1_kw,
-        **spec.config_overrides,
     )
     proxy = build_proxy(bed.server, config, spec.costs).start()
     warmup_us, measure_us = spec.windows()
@@ -199,7 +209,6 @@ def run_cell(spec: ExperimentSpec) -> BenchmarkResult:
         ops_per_conn=spec.ops_per_conn(),
         warmup_us=warmup_us,
         measure_us=measure_us,
-        mode="open" if spec.offered_cps is not None else "closed",
         offered_cps=spec.offered_cps or 0.0,
     )
     manager = BenchmarkManager(bed, proxy, workload)

@@ -51,12 +51,16 @@ class CellOutcome:
 def default_jobs() -> int:
     """Worker-count default: ``REPRO_JOBS`` env var, else the CPU count."""
     env = os.environ.get("REPRO_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"REPRO_JOBS={env!r}: expected a positive integer "
+                         "(1 runs cells serially)")
+    return jobs
 
 
 def _execute(spec: ExperimentSpec) -> tuple:

@@ -58,7 +58,7 @@ class BenchmarkManager:
                 proxy_port=self.proxy.config.port,
                 ops_per_conn=workload.ops_per_conn,
                 timers=self.timers,
-                open_loop=workload.mode == "open",
+                open_loop=workload.offered_cps > 0,
             )
             caller = Phone(
                 machine=self.testbed.client_for(index),
@@ -91,7 +91,7 @@ class BenchmarkManager:
         self._registration_phase()
         self.go_event.fire(None)
         engine = self.engine
-        if self.workload.mode == "open":
+        if self.workload.offered_cps > 0:
             self.driver = OpenLoopDriver(
                 engine, self.callers, self.workload.offered_cps,
                 self.testbed.rng.stream("openloop")).start()

@@ -18,6 +18,7 @@ port so the proxy can dial in when no live connection remains.
 
 from typing import Dict, Optional
 
+from repro.kernel.sockets import PortExhaustedError
 from repro.net.sctp import SctpEndpoint
 from repro.net.tcp import TcpError, TcpListener, connect as tcp_connect
 from repro.net.udp import UdpEndpoint
@@ -203,7 +204,7 @@ class Phone:
         try:
             conn = yield from tcp_connect(self.machine, self.proxy_addr,
                                           self.proxy_port)
-        except TcpError:
+        except (TcpError, PortExhaustedError):
             self.registration_failures += 1
             return
         self.conn = conn

@@ -15,13 +15,13 @@ class Workload:
     connections; 50/500 reconnect after that many operations, abandoning
     (never closing) the old connection, as the paper's clients did.
 
-    ``mode`` selects the load loop: ``"closed"`` is the paper's
+    ``offered_cps`` selects the load loop: 0 is the paper's closed-loop
     benchmark (each caller starts its next call when the previous one
-    finishes, so offered load can never exceed capacity); ``"open"``
+    finishes, so offered load can never exceed capacity); a positive rate
     drives Poisson call arrivals at ``offered_cps`` calls/second across
-    the caller pool, *independent of completions* — the overload regime,
-    where offered load above capacity triggers retransmission-driven
-    collapse unless a controller sheds it.
+    the caller pool, *independent of completions* — the open-loop
+    overload regime, where offered load above capacity triggers
+    retransmission-driven collapse unless a controller sheds it.
     """
 
     clients: int = 100
@@ -29,7 +29,6 @@ class Workload:
     warmup_us: float = 150_000.0
     measure_us: float = 400_000.0
     register_deadline_us: float = 20_000_000.0
-    mode: str = "closed"           #: "closed" (paper) or "open" (overload)
     offered_cps: float = 0.0       #: open-loop Poisson arrival rate, calls/s
 
     def validate(self) -> None:
@@ -49,13 +48,8 @@ class Workload:
             raise ValueError("warmup_us must be >= 0")
         if self.register_deadline_us <= 0:
             raise ValueError("register_deadline_us must be positive")
-        if self.mode not in ("closed", "open"):
-            raise ValueError(f"unknown workload mode {self.mode!r}; "
-                             "expected 'closed' or 'open'")
-        if self.mode == "open" and self.offered_cps <= 0:
-            raise ValueError("open-loop mode needs offered_cps > 0")
-        if self.mode == "closed" and self.offered_cps:
-            raise ValueError("offered_cps only applies to mode='open'")
+        if self.offered_cps < 0:
+            raise ValueError("offered_cps must be >= 0 (0 = closed loop)")
 
 
 @dataclass

@@ -91,12 +91,8 @@ def _sccs(edges: Dict[str, Set[str]]) -> List[frozenset]:
 class DeadlockDetector:
     """Periodic wait-for-graph scans over registered IPC endpoints."""
 
-    def __init__(self, engine, min_blocked_us: float = 0.0) -> None:
+    def __init__(self, engine) -> None:
         self.engine = engine
-        #: ignore endpoints blocked for less than this (0 = any blocked
-        #: endpoint counts; the cycle requirement already filters
-        #: transient backpressure)
-        self.min_blocked_us = min_blocked_us
         #: the watched proxy's probe (set by :meth:`watch_proxy`)
         self.probe = None
         #: (endpoint, owner, peer): ``owner`` blocks on ``endpoint``;
@@ -142,10 +138,12 @@ class DeadlockDetector:
         #: most recent block timestamp per owner (the cycle formed no
         #: earlier than its youngest edge)
         since: Dict[str, float] = {}
+        # Any blocked endpoint counts, however briefly: the cycle
+        # requirement already filters transient backpressure.
         for endpoint, owner, peer in self._watched:
             for stamp in (endpoint.blocked_sending_since,
                           endpoint.blocked_receiving_since):
-                if stamp is None or now - stamp < self.min_blocked_us:
+                if stamp is None:
                     continue
                 edges.setdefault(owner, set()).add(peer)
                 since[owner] = max(since.get(owner, stamp), stamp)

@@ -36,6 +36,8 @@ class FaultInjector:
         self.fabric = testbed.fabric
         self.proxy = proxy
         self.plan = plan
+        for event in plan:
+            self._check(event)
         #: JSON-ready record of every apply/revert, in simulated order
         self.log: List[Dict] = []
         self.armed_at: Optional[float] = None
@@ -112,25 +114,30 @@ class FaultInjector:
         self._record("revert", event)
 
     # ------------------------------------------------------------------
-    def _worker_proc(self, index: int):
-        procs = dict(self.proxy.worker_processes())
-        proc = procs.get(index)
-        if proc is None:
+    def _check(self, event) -> None:
+        """Reject an event this testbed and proxy cannot take, so an
+        impossible plan fails here rather than mid-measurement."""
+        name = type(self.proxy).__name__
+        if isinstance(event, Partition):
+            for end in (event.a, event.b):
+                if end not in self.fabric.machines:
+                    raise FaultPlanError(
+                        f"{event.kind}: no machine {end!r} on the fabric")
+        if isinstance(event, (WorkerCrash, WorkerHang, IpcStall)) and \
+                not 0 <= event.worker < self.proxy.config.workers:
             raise FaultPlanError(
-                f"{type(self.proxy).__name__} has no worker {index}")
-        return proc
+                f"{event.kind}: {name} has no worker {event.worker}")
+        if isinstance(event, IpcStall) and \
+                not hasattr(self.proxy, f"{event.channel}_chans"):
+            raise FaultPlanError(
+                f"{event.kind}: {name} has no {event.channel!r} IPC "
+                "channels")
+
+    def _worker_proc(self, index: int):
+        return dict(self.proxy.worker_processes())[index]
 
     def _channel(self, event: IpcStall):
-        chans = getattr(self.proxy,
-                        "assign_chans" if event.channel == "assign"
-                        else "req_chans", None)
-        if chans is None:
-            raise FaultPlanError(
-                f"{type(self.proxy).__name__} has no "
-                f"{event.channel!r} IPC channels")
-        if not 0 <= event.worker < len(chans):
-            raise FaultPlanError(f"ipc-stall: no worker {event.worker}")
-        return chans[event.worker]
+        return getattr(self.proxy, f"{event.channel}_chans")[event.worker]
 
     def __repr__(self) -> str:
         state = (f"armed@{self.armed_at:.0f}us"

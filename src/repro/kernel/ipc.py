@@ -38,14 +38,13 @@ class FdPayload:
 class IpcMessage:
     """One message on a channel: a kind tag, payload, optional fd."""
 
-    __slots__ = ("kind", "payload", "fd", "size")
+    __slots__ = ("kind", "payload", "fd")
 
     def __init__(self, kind: str, payload: Any = None,
-                 fd: Optional[FdPayload] = None, size: int = 64) -> None:
+                 fd: Optional[FdPayload] = None) -> None:
         self.kind = kind
         self.payload = payload
         self.fd = fd
-        self.size = size
 
     def __repr__(self) -> str:
         fd = " +fd" if self.fd is not None else ""

@@ -34,10 +34,8 @@ class SpinLock:
     def __init__(
         self,
         name: str = "lock",
-        try_us: float = 0.05,
         spin_us: float = 1.0,
         spins_before_yield: int = 4,
-        yield_syscall_us: float = 0.7,
     ) -> None:
         # spin_us models a *batch* of test-and-test-and-set iterations; the
         # burn rate is what matters, and coarser batches keep the event
@@ -45,9 +43,9 @@ class SpinLock:
         self.name = name
         self.spins_before_yield = spins_before_yield
         # Effects are never mutated, so every acquire yields the same ones.
-        self._try = Compute(try_us, f"lock.{name}.acquire")
+        self._try = Compute(0.05, f"lock.{name}.acquire")
         self._spin = Compute(spin_us, f"lock.{name}.spin")
-        self._yield_syscall = Compute(yield_syscall_us, "kernel.sched_yield")
+        self._yield_syscall = Compute(0.7, "kernel.sched_yield")
         self._yield = YieldCPU()
         self.held = False
         self.owner: Optional[str] = None

@@ -24,8 +24,6 @@ class Machine:
         engine: Engine,
         name: str,
         n_cores: int = 4,
-        quantum_us: float = 2000.0,
-        ctx_switch_us: float = 1.5,
         probe=None,
         fd_limit: int = 1024,
         ephemeral_ports: int = 28232,
@@ -37,10 +35,7 @@ class Machine:
         #: optional :class:`~repro.obs.probe.Probe`, shared testbed-wide;
         #: the proxy and the phones on this machine read it here
         self.probe = probe
-        self.scheduler = Scheduler(engine, n_cores=n_cores,
-                                   quantum_us=quantum_us,
-                                   ctx_switch_us=ctx_switch_us,
-                                   probe=probe)
+        self.scheduler = Scheduler(engine, n_cores=n_cores, probe=probe)
         self.fd_limit = fd_limit
         self.tcp_ports = PortAllocator(
             engine, lo=32768, hi=32768 + ephemeral_ports,

@@ -32,6 +32,9 @@ from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.sim.engine import Engine
 
+#: link bandwidth, bytes per µs (1 Gb/s)
+BANDWIDTH_BYTES_PER_US = 125.0
+
 
 class Fabric:
     """A star-topology switched network."""
@@ -40,14 +43,12 @@ class Fabric:
         self,
         engine: Engine,
         latency_us: float = 50.0,
-        bandwidth_bytes_per_us: float = 125.0,  # 1 Gb/s
         jitter_us: float = 0.0,
         loss_rate: float = 0.0,
         rng=None,
     ) -> None:
         self.engine = engine
         self.latency_us = latency_us
-        self.bandwidth = bandwidth_bytes_per_us
         self.jitter_us = jitter_us
         self.loss_rate = loss_rate
         self.rng = rng
@@ -110,7 +111,8 @@ class Fabric:
         self.packets_sent += 1
         self.bytes_sent += size
         now = self.engine.now
-        depart = max(now, self._egress_free[src_addr]) + size / self.bandwidth
+        depart = (max(now, self._egress_free[src_addr])
+                  + size / BANDWIDTH_BYTES_PER_US)
         self._egress_free[src_addr] = depart
         if (src_addr, dst_addr) in self._partitioned:
             self.packets_lost += 1

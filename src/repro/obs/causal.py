@@ -193,8 +193,8 @@ class CausalTracer:
             return
         self.marks.append((tid, which, who, self.engine.now))
 
-    def count(self, key: str, n: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + n
+    def count(self, key: str) -> None:
+        self.counters[key] = self.counters.get(key, 0) + 1
 
     # ------------------------------------------------------------------
     # per-process message context

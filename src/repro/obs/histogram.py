@@ -1,7 +1,7 @@
 """Log-bucketed streaming latency histograms.
 
 :class:`StreamingHistogram` records values into geometrically-spaced
-buckets (default 5% resolution), so memory is O(buckets), inserts are
+buckets (5% resolution), so memory is O(buckets), inserts are
 O(1), and any percentile is recoverable to within one bucket's relative
 width.  Journey attribution (:mod:`repro.obs.attribution`) builds one per
 caller and merges them into the run's latency summary.
@@ -10,8 +10,10 @@ caller and merges them into the run's latency summary.
 import math
 from typing import Dict, Optional
 
-#: default relative bucket width (5% ⇒ percentile error ≤ ~5%)
-DEFAULT_RESOLUTION = 0.05
+#: relative bucket width (5% ⇒ percentile error ≤ ~5%)
+RESOLUTION = 0.05
+_BASE = 1.0 + RESOLUTION
+_INV_LOG_BASE = 1.0 / math.log(_BASE)
 
 
 class StreamingHistogram:
@@ -21,14 +23,9 @@ class StreamingHistogram:
     instants) are counted in a dedicated underflow bucket valued 0.
     """
 
-    __slots__ = ("base", "_inv_log_base", "buckets", "count", "total",
-                 "min", "max", "zeros")
+    __slots__ = ("buckets", "count", "total", "min", "max", "zeros")
 
-    def __init__(self, resolution: float = DEFAULT_RESOLUTION) -> None:
-        if resolution <= 0:
-            raise ValueError("resolution must be positive")
-        self.base = 1.0 + resolution
-        self._inv_log_base = 1.0 / math.log(self.base)
+    def __init__(self) -> None:
         self.buckets: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
@@ -49,14 +46,11 @@ class StreamingHistogram:
         if value <= 0.0:
             self.zeros += 1
             return
-        index = math.floor(math.log(value) * self._inv_log_base)
+        index = math.floor(math.log(value) * _INV_LOG_BASE)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
     def merge(self, other: "StreamingHistogram") -> "StreamingHistogram":
-        """Fold ``other`` into this histogram (resolutions must match)."""
-        if abs(other.base - self.base) > 1e-12:
-            raise ValueError("cannot merge histograms with different "
-                             f"resolutions ({self.base} vs {other.base})")
+        """Fold ``other`` into this histogram."""
         for index, n in other.buckets.items():
             self.buckets[index] = self.buckets.get(index, 0) + n
         self.count += other.count
@@ -89,7 +83,7 @@ class StreamingHistogram:
             if seen >= rank:
                 # Geometric midpoint of the bucket, clamped to observed
                 # extremes so p0/p100 never overshoot the data.
-                value = self.base ** (index + 0.5)
+                value = _BASE ** (index + 0.5)
                 if self.max is not None:
                     value = min(value, self.max)
                 if self.min is not None:
@@ -97,11 +91,12 @@ class StreamingHistogram:
                 return value
         return self.max if self.max is not None else 0.0
 
-    def percentiles(self, points=(50, 95, 99, 99.9)) -> Dict[str, float]:
+    def percentiles(self) -> Dict[str, float]:
         """Same shape as :func:`repro.clients.workload.percentiles`."""
         if not self.count:
             return {}
-        out = {f"p{point:g}": self.percentile(point) for point in points}
+        out = {f"p{point:g}": self.percentile(point)
+               for point in (50, 95, 99, 99.9)}
         out["mean"] = self.mean
         return out
 

@@ -10,9 +10,11 @@ collapse are visible without leaving the terminal.
 from typing import Dict, List, Optional
 
 _BARS = "▁▂▃▄▅▆▇█"
+#: sparkline columns
+WIDTH = 48
 
 
-def sparkline(values, width: int = 48) -> str:
+def sparkline(values) -> str:
     """Render ``values`` as a fixed-width unicode sparkline.
 
     Longer series are downsampled by averaging equal slices; a flat
@@ -21,13 +23,13 @@ def sparkline(values, width: int = 48) -> str:
     values = [float(v) for v in values]
     if not values:
         return ""
-    if len(values) > width:
-        step = len(values) / width
+    if len(values) > WIDTH:
+        step = len(values) / WIDTH
         values = [
             sum(chunk) / len(chunk)
             for chunk in (values[int(i * step):max(int(i * step) + 1,
                                                    int((i + 1) * step))]
-                          for i in range(width))
+                          for i in range(WIDTH))
         ]
     lo, hi = min(values), max(values)
     span = hi - lo
@@ -53,11 +55,9 @@ def _fmt(value: float) -> str:
 class TimelineReport:
     """Renders one cell's serialized metrics dict as a text table."""
 
-    def __init__(self, metrics: Dict, title: str = "timeline",
-                 width: int = 48) -> None:
+    def __init__(self, metrics: Dict, title: str = "timeline") -> None:
         self.metrics = metrics
         self.title = title
-        self.width = width
 
     def render(self, names: Optional[List[str]] = None) -> str:
         series = self.metrics.get("series", {})
@@ -82,7 +82,7 @@ class TimelineReport:
             lines.append(
                 f"{name:<{label_w}}  {_fmt(min(floats)):>8} {_fmt(mean):>8} "
                 f"{_fmt(max(floats)):>8} {_fmt(floats[-1]):>8}  "
-                f"{sparkline(floats, self.width)}"
+                f"{sparkline(floats)}"
             )
         return "\n".join(lines)
 

@@ -117,15 +117,11 @@ class Tracer:
         """The buffered events, oldest first."""
         return list(self._events)
 
-    def spans(self, name: Optional[str] = None,
-              cat: Optional[str] = None) -> Iterator[Span]:
-        """Buffered events filtered by name and/or category."""
+    def spans(self, name: Optional[str] = None) -> Iterator[Span]:
+        """Buffered events, filtered by name."""
         for span in self._events:
-            if name is not None and span.name != name:
-                continue
-            if cat is not None and span.cat != cat:
-                continue
-            yield span
+            if name is None or span.name == name:
+                yield span
 
     def clear(self) -> None:
         self._events.clear()

@@ -25,8 +25,8 @@ class ProfileReport:
         self.samples = samples
         self.title = title
 
-    def render(self, n: int = 15, kernel_only: bool = False) -> str:
-        rows = top_functions(self.samples, n=n, kernel_only=kernel_only)
+    def render(self, n: int = 15) -> str:
+        rows = top_functions(self.samples, n=n)
         width = max([len("function")] + [len(label) for label, __, __ in rows])
         lines = [f"== {self.title} ==",
                  f"{'function':<{width}}  {'cpu (ms)':>10}  {'share':>7}"]

@@ -173,8 +173,7 @@ class BaseProxyServer:
             # the transaction table — grows without bound.
             span = (probe.begin("timer_fire", cat="kernel", who=who)
                     if probe is not None else None)
-            actions = yield from self.core.timer_pass(limit=8192,
-                                                      who="timer")
+            actions = yield from self.core.timer_pass(limit=8192)
             if span is not None:
                 probe.end(span.set(retransmits=len(actions)))
             for action in actions:

@@ -403,8 +403,9 @@ class ProxyCore:
     # ------------------------------------------------------------------
     # timer-process hooks (retransmission + GC)
     # ------------------------------------------------------------------
-    def timer_pass(self, limit: int = 64, who: str = "timer"):
+    def timer_pass(self, limit: int = 64):
         """Generator: one timer-process sweep; returns retransmit actions."""
+        who = "timer"
         expired = yield from self.timer_list.pop_expired(self.engine.now,
                                                          limit, who)
         actions: List[SendAction] = []

@@ -94,13 +94,10 @@ class Signal:
         for listener in self._listeners:
             listener(value)
 
-    def fire_one(self, value: Any = None) -> bool:
-        """Wake only the longest-waiting subscriber.  Returns False if none."""
-        if not self._callbacks:
-            return False
-        callback = self._callbacks.pop(0)
-        self.engine.schedule(0.0, callback, value)
-        return True
+    def fire_one(self) -> None:
+        """Wake only the longest-waiting subscriber, if any."""
+        if self._callbacks:
+            self.engine.schedule(0.0, self._callbacks.pop(0), None)
 
     def __repr__(self) -> str:
         return f"<Signal {self.name!r} waiters={len(self._callbacks)}>"

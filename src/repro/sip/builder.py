@@ -63,11 +63,9 @@ class MessageBuilder:
                    {"branch": branch}).render()
 
     # -- requests -----------------------------------------------------------
-    def register(self, registrar_domain: Optional[str] = None,
-                 expires: int = 3600) -> SipRequest:
-        """A REGISTER binding this agent's contact to its AOR."""
-        domain = registrar_domain or self.domain
-        request = SipRequest("REGISTER", SipUri(None, domain))
+    def register(self) -> SipRequest:
+        """A REGISTER binding this agent's contact to its AOR for an hour."""
+        request = SipRequest("REGISTER", SipUri(None, self.domain))
         from_addr = Address(self.aor_uri, params={"tag": self.new_tag()})
         request.add("Via", self._via(self.new_branch()))
         request.add("Max-Forwards", "70")
@@ -76,7 +74,7 @@ class MessageBuilder:
         request.add("Call-ID", self.new_call_id())
         request.add("CSeq", CSeq(self._next_seq(), "REGISTER").render())
         request.add("Contact", Address(self.contact_uri).render())
-        request.add("Expires", str(expires))
+        request.add("Expires", "3600")
         request.add("Content-Length", "0")
         return request
 

@@ -8,6 +8,7 @@ from repro.analysis.experiments import (
     TIME_COMPRESSION,
     run_cell,
 )
+from repro.analysis.cache import spec_key
 from repro.analysis.paper_data import CLIENT_COUNTS, PAPER_FIGURES, SERIES
 from repro.analysis.tables import render_comparison
 
@@ -55,6 +56,21 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             run_cell(ExperimentSpec(series="udp", clients=4, workers=2,
                                     warmup_us=20e3, measure_us=20e3))
+
+    def test_non_numeric_repro_scale_rejected(self, monkeypatch):
+        # Not silently 1.0: the scale enters the cache key.
+        monkeypatch.setenv("REPRO_SCALE", "fast")
+        with pytest.raises(ValueError, match="REPRO_SCALE='fast'.*positive"):
+            spec_key(ExperimentSpec())
+
+    def test_unknown_series_rejected(self):
+        with pytest.raises(ValueError, match="'bogus'.*tcp-persistent"):
+            run_cell(ExperimentSpec(series="bogus"))
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0])
+    def test_open_loop_needs_a_positive_rate(self, rate):
+        with pytest.raises(ValueError, match="offered_cps"):
+            run_cell(ExperimentSpec(offered_cps=rate))
 
 
 class TestPaperData:

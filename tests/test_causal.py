@@ -319,7 +319,7 @@ SMALL = dict(warmup_us=30_000.0, measure_us=100_000.0)
 
 
 def run_causal_cell(transport="tcp", clients=5, workers=4, seed=1,
-                    controller=None, **config):
+                    controller=None, workload=None, **config):
     bed = Testbed(seed=seed, causal=True)
     proxy = build_proxy(bed.server, ProxyConfig(
         transport=transport, workers=workers, **config)).start()
@@ -327,7 +327,8 @@ def run_causal_cell(transport="tcp", clients=5, workers=4, seed=1,
         controller.bind(proxy)
         proxy.controller = controller
         proxy.core.controller = controller
-    manager = BenchmarkManager(bed, proxy, Workload(clients=clients, **SMALL))
+    manager = BenchmarkManager(bed, proxy, Workload(
+        clients=clients, **{**SMALL, **(workload or {})}))
     result = manager.run()
     journeys = build_journeys(bed.causal, window=manager.measured_window)
     return bed, proxy, result, journeys
@@ -429,26 +430,24 @@ class TestLiveAttribution:
         assert stale == []
 
     def test_retransmitted_invite_single_journey(self):
-        from repro.analysis.experiments import ExperimentSpec, run_cell
-
-        # Open-loop overload with a compressed T1: UAC retransmissions
-        # re-mark uac_send, but each transaction still yields exactly one
-        # journey clocked from the first send.
-        spec = ExperimentSpec(series="udp", clients=8, workers=4, seed=2,
-                              causal=True, scale_windows=False,
-                              warmup_us=100_000.0, measure_us=400_000.0,
-                              offered_cps=20_000.0, sip_t1_us=20_000.0,
-                              config_overrides={"udp_rcvbuf_datagrams": 16})
-        result = run_cell(spec)
+        # Open-loop overload with a compressed T1 and a small receive
+        # buffer: UAC retransmissions re-mark uac_send, but each
+        # transaction still yields exactly one journey clocked from the
+        # first send.
+        bed, __, result, journeys = run_causal_cell(
+            transport="udp", clients=8, workers=4, seed=2,
+            sip_t1_us=20_000.0, udp_rcvbuf_datagrams=16,
+            workload=dict(warmup_us=100_000.0, measure_us=400_000.0,
+                          offered_cps=20_000.0))
         assert result.client_retransmissions > 0
-        causal = result.causal
+        causal = bed.causal
         sends = {}
         for tid, which, __, t_us in causal.marks:
             if which == "uac_send":
                 sends.setdefault(tid, []).append(t_us)
         retransmitted = {tid for tid, ts in sends.items() if len(ts) >= 2}
         assert retransmitted, "overload cell produced no rtx-marked tids"
-        journeys = {j.tid: j for j in result.journeys}
+        journeys = {j.tid: j for j in journeys}
         hit = [tid for tid in retransmitted if tid in journeys]
         assert hit, "no retransmitted transaction completed in-window"
         for tid in hit:

@@ -17,25 +17,22 @@ class TestWorkload:
         dict(measure_us=0),
         dict(warmup_us=-1.0),
         dict(register_deadline_us=0),
-        dict(mode="half-open"),
-        dict(mode="open"),                      # open loop needs a rate
-        dict(mode="open", offered_cps=-5.0),
-        dict(offered_cps=100.0),                # rate needs the open loop
+        dict(offered_cps=-5.0),
         dict(warmup_us=float("nan")),
         dict(warmup_us=float("inf")),
         dict(measure_us=float("nan")),
         dict(measure_us=float("inf")),
         dict(register_deadline_us=float("nan")),
         dict(register_deadline_us=float("inf")),
-        dict(mode="open", offered_cps=float("nan")),
-        dict(mode="open", offered_cps=float("inf")),
+        dict(offered_cps=float("nan")),
+        dict(offered_cps=float("inf")),
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Workload(**kwargs).validate()
 
     def test_open_loop_valid(self):
-        Workload(mode="open", offered_cps=500.0).validate()
+        Workload(offered_cps=500.0).validate()
 
 
 class TestManager:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.clients.phone import Phone
+from repro.net.tcp import TcpListener
 from repro.net.udp import UdpEndpoint
 from repro.sim.engine import Engine
 from repro.sim.events import Event
@@ -195,3 +196,25 @@ def test_unparsable_response_header_is_ignored(engine, name, value):
     caller._dispatch(ringing.render())
     assert txn.state is state
     assert caller._client_txns[branch] is txn
+
+
+def test_port_exhaustion_counts_as_registration_failure(engine):
+    """A server that closes every connection makes the phone reconnect at
+    once; each abandoned connection keeps its port, so the phone runs out
+    of ephemeral ports.  That is a failed registration, not a crash."""
+    __, machines = make_lan(engine, ["server", "client1"], ephemeral_ports=2)
+    listener = TcpListener(machines["server"], 5060)
+
+    def refuse_all():
+        while True:
+            conn = yield from listener.accept()
+            conn.close()
+
+    machines["server"].spawn_light(refuse_all(), "refuse").start()
+    phone = Phone(machines["client1"], "bob", "example.com", 30000, "tcp",
+                  "server", 5060, rng=__import__("random").Random(2),
+                  role="callee", timers=TransactionTimers()).start()
+    engine.run(until=1_000_000.0)
+    assert machines["client1"].tcp_ports.exhaustions > 0
+    assert phone.registration_failures > 0
+    assert not phone.registered

@@ -1,16 +1,27 @@
-"""Every configuration field is read by the program it configures.
+"""Every option has a caller, and every configuration field is read.
 
-A field that nothing reads is an option that does nothing: setting it
-changes no behaviour, yet it sits in every constructor signature and, for
-``ExperimentSpec``, in every cache key.  This scan parses ``src/repro``
-and requires, for each field of the four configuration dataclasses, at
-least one attribute read (``x.<field>``) outside the class's field
-declarations and its own ``validate()``.  Matching is by name, so it
-cannot tell a read of this field from a read of a namesake elsewhere; it
-catches the field nobody reads at all.
+Two rules keep the configuration surface from growing back:
+
+- **No option without a caller.**  ``benchmarks/traffic_audit.py``'s static
+  reports 1, 2 and 3a list the constructor and config values, function
+  parameters and definitions under ``src/repro`` that no caller outside
+  ``tests/`` sets or reaches (``TESTS``), or that nothing does (``NEVER``,
+  ``NOWHERE``).  Each such entry must be in :data:`ALLOWED` below with a
+  one-line reason, and every entry of :data:`ALLOWED` must still be
+  reported, so the list cannot go stale.  Keys are the entries as the
+  audit prints them (``Class.param``, ``function(param)``,
+  ``Class.method``); ``*`` matches any run of characters.
+- **No field without a reader.**  For each field of the four
+  configuration dataclasses there is at least one attribute read
+  (``x.<field>``) outside the class's field declarations and its own
+  ``validate()``.  Matching is by name, so it cannot tell a read of this
+  field from a read of a namesake elsewhere; it catches the field nobody
+  reads at all.
 """
 
 import ast
+import fnmatch
+import importlib.util
 import pathlib
 
 import pytest
@@ -18,9 +29,156 @@ import pytest
 import repro
 
 SRC = pathlib.Path(repro.__file__).parent
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 CONFIG_CLASSES = ("ProxyConfig", "Workload", "CostModel", "ExperimentSpec")
 
+_spec = importlib.util.spec_from_file_location(
+    "traffic_audit", ROOT / "benchmarks" / "traffic_audit.py")
+audit = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(audit)
 
+_COSTS = "carries a perturbed CostModel (ROADMAP 7(c)'s elasticities)"
+_FAULT = "fault-plan event data; plans also arrive as JSON (from_dict)"
+
+#: audit entry (or pattern) -> why it stays although no non-test caller
+#: sets or reaches it
+ALLOWED = {
+    # -- the cost model: ROADMAP 7(c) decides each constant --------------
+    "CostModel.*": "calibrated cost constant; ROADMAP 7(c)'s elasticities "
+                   "perturb each one",
+    "ExperimentSpec.costs": _COSTS,
+    "*ProxyServer.costs": _COSTS,
+    # -- deployment settings and data fields -----------------------------
+    "ProxyConfig.port": "deployment setting: the SIP port phones dial",
+    "ProxyConfig.domain": "deployment setting: the domain phones register in",
+    "BenchmarkResult.*": "result field run_cell fills in after the manager "
+                         "builds the result",
+    "_Event.start_us": _FAULT,
+    "LossBurst.*": _FAULT,
+    "LatencyWindow.*": _FAULT,
+    "Partition.*": _FAULT,
+    "WorkerCrash.*": _FAULT,
+    "WorkerHang.*": _FAULT,
+    "IpcStall.*": _FAULT,
+    "SipMessage.headers": "message data; SipRequest/SipResponse pass it on",
+    "SipMessage.body": "message data; SipRequest/SipResponse pass it on",
+    "Binding.expires_us": "location-service record field; tests age "
+                          "bindings with it",
+    # -- values tests use to steer behaviour -----------------------------
+    "Scheduler.quantum_us": "tests shorten the CFS quantum",
+    "Scheduler.ctx_switch_us": "tests zero the context-switch charge",
+    "Scheduler.granularity_us": "tests set the CFS wakeup granularity",
+    "Scheduler.o1_*": "tests drive the O(1) model's starvation (§5.3) "
+                      "directly",
+    "SpinLock.spin_us": "tests set the spin batch",
+    "SpinLock.spins_before_yield": "tests set the spin/yield backoff",
+    "Fabric.latency_us": "tests set the LAN's one-way latency",
+    "Fabric.jitter_us": "tests check jitter never reorders a path",
+    "Fabric.loss_rate": "tests check loss at the switch",
+    "Machine.ephemeral_ports": "tests exhaust the ephemeral port range",
+    "PortAllocator.lo": "tests build small port ranges",
+    "Phone.think_time_us": "tests hold the caller to observe one call",
+    "CausalTracer.capacity": "tests shrink the ring to exercise eviction",
+    "Tracer.capacity": "tests shrink the ring to exercise eviction",
+    "TransactionTable.buckets": "tests shrink the table to force collisions",
+    "StreamFramer.max_message_bytes": "tests exercise the oversize guard",
+    "ResultCache.directory": "tests cache into a temporary directory",
+    "ProxyConfig.udp_rcvbuf_datagrams": "tests shrink the receive buffer "
+                                        "to force drops",
+    "capacity_spec(*)": "tests shorten the spec builder's windows",
+    "overload_spec(*)": "tests shorten the spec builder's windows",
+    "render_comparison(clients)": "tests render a subset of the grid",
+    "render_waterfall(width)": "tests pin a narrow waterfall",
+    "percentiles(points)": "tests ask for a single percentile",
+    "Fork.name": "the scheduler timeline digest forks named children",
+    "Exit.value": "the scheduler timeline digest exits with values",
+    # -- reached in ways the audit cannot see ----------------------------
+    "FaultInjector.arm(t0_us)": "the manager passes it through "
+                                "on_measure_start",
+    "Poller._on_data(value)": "signal listener: Signal.fire passes the "
+                              "value",
+    # -- definitions kept on purpose (ROADMAP item 6) --------------------
+    "Engine.step": "steps the engine one event at a time (run_until_done)",
+    "PortAllocator.in_time_wait": "tests observe TIME_WAIT occupancy",
+    "Fabric.partitioned": "tests observe the injector's partitions",
+    "Profiler.reset": "tests rewind a profiler (delta's stale-snapshot "
+                      "guard)",
+    "SipMessage.content_length": "tests observe parsed messages",
+    "SipMessage.vias": "tests observe parsed messages",
+    "SipMessage.wire_size": "tests observe parsed messages",
+    "StreamFramer.buffered_bytes": "tests observe the framer's partial "
+                                   "buffer",
+    "Tracer.spans": "tests read recorded spans",
+    "Tracer.spans(name)": "tests filter recorded spans by name",
+    "validate_chrome_trace": "CI's trace-validation steps call it",
+}
+
+
+def unexplained(flagged, allowed):
+    """The flagged entries no allowlist key covers."""
+    return sorted(entry for entry in flagged
+                  if not any(fnmatch.fnmatchcase(entry, key)
+                             for key in allowed))
+
+
+def stale(flagged, allowed):
+    """The allowlist keys that cover no flagged entry."""
+    return sorted(key for key in allowed
+                  if not any(fnmatch.fnmatchcase(entry, key)
+                             for entry in flagged))
+
+
+@pytest.fixture(scope="module")
+def flagged():
+    return audit.findings(audit.load_modules(ROOT))
+
+
+def test_every_option_has_a_caller(flagged):
+    missing = unexplained(flagged, ALLOWED)
+    assert not missing, (
+        "no caller outside tests/ sets or reaches:\n"
+        + "\n".join(f"  {entry} ({flagged[entry]})" for entry in missing)
+        + "\nGive each a caller, make it a constant where it is used, or "
+          "add it to ALLOWED in tests/test_config_surface.py with a "
+          "one-line reason.")
+
+
+def test_allowlist_is_not_stale(flagged):
+    gone = stale(flagged, ALLOWED)
+    assert not gone, (
+        "the audit no longer reports these ALLOWED entries; delete them: "
+        + ", ".join(gone))
+
+
+def test_every_allowlist_entry_has_a_reason():
+    for key, reason in ALLOWED.items():
+        assert reason.strip() and "\n" not in reason, key
+
+
+def test_the_audit_sees_through_a_forwarding_wrapper():
+    files = {
+        ("src/repro/knobs.py", "src"):
+            "class Knobs:\n"
+            "    def __init__(self, never=1, forwarded=2, allowed=3):\n"
+            "        pass\n",
+        ("benchmarks/build.py", "benchmarks"):
+            "from repro.knobs import Knobs\n"
+            "def build(scale=1, **kwargs):\n"
+            "    return Knobs(**kwargs)\n"
+            "build(scale=2, forwarded=5)\n",
+    }
+    modules = [(rel, area, ast.parse(text))
+               for (rel, area), text in files.items()]
+    found = audit.findings(modules)
+    assert found == {"Knobs.never": "NEVER", "Knobs.allowed": "NEVER"}
+    allowed = {"Knobs.allowed": "reason", "Knobs.forwarded": "reason"}
+    assert unexplained(found, allowed) == ["Knobs.never"]
+    assert stale(found, allowed) == ["Knobs.forwarded"]
+
+
+# ----------------------------------------------------------------------
+# no field without a reader
+# ----------------------------------------------------------------------
 def _trees():
     return [ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))]
 

@@ -15,7 +15,8 @@ import json
 
 import pytest
 
-from repro.analysis import ExperimentSpec, ResultCache, run_cells, spec_key
+from repro.analysis import (ExperimentSpec, ResultCache, default_jobs,
+                            run_cells, spec_key)
 from repro.analysis.cache import SCHEMA_VERSION, spec_payload
 from repro.clients.workload import BenchmarkResult
 
@@ -67,6 +68,18 @@ class TestRunner:
         assert outcomes[0].elapsed_s > 0
 
 
+class TestJobs:
+    def test_repro_jobs_sets_the_worker_count(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert default_jobs() == 3
+
+    @pytest.mark.parametrize("value", ["many", "0"])
+    def test_bad_repro_jobs_rejected(self, value, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", value)
+        with pytest.raises(ValueError, match=f"REPRO_JOBS='{value}'"):
+            default_jobs()
+
+
 class TestCacheHits:
     def test_cache_hit_skips_reexecution(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -111,8 +124,7 @@ class TestSpecKeys:
         base = spec_key(ExperimentSpec())
         assert spec_key(ExperimentSpec(seed=2)) != base
         assert spec_key(ExperimentSpec(fd_cache=True)) != base
-        assert spec_key(ExperimentSpec(config_overrides={"port": 5080})) \
-            != base
+        assert spec_key(ExperimentSpec(fault_plan={"events": []})) != base
 
     def test_key_covers_repro_scale(self, monkeypatch):
         spec = ExperimentSpec()
@@ -124,7 +136,7 @@ class TestSpecKeys:
         assert spec_payload(ExperimentSpec())["schema"] == SCHEMA_VERSION
 
     def test_unserializable_spec_is_uncacheable(self):
-        spec = ExperimentSpec(config_overrides={"hook": object()})
+        spec = ExperimentSpec(fault_plan={"events": [object()]})
         assert spec_key(spec) is None
         assert ResultCache().get(None) is None  # uncacheable → always miss
 
