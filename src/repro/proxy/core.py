@@ -7,6 +7,7 @@ every step charges calibrated CPU on the simulated cores; the transport
 architectures wrap it with their own receive/transmit machinery.
 """
 
+from sys import intern
 from typing import Dict, List, Optional
 
 from repro.proxy.routing import SendAction, ToBinding, ToSource, ToVia
@@ -67,9 +68,9 @@ class ProxyCore:
             return (yield from self._process(text, source, who))
         try:
             actions = yield from self._process(text, source, who, span)
+            span.set(actions=len(actions))  # before end() commits the row
         finally:
             probe.end(span)
-        span.set(actions=len(actions))
         return actions
 
     def _lane(self, who: str) -> str:
@@ -105,9 +106,12 @@ class ProxyCore:
             return []
         if parse_span is not None:
             self.probe.end(parse_span)
-            span.set(call_id=message.call_id,
-                     kind=(message.method if message.is_request
-                           else f"{message.status}"))
+            # Recorded rows share one string per Call-ID, method and status
+            # (a message may lack a Call-ID: the request check comes later).
+            call_id = message.call_id
+            span.set(call_id=intern(call_id) if call_id else call_id,
+                     kind=intern(message.method if message.is_request
+                                 else f"{message.status}"))
         if message.is_request:
             return (yield from self._process_request(message, source, who))
         return (yield from self._process_response(message, source, who))
@@ -201,7 +205,7 @@ class ProxyCore:
         probe = self.probe
         match_span = (probe.begin("txn_match", cat="proxy",
                                   who=self._lane(who),
-                                  method=request.method)
+                                  method=intern(request.method))
                       if probe is not None else None)
         txn = yield from self.txn_table.lookup_upstream(upstream_key, who)
         if match_span is not None:

@@ -27,6 +27,7 @@ from repro.net.fabric import Fabric
 from repro.net.tcp import TcpListener, connect
 from repro.sim.engine import Engine
 from repro.obs.causal import Segment
+from repro.obs.tracer import Span
 from repro.sip.message import SipMessage
 from repro.sip.transaction import ServerTransaction
 
@@ -197,34 +198,68 @@ def test_finished_transactions_keep_text_not_messages(monkeypatch):
 #: bytes the causal tracer may hold per recorded segment (DESIGN.md §3b):
 #: ≈50 in its columns, ≈120 when every row was a ``Segment`` object
 MAX_CAUSAL_BYTES_PER_SEGMENT = 64
+#: bytes the span tracer may hold per recorded event (DESIGN.md §3b):
+#: ≈111 in its columns and values tuples on the cell below; when every
+#: event was a ``Span`` this file held ≈88, and each Span also kept the
+#: attrs dict its call site built (≈184 more)
+MAX_TRACER_BYTES_PER_SPAN = 140
 
 
-def test_causal_tracer_keeps_columns_not_segments(monkeypatch):
-    """Until journeys are built, the causal tracer's rows live in its
-    columns: no ``Segment`` object exists, and what ``obs/causal.py``
-    allocated stays within a bounded number of bytes per segment."""
+@pytest.fixture(scope="module")
+def observed_before_journeys():
+    """An observed small cell, measured when ``run_cell`` is about to
+    build journeys: the result, and what is alive then — ``Segment``s,
+    ``Span``s, bytes ``obs/causal.py`` and ``obs/tracer.py`` hold."""
     seen = {}
     build_journeys = repro.obs.build_journeys
 
+    def held(filename):
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, f"*/repro/obs/{filename}")])
+        return sum(stat.size for stat in snapshot.statistics("filename"))
+
     def measured(causal, window=None):
-        seen["segments"] = sum(1 for obj in gc.get_objects()
-                               if type(obj) is Segment)
-        held = tracemalloc.take_snapshot().filter_traces(
-            [tracemalloc.Filter(True, "*/repro/obs/causal.py")])
-        seen["bytes"] = sum(stat.size for stat in held.statistics("filename"))
+        live = collections.Counter(type(obj) for obj in gc.get_objects())
+        seen.update(segments=live[Segment], causal_bytes=held("causal.py"),
+                    spans=live[Span], tracer_bytes=held("tracer.py"))
         return build_journeys(causal, window)
 
-    monkeypatch.setattr(repro.obs, "build_journeys", measured)
-    tracemalloc.start()
-    try:
-        result = run_cell(dataclasses.replace(
-            small_cell("tcp-persistent", **OBSERVED), measure_us=50_000.0))
-    finally:
-        tracemalloc.stop()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(repro.obs, "build_journeys", measured)
+        tracemalloc.start()
+        try:
+            result = run_cell(dataclasses.replace(
+                small_cell("tcp-persistent", **OBSERVED),
+                measure_us=50_000.0))
+        finally:
+            tracemalloc.stop()
     assert result.attribution["journeys"] > 0
+    return result, seen
+
+
+def test_causal_tracer_keeps_columns_not_segments(observed_before_journeys):
+    """Until journeys are built, the causal tracer's rows live in its
+    columns: no ``Segment`` object exists, and what ``obs/causal.py``
+    allocated stays within a bounded number of bytes per segment."""
+    result, seen = observed_before_journeys
     assert seen["segments"] == 0
-    per_segment = seen["bytes"] / result.causal.emitted
+    per_segment = seen["causal_bytes"] / result.causal.emitted
     assert per_segment <= MAX_CAUSAL_BYTES_PER_SEGMENT, per_segment
+
+
+def test_span_tracer_keeps_columns_not_spans(observed_before_journeys):
+    """Only open spans need to be ``Span`` objects: ``end()`` commits a
+    span to the tracer's columns and the tracer keeps no object, and what
+    ``obs/tracer.py`` allocated stays within a bounded number of bytes
+    per recorded event."""
+    result, seen = observed_before_journeys
+    # What is still alive is what the server's suspended processes hold
+    # in their frames (a span open at the window's end, or the last one a
+    # loop ended): a few per process, not one per recorded event.
+    processes = len(result.testbed.server.scheduler.processes)
+    assert seen["spans"] <= 4 * processes, seen
+    per_span = seen["tracer_bytes"] / result.tracer.emitted
+    assert per_span <= MAX_TRACER_BYTES_PER_SPAN, (per_span, seen)
 
 
 #: wake-up sources and completion events a lingering connection may cost

@@ -1,5 +1,6 @@
 """Tests for the tracing + time-series metrics subsystem (repro.obs)."""
 
+import hashlib
 import json
 import math
 
@@ -118,6 +119,44 @@ class TestChromeTrace:
         bad.write_text(json.dumps({"traceEvents": [{"ph": "X"}]}))
         with pytest.raises(ValueError):
             validate_chrome_trace(bad)
+
+
+# ---------------------------------------------------------------------------
+# A small traced cell: what the proxy records and how it exports
+# ---------------------------------------------------------------------------
+#: sha256 of the Chrome trace of :func:`traced_cell`, pinned from the
+#: tracer that kept one ``Span`` object per event: the column store must
+#: export the same bytes
+TRACED_CELL_CHROME_SHA256 = (
+    "7854c7d5133da39cd371bf300a20b818113a418fec677106b448dafbdf43e340")
+
+
+@pytest.fixture(scope="module")
+def traced_cell():
+    """A golden small ``tcp-persistent`` cell, span tracer on, short
+    window (≈13 k events)."""
+    return run_cell(ExperimentSpec(
+        series="tcp-persistent", clients=8, workers=4, seed=1,
+        warmup_us=30_000.0, measure_us=20_000.0, idle_timeout_us=60_000.0,
+        scale_windows=False, trace=True))
+
+
+class TestTracedSmallCell:
+    def test_every_process_msg_span_carries_actions(self, traced_cell):
+        """``actions`` is set before ``end()`` commits the span, so it
+        reaches the recorded row."""
+        spans = list(traced_cell.tracer.spans("process_msg"))
+        assert spans
+        assert all("actions" in span.attrs for span in spans)
+
+    def test_chrome_export_is_unchanged(self, traced_cell, tmp_path):
+        path = tmp_path / "trace.json"
+        tracer = traced_cell.tracer
+        count = write_chrome_trace(path, tracer,
+                                   extra={"series": "tcp-persistent"})
+        assert count == tracer.emitted and tracer.dropped == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == TRACED_CELL_CHROME_SHA256
 
 
 # ---------------------------------------------------------------------------

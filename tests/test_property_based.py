@@ -3,6 +3,7 @@ protocol invariants."""
 
 import collections
 import string
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from repro.kernel.ipc import IpcChannel, IpcMessage
 from repro.kernel.poller import Poller, TickSource
 from repro.kernel.sockets import PortAllocator, PortExhaustedError, StreamBuffer
 from repro.obs.causal import CausalTracer
+from repro.obs.tracer import Tracer
 from repro.sim.engine import Engine
 from repro.sip.headers import Address, CSeq, Via
 from repro.sip.message import COMPACT_FORMS, SipRequest, SipResponse
@@ -399,6 +401,80 @@ class TestCausalRingProperties:
         assert causal.tids() == list(dict.fromkeys(row[0] for row in model))
         assert [(s.tid, s.kind, s.who, s.start_us, s.end_us, s.detail)
                 for s in causal.segments] == list(model)
+
+
+# ---------------------------------------------------------------------------
+# span tracer ring store
+# ---------------------------------------------------------------------------
+span_attrs = st.dictionaries(st.sampled_from(["conn", "gone", "kind"]),
+                             st.sampled_from([0, 7, True, "INVITE"]),
+                             max_size=3)
+tracer_op = st.one_of(
+    st.tuples(st.just("begin"), st.sampled_from(["process_msg", "sweep"]),
+              st.sampled_from(["server/w0", "timer"]), span_attrs),
+    st.tuples(st.just("set"), st.integers(min_value=0, max_value=3),
+              span_attrs),
+    st.tuples(st.just("end"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("instant"), st.sampled_from(["switch", "sweep"]),
+              st.sampled_from(["server/w0", "timer"]), span_attrs),
+    st.tuples(st.just("tick"), st.integers(min_value=1, max_value=5)),
+    st.tuples(st.just("clear")))
+
+
+class TestTracerRingProperties:
+    @staticmethod
+    def assert_matches(tracer, model, recorded):
+        assert len(tracer) == len(model)
+        assert tracer.emitted == recorded
+        assert tracer.dropped == recorded - len(model)
+        rows = [(s.name, s.cat, s.who, s.start_us, s.end_us, s.attrs)
+                for s in tracer.events()]
+        assert rows == list(model)
+        for name in ("process_msg", "sweep", None):
+            assert [(s.name, s.cat, s.who, s.start_us, s.end_us, s.attrs)
+                    for s in tracer.spans(name)] == \
+                [row for row in model if name is None or row[0] == name]
+
+    @given(st.integers(min_value=1, max_value=8),
+           st.lists(tracer_op, max_size=50))
+    def test_matches_a_bounded_deque(self, capacity, ops):
+        """The newest ``capacity`` committed events survive, oldest first,
+        with the attributes their span had when it ended; open spans and
+        attributes set after ``end()`` are not recorded."""
+        clock = SimpleNamespace(now=0.0)
+        tracer = Tracer(clock, capacity=capacity)
+        model = collections.deque(maxlen=capacity)
+        recorded = 0
+        open_spans = []
+        for op, *args in ops:
+            if op == "begin":
+                name, who, attrs = args
+                open_spans.append(tracer.begin(name, cat="proxy", who=who,
+                                               **attrs))
+            elif op == "set" and open_spans:
+                index, attrs = args
+                open_spans[index % len(open_spans)].set(**attrs)
+            elif op == "end" and open_spans:
+                span = open_spans.pop(args[0] % len(open_spans))
+                tracer.end(span)
+                model.append((span.name, "proxy", span.who, span.start_us,
+                              clock.now,
+                              dict(span.attrs) if span.attrs else None))
+                recorded += 1
+                span.set(late=True)  # committed: must not reach the row
+            elif op == "instant":
+                name, who, attrs = args
+                tracer.instant(name, cat="kernel", who=who, **attrs)
+                model.append((name, "kernel", who, clock.now, clock.now,
+                              dict(attrs) or None))
+                recorded += 1
+            elif op == "tick":
+                clock.now += args[0]
+            elif op == "clear":
+                tracer.clear()
+                model.clear()
+                recorded = 0
+            self.assert_matches(tracer, model, recorded)
 
 
 # ---------------------------------------------------------------------------
