@@ -20,7 +20,12 @@ from typing import Dict, Optional
 
 from repro.kernel.sockets import PortExhaustedError
 from repro.net.sctp import SctpEndpoint
-from repro.net.tcp import TcpError, TcpListener, connect as tcp_connect
+from repro.net.tcp import (
+    RCVBUF_BYTES,
+    TcpError,
+    TcpListener,
+    connect as tcp_connect,
+)
 from repro.net.udp import UdpEndpoint
 from repro.sim.events import Event, Signal
 from repro.sim.primitives import Sleep, Wait
@@ -209,29 +214,12 @@ class Phone:
             return
         self.conn = conn
         self._ops_on_conn = 0
-        self._track(self.machine.spawn_light(self._conn_reader(conn),
-                                             f"{self.user}-rdr"))
+        self._read_conn(conn)
 
-    def _track(self, proc) -> None:
-        """Start a reader and keep it for :meth:`stop`, forgetting the
-        finished ones (every reconnect leaves a dead reader behind)."""
-        self.processes = [p for p in self.processes if p.alive]
-        self.processes.append(proc.start())
-
-    def _conn_reader(self, conn):
-        framer = StreamFramer()
-        while True:
-            data = yield from conn.recv(65536)
-            if data == "":
-                self._on_conn_dead(conn)
-                return
-            try:
-                texts = framer.feed(data)
-            except SipParseError:
-                self._on_conn_dead(conn)
-                return
-            for text in texts:
-                self._dispatch(text)
+    def _read_conn(self, conn) -> None:
+        """Read ``conn`` until EOF.  The first read is a zero-delay event,
+        as a reader process's first step was."""
+        self.engine.schedule(0.0, _ConnReader(self, conn))
 
     def _on_conn_dead(self, conn) -> None:
         """The server closed a connection under us: fail anything waiting
@@ -247,8 +235,7 @@ class Phone:
         """Accept proxy-initiated connections and read them too."""
         while True:
             conn = yield from self.listener.accept()
-            self._track(self.machine.spawn_light(self._conn_reader(conn),
-                                                 f"{self.user}-in-rdr"))
+            self._read_conn(conn)
 
     def _udp_recv_loop(self):
         while True:
@@ -470,3 +457,43 @@ class Phone:
     def __repr__(self) -> str:
         return (f"<Phone {self.user} {self.role}/{self.transport} "
                 f"ops={self.ops_completed or self.handled_ops}>")
+
+
+class _ConnReader:
+    """A phone's reader for one TCP connection, run from readiness
+    callbacks instead of a parked process.
+
+    Each call drains the receive buffer, frames it and dispatches the
+    messages; an empty buffer subscribes the reader to the connection's
+    readable signal once, where a reader process would have waited.  EOF
+    or a framing error reports the connection dead and ends the reading.
+    Thousands of connections a phone has abandoned stay open under churn
+    (§4.3), so what each keeps is this object and its framer.
+    """
+
+    __slots__ = ("phone", "conn", "framer")
+
+    def __init__(self, phone: Phone, conn) -> None:
+        self.phone = phone
+        self.conn = conn
+        self.framer = StreamFramer()
+
+    def __call__(self, __=None) -> None:
+        phone = self.phone
+        if not phone.running:
+            return  # a stopped phone reads nothing more
+        conn = self.conn
+        while True:
+            data = conn.try_recv(RCVBUF_BYTES)
+            if data is None:
+                conn.readable_signal.subscribe(self)
+                return
+            if data == "":
+                break
+            try:
+                texts = self.framer.feed(data)
+            except SipParseError:
+                break
+            for text in texts:
+                phone._dispatch(text)
+        phone._on_conn_dead(conn)

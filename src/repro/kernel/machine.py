@@ -45,7 +45,6 @@ class Machine:
         #: per-transport demux tables, managed by the net layer
         self.udp_binds = {}
         self.tcp_listeners = {}
-        self.tcp_connections = set()
         self.sctp_binds = {}
 
     # ------------------------------------------------------------------

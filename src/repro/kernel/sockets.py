@@ -81,7 +81,10 @@ class StreamBuffer:
         #: 760 B, and most of a churn cell's buffers are empty)
         self._chunks: List[str] = []
         self._size = 0
-        self.readable_signal = Signal(engine, name=f"{name}{_READABLE}")
+        #: interned: buffers of one kind (every TCP receive buffer) share
+        #: their signal's name instead of formatting one each
+        self.readable_signal = Signal(engine,
+                                      name=sys.intern(name + _READABLE))
         #: built by the first flow-controlled sender (:attr:`writable_signal`)
         self._writable_signal: Optional[Signal] = None
         self.eof = False
@@ -94,9 +97,8 @@ class StreamBuffer:
     @property
     def name(self) -> str:
         """Built on demand from the readable signal's name, so a buffer
-        holds one formatted string instead of two.  Interned: every
-        causal ``sockq`` segment of a connection shares one string."""
-        return sys.intern(self.readable_signal.name[:-len(_READABLE)])
+        holds no string of its own."""
+        return self.readable_signal.name[:-len(_READABLE)]
 
     @property
     def writable_signal(self) -> Signal:

@@ -19,6 +19,7 @@ processing live in the proxy cost model.
 
 import collections
 import enum
+import sys
 from typing import Optional
 
 from repro.kernel.sockets import StreamBuffer
@@ -31,6 +32,9 @@ HEADER_OVERHEAD = 66
 MSS = 1448
 #: per-connection receive buffer (the Linux default rmem of the era)
 RCVBUF_BYTES = 65536
+#: what every connection's receive buffer and readable signal are called;
+#: the connection's own :attr:`TcpConn.name` is built on first use
+_RECV_BUFFER_NAME = "tcp.rcvbuf"
 
 
 class TcpError(OSError):
@@ -114,7 +118,7 @@ class TcpConn:
         self.state = TcpState.SYN_SENT if initiated else TcpState.ESTABLISHED
         self.recv_buffer = StreamBuffer(
             machine.engine, capacity_bytes=RCVBUF_BYTES,
-            name=f"{machine.name}:{local_port}->{remote_addr}:{remote_port}")
+            name=_RECV_BUFFER_NAME)
         self.peer: Optional["TcpConn"] = None
         #: fired by the handshake's outcome; the accepting side is born
         #: ESTABLISHED, so only the initiator has one
@@ -135,7 +139,14 @@ class TcpConn:
         #: arrival time) for messages fully landed in our receive buffer
         self._causal_marks = None
         self._sockq_marks = None
-        machine.tcp_connections.add(self)
+
+    @property
+    def name(self) -> str:
+        """``host:port->host:port``, formatted on demand: most
+        connections are never named.  Interned, so every causal ``sockq``
+        segment of a connection shares one string."""
+        return sys.intern(f"{self.machine.name}:{self.local_port}->"
+                          f"{self.remote_addr}:{self.remote_port}")
 
     # -- poller source protocol ----------------------------------------
     def readable(self) -> bool:
@@ -222,11 +233,12 @@ class TcpConn:
                 peer._sockq_marks.append((offset, tid, now))
 
     # -- receiving ----------------------------------------------------------
-    def recv(self, max_bytes: int = 1 << 20):
-        """Generator: block until bytes (or EOF); returns '' at EOF."""
+    def recv(self):
+        """Generator: block until bytes (or EOF), then return everything
+        buffered; returns '' at EOF."""
         while not self.recv_buffer.readable():
             yield Wait(self.recv_buffer.readable_signal)
-        return self.try_recv(max_bytes)
+        return self.try_recv()
 
     def try_recv(self, max_bytes: int = 1 << 20) -> Optional[str]:
         """Non-blocking read: None when nothing available, '' at EOF."""
@@ -245,7 +257,7 @@ class TcpConn:
         now = self.engine.now
         while marks and marks[0][0] <= consumed:
             __, tid, arrived_at = marks.popleft()
-            note(tid, "sockq", self.recv_buffer.name, arrived_at, now)
+            note(tid, "sockq", self.name, arrived_at, now)
 
     # -- teardown ----------------------------------------------------------
     def close(self) -> None:
@@ -268,6 +280,13 @@ class TcpConn:
         if self.received_fin:
             return
         self.received_fin = True
+        # The peer sent its last segment before this FIN and the fabric
+        # delivers in order, so it needs its link to us no more.  Dropping
+        # that link leaves no cycle between the two ends: a pair both
+        # applications let go of (a phone's abandoned connection the proxy
+        # closed) dies by reference count (DESIGN.md §3c).
+        if self.peer is not None:
+            self.peer.peer = None
         self.recv_buffer.push_eof()
         if self.sent_fin:
             self.state = TcpState.CLOSED
@@ -284,7 +303,6 @@ class TcpConn:
             return
         self.finalized = True
         self.state = TcpState.CLOSED
-        self.machine.tcp_connections.discard(self)
         if self.initiated:
             # Ephemeral port: active closers hold it in TIME_WAIT.
             self.machine.tcp_ports.release(self.local_port,
@@ -294,7 +312,6 @@ class TcpConn:
         self.error = error
         self.state = TcpState.CLOSED
         self.finalized = True
-        self.machine.tcp_connections.discard(self)
         if self.initiated:
             self.machine.tcp_ports.release(self.local_port, time_wait=False)
         self.connected.fire(False)

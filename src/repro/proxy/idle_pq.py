@@ -17,7 +17,7 @@ negligible effect" on the workloads with little connection churn (§5.3).
 """
 
 import heapq
-from typing import List, Tuple
+from typing import List, Mapping, Tuple
 
 from repro.kernel.locks import SpinLock
 from repro.proxy.conn_table import ConnRecord, ConnTable
@@ -146,22 +146,27 @@ class PqIdleStrategy:
         finally:
             self.lock.release()
 
-    def worker_pass(self, owned: List[ConnRecord], now: float, who: str,
+    def worker_pass(self, owned: Mapping, now: float, who: str,
                     stats=None, worker_index: int = 0):
-        """Generator: pop expired entries from this worker's local queue."""
+        """Generator: pop expired entries from this worker's local queue.
+
+        ``owned`` is the worker's map of connection to ``WorkerConn``; it
+        is consulted only for entries that expired.
+        """
         heap = self.worker_heaps[worker_index]
         if not heap.entries or heap.entries[0][0] > now:
             return []  # O(1) peek: nothing can have expired
-        owned_set = set(id(record) for record in owned)
         expired: List[ConnRecord] = []
         seen = set()
         ops = 0
         while heap.entries and heap.entries[0][0] <= now:
             __, __, record = heapq.heappop(heap.entries)
             ops += 1
-            if record.closed or record.released or \
-                    id(record) not in owned_set or id(record) in seen:
+            if record.closed or record.released or id(record) in seen:
                 continue
+            wc = owned.get(record.conn)
+            if wc is None or wc.record is not record:
+                continue  # not (or no longer) this worker's
             seen.add(id(record))
             deadline = record.last_activity + self.timeout_us
             if deadline > now:

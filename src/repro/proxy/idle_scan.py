@@ -9,7 +9,7 @@ churn workload, the population of lingering connections makes this sweep
 in the kernel profile.
 """
 
-from typing import List
+from typing import List, Mapping
 
 from repro.proxy.conn_table import ConnRecord, ConnTable
 from repro.sim.primitives import Compute
@@ -85,22 +85,30 @@ class ScanIdleStrategy:
         finally:
             table.lock.release()
 
-    def worker_pass(self, owned: List[ConnRecord], now: float, who: str,
+    def worker_pass(self, owned: Mapping, now: float, who: str,
                     stats=None, worker_index: int = 0):
         """Generator: a worker sweeps the connections it owns; returns the
-        idle ones it should close and return to the supervisor."""
+        idle ones it should close and return to the supervisor.
+
+        ``owned`` is the worker's own map of connection to ``WorkerConn``;
+        only the worker changes it, so it holds still across the charge.
+        """
+        examined = len(owned)
         span = (self.probe.begin("idle_sweep", cat="proxy", who=who,
                                  strategy=self.name)
-                if self.probe is not None and owned else None)
-        if owned:
-            yield Compute(self.costs.idle_scan_entry_us * len(owned),
+                if self.probe is not None and examined else None)
+        if examined:
+            yield Compute(self.costs.idle_scan_entry_us * examined,
                           "tcp_receive_timeout")
         if stats is not None:
-            stats.idle_scan_entries_examined += len(owned)
-        expired = [record for record in owned
-                   if not record.closed and not record.released
-                   and now - record.last_activity >= self.timeout_us]
+            stats.idle_scan_entries_examined += examined
+        expired = []
+        for wc in owned.values():
+            record = wc.record
+            if not record.closed and not record.released \
+                    and now - record.last_activity >= self.timeout_us:
+                expired.append(record)
         if span is not None:
-            self.probe.end(span.set(examined=len(owned),
+            self.probe.end(span.set(examined=examined,
                                     expired=len(expired)))
         return expired

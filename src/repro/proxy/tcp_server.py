@@ -372,9 +372,8 @@ class TcpProxyServer(ConnectionProxyServer):
 
     # -- idle management ------------------------------------------------
     def _worker_idle_pass(self, ctx: WorkerCtx):
-        records = [wc.record for wc in ctx.conns.values()]
         expired = yield from self.idle.worker_pass(
-            records, self.engine.now, ctx.who, self.stats,
+            ctx.conns, self.engine.now, ctx.who, self.stats,
             worker_index=ctx.index)
         for record in expired:
             yield from self._drop_conn(ctx, record)

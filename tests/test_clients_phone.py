@@ -8,7 +8,7 @@ from repro.net.udp import UdpEndpoint
 from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.sip.builder import MessageBuilder
-from repro.sip.parser import parse_message
+from repro.sip.parser import StreamFramer, parse_message
 from repro.sip.transaction import TransactionTimers
 
 from conftest import make_lan
@@ -218,3 +218,112 @@ def test_port_exhaustion_counts_as_registration_failure(engine):
     assert machines["client1"].tcp_ports.exhaustions > 0
     assert phone.registration_failures > 0
     assert not phone.registered
+
+
+class TcpRegistrar:
+    """A minimal TCP 'proxy': it answers REGISTER on every connection it
+    accepts and keeps those connections, oldest first."""
+
+    def __init__(self, machine, port=5060):
+        self.machine = machine
+        self.listener = TcpListener(machine, port)
+        self.conns = []
+        machine.spawn_light(self._accept_loop(), "registrar").start()
+
+    def _accept_loop(self):
+        while True:
+            conn = yield from self.listener.accept()
+            self.conns.append(conn)
+            self.machine.spawn_light(self._serve(conn), "serve").start()
+
+    def _serve(self, conn):
+        framer = StreamFramer()
+        while True:
+            data = yield from conn.recv()
+            if not data:
+                return
+            for text in framer.feed(data):
+                msg = parse_message(text)
+                if msg.is_request and msg.method == "REGISTER":
+                    conn.try_send(ScriptedProxy._response(msg, 200))
+
+
+def registered_tcp_phone(engine):
+    """A TCP callee registered over its first connection."""
+    __, machines = make_lan(engine, ["server", "client1"])
+    registrar = TcpRegistrar(machines["server"])
+    phone = Phone(machines["client1"], "bob", "example.com", 30000, "tcp",
+                  "server", 5060, rng=__import__("random").Random(2),
+                  role="callee", timers=TransactionTimers()).start()
+    engine.run(until=100_000.0)
+    assert phone.registered and len(registrar.conns) == 1
+    assert phone.conn.peer is registrar.conns[0]
+    return registrar, phone
+
+
+def an_invite():
+    return MessageBuilder("alice", "example.com", "client2", 20000, "tcp",
+                          __import__("random").Random(1)).invite(
+        "bob").render()
+
+
+def test_stopped_phone_reads_nothing_more(engine):
+    """Once stopped, a phone dispatches nothing that later arrives on its
+    connections."""
+    registrar, phone = registered_tcp_phone(engine)
+    seen = []
+    phone._dispatch = seen.append
+    registrar.conns[0].try_send(an_invite())
+    engine.run(until=engine.now + 10_000.0)
+    assert len(seen) == 1  # the phone was reading until now
+    phone.stop()
+    registrar.conns[0].try_send(an_invite())
+    registrar.conns[0].close()
+    engine.run(until=engine.now + 1_000_000.0)
+    assert len(seen) == 1
+    assert len(registrar.conns) == 1  # no reconnect after the EOF either
+
+
+def test_eof_on_current_connection_reconnects_once(engine):
+    registrar, phone = registered_tcp_phone(engine)
+    registrar.conns[0].close()
+    engine.run(until=engine.now + 1_000_000.0)
+    assert len(registrar.conns) == 2
+    assert phone.conn.peer is registrar.conns[1]
+    assert phone.registered and not phone._reconnect_wanted
+
+
+def test_eof_on_abandoned_connection_changes_nothing(engine):
+    """The proxy reaping a connection the phone rotated away from (§4.3's
+    abandoned connections) is not a reason to reconnect."""
+    registrar, phone = registered_tcp_phone(engine)
+    phone._reconnect_wanted = True  # what ops_per_conn rotation does
+    phone._reconnect_signal.fire()
+    engine.run(until=engine.now + 100_000.0)
+    assert len(registrar.conns) == 2
+
+    def state():
+        return (phone.conn, phone._reconnect_wanted, phone.registered,
+                phone.registration_failures, dict(phone._client_txns),
+                phone.handled_ops)
+
+    before = state()
+    registrar.conns[0].close()
+    engine.run(until=engine.now + 1_000_000.0)
+    assert state() == before
+    assert len(registrar.conns) == 2
+
+
+def test_framing_error_acts_like_eof(engine):
+    """Bytes the framer rejects end the reading of that connection, and
+    the phone reconnects as it does after an EOF."""
+    registrar, phone = registered_tcp_phone(engine)
+    first = phone.conn
+    registrar.conns[0].try_send("X\r\nContent-Length: nope\r\n\r\n")
+    engine.run(until=engine.now + 1_000_000.0)
+    assert len(registrar.conns) == 2
+    assert phone.conn.peer is registrar.conns[1]
+    assert phone.registered
+    # still open, but nothing waits to read it any more
+    assert first.open_for_send
+    assert not first.readable_signal._callbacks

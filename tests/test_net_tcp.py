@@ -1,14 +1,17 @@
 """Unit tests for the TCP transport."""
 
+import gc
+
 import pytest
 
 from repro.sim.engine import Engine
 from repro.sim.process import SimProcess
 from repro.kernel.sockets import PortExhaustedError
-from repro.sim.primitives import Sleep
+from repro.sim.primitives import Sleep, Wait
 from repro.net.tcp import (
     ConnectionRefusedError_,
     ConnectionResetError_,
+    TcpConn,
     TcpListener,
     TcpState,
     connect,
@@ -147,7 +150,7 @@ def test_flow_control_blocks_sender(engine):
         yield Sleep(10_000.0)
         drained = 0
         while drained < 90000:
-            data = yield from conn.recv(65536)
+            data = yield from conn.recv()
             drained += len(data)
 
     procs = [machines["client"].spawn_light(client(), "c").start(),
@@ -207,7 +210,11 @@ def test_flow_controlled_send_ships_each_byte_once(engine):
         yield Sleep(10_000.0)
         data = ""
         while len(data) < 90000:
-            data += yield from conn.recv(10000)  # many small drains
+            chunk = conn.try_recv(10000)  # many small drains
+            if chunk is None:
+                yield Wait(conn.readable_signal)
+            else:
+                data += chunk
         state["data"] = data
 
     procs = [machines["client"].spawn_light(client(), "c").start(),
@@ -279,7 +286,7 @@ def test_acceptors_woken_together_each_get_one_connection(engine):
     assert listener.accepted == 2
 
 
-def test_recv_returns_at_most_max_bytes(engine):
+def test_try_recv_returns_at_most_max_bytes(engine):
     __, machines = lan(engine)
     listener = TcpListener(machines["server"], 5060)
     got = []
@@ -290,8 +297,10 @@ def test_recv_returns_at_most_max_bytes(engine):
 
     def server():
         conn = yield from listener.accept()
-        got.append((yield from conn.recv(4)))
-        got.append((yield from conn.recv(4)))
+        while not conn.readable():
+            yield Wait(conn.readable_signal)
+        got.append(conn.try_recv(4))
+        got.append(conn.try_recv(4))
         got.append(conn.try_recv())
 
     procs = [machines["client"].spawn_light(client(), "c").start(),
@@ -322,6 +331,41 @@ def test_close_delivers_eof(engine):
              machines["server"].spawn_light(server(), "s").start()]
     run_until_done(engine, procs)
     assert got == ["bye", ""]
+
+
+def test_half_closed_pair_dies_by_reference_count(engine):
+    """After the FIN has arrived, the two ends of a connection no longer
+    refer to each other in a ring: once both applications let go (a
+    phone's abandoned connection the proxy closed), reference counting
+    frees the pair, with the cyclic collector paused as during a cell."""
+    __, machines = lan(engine)
+    listener = TcpListener(machines["server"], 5060)
+    conns = {}
+
+    def client():
+        conns["client"] = yield from connect(machines["client"], "server",
+                                             5060)
+
+    def server():
+        conns["server"] = yield from listener.accept()
+
+    procs = [machines["client"].spawn_light(client(), "c").start(),
+             machines["server"].spawn_light(server(), "s").start()]
+    run_until_done(engine, procs)
+    conns["server"].close()
+    engine.run()
+    assert conns["client"].state is TcpState.CLOSE_WAIT
+    assert conns["server"].state is TcpState.FIN_SENT
+    assert conns["client"].open_for_send  # half-closed: may still send
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        conns.clear()
+        assert not [obj for obj in gc.get_objects()
+                    if type(obj) is TcpConn and obj.engine is engine]
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_both_sides_closed_finalizes_and_time_waits_port(engine):

@@ -13,6 +13,7 @@ probes) are tolerated; anything that scales with calls is not.
 import collections
 import dataclasses
 import gc
+import sys
 import tracemalloc
 
 import pytest
@@ -24,7 +25,7 @@ from repro.analysis.overload import overload_spec
 from repro.faults import FaultPlan, WorkerCrash
 from repro.kernel.machine import Machine
 from repro.net.fabric import Fabric
-from repro.net.tcp import TcpListener, connect
+from repro.net.tcp import TcpConn, TcpListener, connect
 from repro.sim.engine import Engine
 from repro.obs.causal import Segment
 from repro.obs.tracer import Span
@@ -269,27 +270,47 @@ def test_span_tracer_keeps_columns_not_spans(observed_before_journeys):
 #: process a ``done`` event
 MAX_SIGNALS_PER_CONN = 1.2
 MAX_EVENTS_PER_CONN = 0.7
+#: generators and light processes per live client-side ``TcpConn`` (the
+#: fifth rule): ≈0.11 and ≈0.05 on the cell below — the phones' own main,
+#: accept and reconnect loops and the server's processes, for 993
+#: connections — and 2.07 and 1.02 when every connection had a reader
+#: process parked in ``recv``
+MAX_GENERATORS_PER_CLIENT_CONN = 0.15
+MAX_PROCESSES_PER_CLIENT_CONN = 0.1
 
 
 def test_churn_cell_builds_signals_and_events_on_first_use():
-    """A churn cell ends holding thousands of abandoned connections, each
-    with a parked reader; what they keep is their receive buffer's
-    readable signal and the initiator's ``connected`` event, not a signal
-    or event per object that nothing waits on."""
+    """A churn cell ends holding thousands of abandoned connections; what
+    they keep is their receive buffer's readable signal, the initiator's
+    ``connected`` event and the phone's reader subscribed to that signal,
+    not a signal or event per object that nothing waits on, nor a parked
+    process per connection."""
     gc.collect()
+    # what earlier tests keep alive (a module fixture's cell) is not ours
+    before = collections.Counter(type(obj).__name__
+                                 for obj in gc.get_objects())
     result = run_cell(small_cell("tcp-50"))
     assert result.calls_completed > 0
-    live = collections.Counter(type(obj).__name__
-                               for obj in gc.get_objects())
+    objects = gc.get_objects()
+    live = collections.Counter(type(obj).__name__ for obj in objects)
     conns = live["TcpConn"]
     assert conns > 1000  # the lingering population the idle sweep reaps
     assert live["Signal"] / conns <= MAX_SIGNALS_PER_CONN, live["Signal"]
     assert live["Event"] / conns <= MAX_EVENTS_PER_CONN, live["Event"]
+    engine = result.testbed.engine
+    client_conns = sum(1 for obj in objects if type(obj) is TcpConn
+                       and obj.initiated and obj.engine is engine)
+    assert client_conns > 500
+    cells = live - before
+    assert cells["generator"] / client_conns \
+        <= MAX_GENERATORS_PER_CLIENT_CONN, cells["generator"]
+    assert cells["SimProcess"] / client_conns \
+        <= MAX_PROCESSES_PER_CLIENT_CONN, cells["SimProcess"]
 
 
 def test_names_built_on_demand_keep_their_values():
-    """A buffer's name is the causal ``sockq`` segment's ``who``, and a
-    ``done`` event looked at after the end still carries the result."""
+    """A connection's name is the causal ``sockq`` segment's ``who``, and
+    a ``done`` event looked at after the end still carries the result."""
     engine = Engine()
     fabric = Fabric(engine, latency_us=50.0)
     client, server = Machine(engine, "client"), Machine(engine, "server")
@@ -309,10 +330,15 @@ def test_names_built_on_demand_keep_their_values():
     server.spawn_light(accept(), "accept").start()
     engine.run()
     port = conns["client"].local_port
-    assert conns["client"].recv_buffer.name == f"client:{port}->server:5060"
-    assert conns["server"].recv_buffer.name == f"server:5060->client:{port}"
+    assert conns["client"].name == f"client:{port}->server:5060"
+    assert conns["server"].name == f"server:5060->client:{port}"
     # one string per connection, however many segments name it
-    assert conns["server"].recv_buffer.name is conns["server"].recv_buffer.name
+    name = conns["server"].name
+    assert name is sys.intern(f"server:5060->client:{port}")
+    assert conns["server"].name is name
+    # the buffers and their signals share one name instead
+    assert conns["client"].readable_signal.name \
+        is conns["server"].readable_signal.name
     assert conns["client"].connected.fired is True
     assert conns["client"].connected.value is True
     done = proc.done

@@ -5,6 +5,7 @@ import pytest
 from repro.sim.engine import Engine
 from repro.kernel.fdtable import FileDescription
 from repro.proxy.conn_table import ConnTable
+from repro.proxy.connection import WorkerConn
 from repro.proxy.costs import CostModel
 from repro.proxy.idle_pq import PqIdleStrategy
 from repro.proxy.idle_scan import ScanIdleStrategy
@@ -25,6 +26,12 @@ def insert(engine, table, strategy, owner=0, now=0.0):
                                         owner, now))
     drive(engine, strategy.on_insert(record, now))
     return record
+
+
+def owned(*records):
+    """A worker's map of the connections it owns, as the server keeps it."""
+    return {record.conn: WorkerConn(record, fd=3 + i)
+            for i, record in enumerate(records)}
 
 
 @pytest.fixture
@@ -48,14 +55,14 @@ class TestBothStrategies:
     def test_worker_pass_finds_idle_owned_conn(self, engine, table, strategy):
         record = insert(engine, table, strategy, now=0.0)
         expired = drive(engine, strategy.worker_pass(
-            [record], TIMEOUT + 1.0, "w", worker_index=0))
+            owned(record), TIMEOUT + 1.0, "w", worker_index=0))
         assert expired == [record]
 
     def test_worker_pass_skips_active_conn(self, engine, table, strategy):
         record = insert(engine, table, strategy, now=0.0)
         drive(engine, strategy.on_activity(record, TIMEOUT * 0.9))
         expired = drive(engine, strategy.worker_pass(
-            [record], TIMEOUT + 1.0, "w", worker_index=0))
+            owned(record), TIMEOUT + 1.0, "w", worker_index=0))
         assert expired == []
 
     def test_supervisor_waits_for_worker_release(self, engine, table,
@@ -167,8 +174,22 @@ class TestPqCostShape:
         r0 = insert(engine, table, strategy, owner=0, now=0.0)
         r1 = insert(engine, table, strategy, owner=1, now=0.0)
         expired = drive(engine, strategy.worker_pass(
-            [r0], TIMEOUT + 1.0, "w0", worker_index=0))
+            owned(r0), TIMEOUT + 1.0, "w0", worker_index=0))
         assert expired == [r0]
         expired = drive(engine, strategy.worker_pass(
-            [r1], TIMEOUT + 1.0, "w1", worker_index=1))
+            owned(r1), TIMEOUT + 1.0, "w1", worker_index=1))
         assert expired == [r1]
+
+    def test_pq_worker_pass_skips_records_it_does_not_own(self, engine,
+                                                          table):
+        """An expired entry counts only if the worker still owns that very
+        record: not when the connection is gone from its map, nor when the
+        map holds another record for it."""
+        strategy = PqIdleStrategy(CostModel(), TIMEOUT, n_workers=1)
+        r0 = insert(engine, table, strategy, owner=0, now=0.0)
+        r1 = insert(engine, table, strategy, owner=0, now=0.0)
+        stranger = dict(owned(r1))
+        stranger[r0.conn] = stranger.pop(r1.conn)  # r0's conn, r1's record
+        expired = drive(engine, strategy.worker_pass(
+            stranger, TIMEOUT + 1.0, "w0", worker_index=0))
+        assert expired == []  # r1's conn is not in the map at all
