@@ -14,6 +14,11 @@ the old one without closing it (§4.3: "the clients never closed their
 connections"), re-REGISTERing over the new connection so the proxy's
 aliases and bindings follow.  Each phone also listens on its advertised
 port so the proxy can dial in when no live connection remains.
+
+A TCP phone parks no process for either rare path: connections the proxy
+dials in are taken from a readiness callback on the listener, and the
+reconnect process is built by the first reconnect request (DESIGN.md
+§3c, fifth rule).
 """
 
 from typing import Dict, Optional
@@ -44,6 +49,20 @@ _SEND_RETRY_US = 1000.0
 
 class Phone:
     """One benchmark phone."""
+
+    #: thousands of phones per cell; slots keep each one small
+    __slots__ = (
+        "machine", "engine", "user", "domain", "port", "transport",
+        "proxy_addr", "proxy_port", "rng", "role", "peer_user",
+        "ops_per_conn", "go_event", "timers", "start_delay_us",
+        "think_time_us", "open_loop", "reliable", "builder", "registered",
+        "registration_failures", "running", "ops_completed",
+        "calls_attempted", "calls_completed", "calls_failed",
+        "retransmissions", "retransmissions_absorbed", "setup_latencies_us",
+        "processing_latencies_us", "handled_ops", "_ops_on_conn",
+        "_client_txns", "_uas_invites", "_reconnect_signal",
+        "_reconnect_wanted", "processes", "_call_procs", "socket",
+        "endpoint", "assoc", "listener", "conn")
 
     def __init__(
         self,
@@ -108,8 +127,9 @@ class Phone:
         self._ops_on_conn = 0
         self._client_txns: Dict[str, ClientTransaction] = {}
         self._uas_invites: Dict[str, ServerTransaction] = {}
-        self._reconnect_signal = Signal(self.engine,
-                                        name=f"{user}.reconnect")
+        #: built with the reconnect process by the first reconnect request
+        #: (:meth:`_want_reconnect`)
+        self._reconnect_signal: Optional[Signal] = None
         self._reconnect_wanted = False
         self.processes = []
         self._call_procs = []
@@ -142,10 +162,7 @@ class Phone:
             self.processes.append(
                 spawn(self._sctp_recv_loop(), f"{self.user}-rx").start())
         elif self.transport == "tcp":
-            self.processes.append(
-                spawn(self._accept_loop(), f"{self.user}-acc").start())
-            self.processes.append(
-                spawn(self._reconnect_loop(), f"{self.user}-rc").start())
+            self.listener.readable_signal.subscribe(self._on_acceptable)
         return self
 
     def stop(self) -> None:
@@ -228,14 +245,21 @@ class Phone:
             return  # an abandoned connection finally being reaped
         for txn in list(self._client_txns.values()):
             txn.abort()
-        self._reconnect_wanted = True
-        self._reconnect_signal.fire()
+        self._want_reconnect()
 
-    def _accept_loop(self):
-        """Accept proxy-initiated connections and read them too."""
+    def _on_acceptable(self, _value) -> None:
+        """Accept proxy-initiated connections and read them too; called by
+        the listener's readable signal, where an accept process would
+        have woken."""
+        if not self.running:
+            return  # a stopped phone accepts nothing more
+        listener = self.listener
         while True:
-            conn = yield from self.listener.accept()
+            conn = listener.try_accept()
+            if conn is None:
+                break
             self._read_conn(conn)
+        listener.readable_signal.subscribe(self._on_acceptable)
 
     def _udp_recv_loop(self):
         while True:
@@ -419,6 +443,11 @@ class Phone:
         st = self._uas_invites.get(ack.call_id)
         if st is not None:
             st.handle_ack()
+            if self.reliable:
+                # Timer I is zero over a reliable transport (RFC 3261
+                # §17.2.1): no INVITE retransmission can arrive to absorb.
+                del self._uas_invites[ack.call_id]
+                return
             # Keep the terminated transaction around to absorb INVITE
             # retransmissions (RFC 3261 timer I), then forget the call.
             self.engine.schedule(self.timers.timeout, self._forget_call,
@@ -440,8 +469,20 @@ class Phone:
                 and self.role == "callee"
                 and self._ops_on_conn >= self.ops_per_conn
                 and not self._reconnect_wanted):
-            self._reconnect_wanted = True
+            self._want_reconnect()
+
+    def _want_reconnect(self) -> None:
+        """Ask the reconnect process for a fresh connection, building it on
+        the first request: its first step is the zero-delay event the
+        signal's wake-up would have been."""
+        self._reconnect_wanted = True
+        if self._reconnect_signal is not None:
             self._reconnect_signal.fire()
+            return
+        self._reconnect_signal = Signal(self.engine,
+                                        name=f"{self.user}.reconnect")
+        self.processes.append(self.machine.spawn_light(
+            self._reconnect_loop(), f"{self.user}-rc").start())
 
     def _reconnect_loop(self):
         """Reconnection runs in its own process, because both triggers

@@ -60,6 +60,9 @@ class TcpState(enum.Enum):
 class TcpListener:
     """A listening socket with a bounded accept queue."""
 
+    __slots__ = ("machine", "port", "backlog", "accept_queue",
+                 "readable_signal", "accepted", "refused")
+
     def __init__(self, machine, port: int, backlog: int = 128) -> None:
         if port in machine.tcp_listeners:
             raise OSError(f"{machine.name}: TCP port {port} already listening")

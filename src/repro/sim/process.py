@@ -158,6 +158,7 @@ class SimProcess:
     def _finish(self, value: Any) -> None:
         self.state = ProcessState.DONE
         self.result = value
+        self.gen = None  # a finished body has nothing left to run
         if self._done is not None:
             self._done.fire(value)
 

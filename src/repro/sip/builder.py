@@ -29,6 +29,8 @@ SDP_TEMPLATE = (
 class MessageBuilder:
     """Builds requests and responses for one user agent."""
 
+    __slots__ = ("user", "domain", "host", "port", "transport", "rng", "_seq")
+
     def __init__(self, user: str, domain: str, host: str, port: int,
                  transport: str, rng) -> None:
         self.user = user

@@ -1,12 +1,15 @@
 """Unit tests for the benchmark phones (against a scripted fake proxy)."""
 
+import gc
+
 import pytest
 
 from repro.clients.phone import Phone
-from repro.net.tcp import TcpListener
+from repro.net.tcp import TcpListener, connect
 from repro.net.udp import UdpEndpoint
 from repro.sim.engine import Engine
 from repro.sim.events import Event
+from repro.sim.process import SimProcess
 from repro.sip.builder import MessageBuilder
 from repro.sip.parser import StreamFramer, parse_message
 from repro.sip.transaction import TransactionTimers
@@ -144,6 +147,8 @@ def test_caller_retransmits_over_udp(engine):
 
 
 def test_callee_absorbs_invite_retransmission(engine):
+    """Over UDP the answered INVITE lingers for 64×T1 after the ACK, and
+    a repeat of it gets the stored 200 OK, not a second call."""
     proxy, go, caller, callee = make_pair(engine, think_time_us=1e9)
     engine.run(until=1_000_000.0)
     go.fire(None)
@@ -151,11 +156,21 @@ def test_callee_absorbs_invite_retransmission(engine):
     invites = [m for m in proxy.seen
                if m.is_request and m.method == "INVITE"]
     assert invites
+    assert callee._uas_invites[invites[0].call_id].terminated  # ACKed
+
+    def oks():
+        return [m.render() for m in proxy.seen
+                if not m.is_request and m.status == 200
+                and m.cseq.method == "INVITE"]
+
+    assert len(oks()) == 1
     # Replay the INVITE at the callee; it must not start a second call.
     before = callee.handled_ops
     proxy.socket.sendto(invites[0].render(), "client2", 30000)
     engine.run(until=engine.now + 200_000.0)
     assert callee.handled_ops == before
+    assert callee.retransmissions_absorbed == 1
+    assert oks() == 2 * oks()[:1]
 
 
 def test_phone_rejects_bad_role():
@@ -228,6 +243,7 @@ class TcpRegistrar:
         self.machine = machine
         self.listener = TcpListener(machine, port)
         self.conns = []
+        self.registered_at = []  #: when each REGISTER was answered
         machine.spawn_light(self._accept_loop(), "registrar").start()
 
     def _accept_loop(self):
@@ -245,6 +261,7 @@ class TcpRegistrar:
             for text in framer.feed(data):
                 msg = parse_message(text)
                 if msg.is_request and msg.method == "REGISTER":
+                    self.registered_at.append(self.machine.engine.now)
                     conn.try_send(ScriptedProxy._response(msg, 200))
 
 
@@ -267,12 +284,30 @@ def an_invite():
         "bob").render()
 
 
-def test_stopped_phone_reads_nothing_more(engine):
+def an_invite_and_its_ack():
+    """(INVITE text, ACK text) of one call from alice to bob over TCP."""
+    builder = MessageBuilder("alice", "example.com", "client2", 20000, "tcp",
+                             __import__("random").Random(1))
+    invite = builder.invite("bob")
+    ok = builder.response_for(invite, 200, to_tag="t", with_contact=True)
+    return invite.render(), builder.ack_for(invite, ok).render()
+
+
+def phone_processes(engine, machine_name):
+    """The live processes on one machine, found on the heap: a process
+    a phone parks without listing it is counted too."""
+    return [obj for obj in gc.get_objects()
+            if type(obj) is SimProcess and obj.engine is engine
+            and obj.alive and obj.name.startswith(machine_name + "/")]
+
+
+def test_stopped_phone_reads_nothing_more(engine, monkeypatch):
     """Once stopped, a phone dispatches nothing that later arrives on its
     connections."""
     registrar, phone = registered_tcp_phone(engine)
     seen = []
-    phone._dispatch = seen.append
+    monkeypatch.setattr(Phone, "_dispatch",
+                        lambda self, text: seen.append(text))
     registrar.conns[0].try_send(an_invite())
     engine.run(until=engine.now + 10_000.0)
     assert len(seen) == 1  # the phone was reading until now
@@ -297,8 +332,7 @@ def test_eof_on_abandoned_connection_changes_nothing(engine):
     """The proxy reaping a connection the phone rotated away from (§4.3's
     abandoned connections) is not a reason to reconnect."""
     registrar, phone = registered_tcp_phone(engine)
-    phone._reconnect_wanted = True  # what ops_per_conn rotation does
-    phone._reconnect_signal.fire()
+    phone._want_reconnect()  # what ops_per_conn rotation does
     engine.run(until=engine.now + 100_000.0)
     assert len(registrar.conns) == 2
 
@@ -327,3 +361,100 @@ def test_framing_error_acts_like_eof(engine):
     # still open, but nothing waits to read it any more
     assert first.open_for_send
     assert not first.readable_signal._callbacks
+
+
+def test_registered_tcp_phones_park_no_accept_or_reconnect_process(engine):
+    """A registered TCP callee has nothing left to run until a message
+    arrives: no live process and no reconnect signal.  A caller keeps
+    only its main process, waiting for the go event."""
+    __, machines = make_lan(engine, ["server", "client1", "client2"])
+    TcpRegistrar(machines["server"])
+    callee = Phone(machines["client1"], "bob", "example.com", 30000, "tcp",
+                   "server", 5060, rng=__import__("random").Random(2),
+                   role="callee", timers=TransactionTimers()).start()
+    caller = Phone(machines["client2"], "alice", "example.com", 20000, "tcp",
+                   "server", 5060, rng=__import__("random").Random(1),
+                   role="caller", peer_user="bob",
+                   go_event=Event(engine, "go"),
+                   timers=TransactionTimers()).start()
+    engine.run(until=100_000.0)
+    assert callee.registered and caller.registered
+    assert phone_processes(engine, "client1") == []
+    assert phone_processes(engine, "client2") == caller.processes[:1]
+    assert callee._reconnect_signal is None
+    assert caller._reconnect_signal is None
+
+
+def test_reliable_callee_forgets_the_invite_at_the_ack(engine):
+    """Over TCP no INVITE retransmission can follow the ACK (timer I is
+    zero), so the answered call leaves no transaction behind."""
+    registrar, phone = registered_tcp_phone(engine)
+    invite, ack = an_invite_and_its_ack()
+    registrar.conns[0].try_send(invite)
+    engine.run(until=engine.now + 10_000.0)
+    assert phone.handled_ops == 1 and len(phone._uas_invites) == 1
+    registrar.conns[0].try_send(ack)
+    engine.run(until=engine.now + 10_000.0)
+    assert phone._uas_invites == {}
+
+
+def test_connection_dialled_to_the_listener_is_accepted_and_read(engine):
+    """The proxy dials a phone with no live connection: the phone accepts
+    the connection and handles what arrives on it."""
+    registrar, phone = registered_tcp_phone(engine)
+    conns = {}
+
+    def dial():
+        conns["dialled"] = yield from connect(registrar.machine, "client1",
+                                              30000)
+
+    registrar.machine.spawn_light(dial(), "dial").start()
+    engine.run(until=engine.now + 10_000.0)
+    assert phone.listener.accepted == 1
+    conns["dialled"].try_send(an_invite())
+    engine.run(until=engine.now + 10_000.0)
+    assert phone.handled_ops == 1 and len(phone._uas_invites) == 1
+    # and it keeps accepting
+    registrar.machine.spawn_light(dial(), "dial").start()
+    engine.run(until=engine.now + 10_000.0)
+    assert phone.listener.accepted == 2
+
+
+def test_stopped_phone_accepts_nothing(engine):
+    registrar, phone = registered_tcp_phone(engine)
+    phone.stop()
+
+    def dial():
+        conn = yield from connect(registrar.machine, "client1", 30000)
+        conn.try_send(an_invite())
+
+    registrar.machine.spawn_light(dial(), "dial").start()
+    engine.run(until=engine.now + 100_000.0)
+    assert phone.listener.accepted == 0
+    assert len(phone.listener.accept_queue) == 1
+    assert phone.handled_ops == 0
+
+
+#: (simulated µs, engine events) from the proxy closing the phone's
+#: connection to the phone's REGISTER on a new one, for the first close
+#: and the second, as measured when the reconnect process was parked
+#: from the phone's start
+RECONNECT_TIMING = [(204.616, 14), (204.616, 14)]
+
+
+def test_reconnects_keep_their_timing(engine):
+    """The first reconnect request builds the reconnect process, the next
+    one wakes it; both re-register as soon, and in as many events, as
+    when the process was parked from the phone's start."""
+    registrar, phone = registered_tcp_phone(engine)
+    seen = []
+    for closer in range(2):
+        fired, closed_at = engine.events_fired, engine.now
+        registrar.conns[closer].close()
+        engine.run(until=engine.now + 100_000.0)
+        seen.append((registrar.registered_at[-1] - closed_at,
+                     engine.events_fired - fired))
+    assert len(registrar.conns) == 3
+    assert phone.conn.peer is registrar.conns[2]
+    assert [(pytest.approx(us), events) for us, events in seen] \
+        == RECONNECT_TIMING

@@ -41,19 +41,19 @@ GOLDEN = {
 
 GOLDEN_OBSERVED = {
     "udp": "ad60090ce760fdd4",
-    "sctp": "22bc58ae6dfbb47d",
-    "tcp-50": "6249abdc4b3d603d",
-    "tcp-persistent": "a176364ed9960a08",
-    "tcp-threaded": "13ad695c05f2c456",
-    "tcp-threaded-50": "2d734bcd5ea48e97",
+    "sctp": "55b4fabf9b816aa4",
+    "tcp-50": "43255f22b51ffc15",
+    "tcp-persistent": "2b0f105839d41da9",
+    "tcp-threaded": "badf3d5872f7a602",
+    "tcp-threaded-50": "a92747e35bf1581a",
 }
 
 #: (series, offered calls/s, controller) -> digest of the sampled result
 GOLDEN_OVERLOAD = {
     ("udp", 20_000.0, "local-occupancy"): "ccde21d2092c7f50",
     ("udp", 20_000.0, "window"): "5847faa26252bda4",
-    ("tcp-persistent", 8_000.0, "local-occupancy"): "b0fba43062a0e050",
-    ("tcp-persistent", 8_000.0, "window"): "8a6fdd02b4bc8b34",
+    ("tcp-persistent", 8_000.0, "local-occupancy"): "aecf036e955a2769",
+    ("tcp-persistent", 8_000.0, "window"): "88b70822bc054307",
 }
 
 

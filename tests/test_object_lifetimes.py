@@ -263,17 +263,31 @@ def test_span_tracer_keeps_columns_not_spans(observed_before_journeys):
     assert per_span <= MAX_TRACER_BYTES_PER_SPAN, (per_span, seen)
 
 
+def cell_census(spec):
+    """(result, live objects, Counter by type name of what the cell added
+    to the heap).  What earlier tests keep alive (a module fixture's
+    observed cell) is counted before and is not the cell's."""
+    gc.collect()
+    before = collections.Counter(type(obj).__name__
+                                 for obj in gc.get_objects())
+    result = run_cell(spec)
+    objects = gc.get_objects()
+    live = collections.Counter(type(obj).__name__ for obj in objects)
+    return result, objects, live - before
+
+
 #: wake-up sources and completion events a lingering connection may cost
-#: (DESIGN.md §3c, fifth rule): ≈1.03 Signals and ≈0.51 Events per live
+#: (DESIGN.md §3c, fifth rule): ≈1.03 Signals and ≈0.50 Events per live
 #: ``TcpConn`` on the cell below, 2.03 and 1.52 when every buffer built its
 #: writable signal, every accepted side a ``connected`` event and every
 #: process a ``done`` event
 MAX_SIGNALS_PER_CONN = 1.2
 MAX_EVENTS_PER_CONN = 0.7
 #: generators and light processes per live client-side ``TcpConn`` (the
-#: fifth rule): ≈0.11 and ≈0.05 on the cell below — the phones' own main,
-#: accept and reconnect loops and the server's processes, for 993
-#: connections — and 2.07 and 1.02 when every connection had a reader
+#: fifth rule): ≈0.07 and ≈0.03 on the cell below — the phones' main and
+#: reconnect loops and the server's processes, for 993 connections; 0.11
+#: and 0.05 when every phone also parked an accept and a reconnect loop
+#: from its start, 2.07 and 1.02 when every connection had a reader
 #: process parked in ``recv``
 MAX_GENERATORS_PER_CLIENT_CONN = 0.15
 MAX_PROCESSES_PER_CLIENT_CONN = 0.1
@@ -285,27 +299,50 @@ def test_churn_cell_builds_signals_and_events_on_first_use():
     ``connected`` event and the phone's reader subscribed to that signal,
     not a signal or event per object that nothing waits on, nor a parked
     process per connection."""
-    gc.collect()
-    # what earlier tests keep alive (a module fixture's cell) is not ours
-    before = collections.Counter(type(obj).__name__
-                                 for obj in gc.get_objects())
-    result = run_cell(small_cell("tcp-50"))
+    result, objects, cells = cell_census(small_cell("tcp-50"))
     assert result.calls_completed > 0
-    objects = gc.get_objects()
-    live = collections.Counter(type(obj).__name__ for obj in objects)
-    conns = live["TcpConn"]
+    conns = cells["TcpConn"]
     assert conns > 1000  # the lingering population the idle sweep reaps
-    assert live["Signal"] / conns <= MAX_SIGNALS_PER_CONN, live["Signal"]
-    assert live["Event"] / conns <= MAX_EVENTS_PER_CONN, live["Event"]
+    assert cells["Signal"] / conns <= MAX_SIGNALS_PER_CONN, cells["Signal"]
+    assert cells["Event"] / conns <= MAX_EVENTS_PER_CONN, cells["Event"]
     engine = result.testbed.engine
     client_conns = sum(1 for obj in objects if type(obj) is TcpConn
                        and obj.initiated and obj.engine is engine)
     assert client_conns > 500
-    cells = live - before
     assert cells["generator"] / client_conns \
         <= MAX_GENERATORS_PER_CLIENT_CONN, cells["generator"]
     assert cells["SimProcess"] / client_conns \
         <= MAX_PROCESSES_PER_CLIENT_CONN, cells["SimProcess"]
+
+
+#: light processes and phone-held generators per phone in a persistent
+#: TCP cell (DESIGN.md §3c, fifth rule): 1.0 and 1.5 on the cell below —
+#: each phone's main process, finished for a callee and three generators
+#: deep (main loop, call, transaction) for a caller — and 3.0 and 5.0 when
+#: every phone parked an accept and a reconnect process from its start
+MAX_PROCESSES_PER_PHONE = 1.1
+MAX_PHONE_GENERATORS_PER_PHONE = 1.6
+
+
+def test_persistent_cell_parks_no_process_per_phone():
+    """On persistent TCP nothing is reaped, so no phone ever reconnects
+    and the proxy never dials one: a phone costs its main process and
+    nothing waits on its listener or for a reconnect request."""
+    spec = dataclasses.replace(small_cell("tcp-persistent"),
+                               idle_timeout_us=1_000_000.0)
+    result, __, cells = cell_census(spec)
+    assert result.calls_completed > 0 and result.calls_failed == 0
+    phones = 2 * spec.clients
+    assert cells["SimProcess"] / phones <= MAX_PROCESSES_PER_PHONE, \
+        cells["SimProcess"]
+
+    def depth(gen):  # a process's generator and those it delegates to
+        return 0 if gen is None else 1 + depth(gen.gi_yieldfrom)
+
+    servers = sum(depth(proc.gen)
+                  for proc in result.testbed.server.scheduler.processes)
+    assert (cells["generator"] - servers) / phones \
+        <= MAX_PHONE_GENERATORS_PER_PHONE, (cells["generator"], servers)
 
 
 def test_names_built_on_demand_keep_their_values():

@@ -79,6 +79,22 @@ def test_exit_effect_terminates_with_value(engine):
     assert engine.now == 0.0
 
 
+@pytest.mark.parametrize("end", [Compute(1.0), Exit("bye")])
+def test_finished_process_drops_its_generator(engine, end):
+    """A finished body has nothing left to run, so the process lets the
+    generator go; killing it afterwards still changes nothing."""
+    def body():
+        yield end
+        return "bye"
+
+    proc = SimProcess(engine, body(), "p").start()
+    run_until_done(engine, [proc])
+    assert proc.gen is None
+    proc.kill()
+    assert proc.state is ProcessState.DONE and proc.result == "bye"
+    assert proc.done.value == "bye"
+
+
 def test_fork_spawns_running_child(engine):
     log = []
 
