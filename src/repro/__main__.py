@@ -12,6 +12,7 @@ Examples::
     python -m repro fig-overload --overload-series udp \\
         --controllers none local-occupancy --load-factors 0.5 2.0 \\
         --clients 16 --json overload.json
+    python -m repro fig-overload --smoke --json overload.json
     python -m repro fig-faults
     python -m repro fig-faults --smoke --json faults.json
     python -m repro fig-attr --transport tcp --fixes none fdcache
@@ -25,7 +26,8 @@ across ``--jobs`` worker processes.
 
 ``fig-overload`` runs the overload figure: open-loop Poisson load from
 0.5×–3× measured capacity, with and without overload control, printing
-goodput and 503-rate per cell (``--json`` also writes the full grid).
+goodput and 503-rate per cell (``--json`` also writes the full grid;
+``--smoke`` runs the small UDP grid CI checks).
 
 ``fig-faults`` runs the fault-resilience figure: a worker crash is
 injected mid-measurement and goodput is compared before/during/after
@@ -57,6 +59,16 @@ from repro.analysis.runner import CellOutcome, default_jobs, run_cells
 from repro.overload import VALID_CONTROLLERS
 from repro.profiling.report import ProfileReport
 
+#: ``--clients``' default; compared by identity to tell it from the same
+#: value given explicitly
+_DEFAULT_CLIENTS = [100]
+
+#: ``fig-overload --smoke``: the small UDP grid CI checks for collapse and
+#: recovery
+OVERLOAD_SMOKE = {"series": ("udp",),
+                  "controllers": ("none", "local-occupancy", "window"),
+                  "load_factors": (0.5, 2.0), "clients": 16, "workers": 4}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -71,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--series", default="udp",
                         choices=sorted(SERIES_DEF),
                         help="workload series (transport + connection reuse)")
-    parser.add_argument("--clients", type=int, default=[100], nargs="+",
+    parser.add_argument("--clients", type=int, default=_DEFAULT_CLIENTS,
+                        nargs="+",
                         help="concurrent caller/callee pairs (several values "
                              "run one cell each)")
     parser.add_argument("--fd-cache", action="store_true",
@@ -133,8 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 300000)")
     faults.add_argument("--smoke", action="store_true",
                         help="small, fast figure configuration for CI "
-                             "smoke runs (fig-faults: 16 clients; "
-                             "fig-attr: short windows, 24 clients)")
+                             "smoke runs (fig-overload: udp, three "
+                             "controllers, load 0.5 and 2, 16 clients, 4 "
+                             "workers; fig-faults: 16 clients; fig-attr: "
+                             "short windows, 24 clients)")
     attr = parser.add_argument_group("fig-attr options")
     attr.add_argument("--transport", default="tcp", choices=("tcp", "udp"),
                       help="transport to attribute (tcp uses the churn "
@@ -225,25 +240,48 @@ def _run_traced(specs, trace_file: str):
     return outcomes
 
 
-def _run_fig_overload(args, cache) -> int:
-    import json
-
+def overload_grid(args) -> dict:
+    """The grid ``run_overload_figure`` runs for ``args``: the figure's
+    defaults, or with ``--smoke`` :data:`OVERLOAD_SMOKE`; flags given
+    explicitly win either way."""
     from repro.analysis.overload import (
         DEFAULT_CONTROLLERS,
         DEFAULT_LOAD_FACTORS,
         DEFAULT_SERIES,
+    )
+
+    grid = dict(OVERLOAD_SMOKE) if args.smoke else {
+        "series": DEFAULT_SERIES, "controllers": DEFAULT_CONTROLLERS,
+        "load_factors": DEFAULT_LOAD_FACTORS, "clients": args.clients[0],
+        "workers": None}
+    explicit = {"series": args.overload_series,
+                "controllers": args.controllers,
+                "load_factors": args.load_factors,
+                "clients": (None if args.clients is _DEFAULT_CLIENTS
+                            else args.clients[0]),
+                "workers": args.workers}
+    grid.update((key, tuple(value) if isinstance(value, list) else value)
+                for key, value in explicit.items() if value is not None)
+    return grid
+
+
+def _run_fig_overload(args, cache) -> int:
+    import json
+
+    from repro.analysis.overload import (
         render_overload_figure,
         run_overload_figure,
     )
 
+    grid = overload_grid(args)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     data = run_overload_figure(
-        series=tuple(args.overload_series or DEFAULT_SERIES),
-        controllers=tuple(args.controllers or DEFAULT_CONTROLLERS),
-        load_factors=tuple(args.load_factors or DEFAULT_LOAD_FACTORS),
-        clients=args.clients[0],
+        series=grid["series"],
+        controllers=grid["controllers"],
+        load_factors=grid["load_factors"],
+        clients=grid["clients"],
         seed=args.seed,
-        workers=args.workers,
+        workers=grid["workers"],
         sample_us=args.sample_us,
         jobs=jobs,
         cache=cache,

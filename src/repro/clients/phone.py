@@ -4,8 +4,12 @@ Phones run on the client machines with uncontended CPU ("the client
 machines ... were never the bottleneck", §4.1) but speak real SIP through
 real transports: a caller registers, then loops INVITE→ACK→BYE calls to
 its designated callee; a callee answers INVITEs (180 then 200), absorbs
-retransmissions, and acknowledges BYEs — all via the RFC 3261 transaction
-machines in :mod:`repro.sip.transaction`.
+retransmissions, and acknowledges BYEs — via the RFC 3261 transaction
+machines in :mod:`repro.sip.transaction` while a transaction can still
+act.  An answered call keeps only its 200 OK text, over UDP and for 64×T1
+(RFC 3261 timer I), and a BYE needs no transaction at all: nothing
+indexes it, so no repeat of it could ever reach one (DESIGN.md §3c,
+fourth rule).
 
 TCP behaviour mirrors the paper's workloads: the phone keeps one outbound
 connection to the proxy for everything it sends; with ``ops_per_conn``
@@ -21,7 +25,8 @@ reconnect process is built by the first reconnect request (DESIGN.md
 §3c, fifth rule).
 """
 
-from typing import Dict, Optional
+from collections import deque
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.kernel.sockets import PortExhaustedError
 from repro.net.sctp import SctpEndpoint
@@ -60,7 +65,8 @@ class Phone:
         "calls_attempted", "calls_completed", "calls_failed",
         "retransmissions", "retransmissions_absorbed", "setup_latencies_us",
         "processing_latencies_us", "handled_ops", "_ops_on_conn",
-        "_client_txns", "_uas_invites", "_reconnect_signal",
+        "_client_txns", "_uas_invites", "_answered", "_answered_expiry",
+        "_reconnect_signal",
         "_reconnect_wanted", "processes", "_call_procs", "socket",
         "endpoint", "assoc", "listener", "conn")
 
@@ -126,7 +132,13 @@ class Phone:
         self.handled_ops = 0        #: callee: transactions it served
         self._ops_on_conn = 0
         self._client_txns: Dict[str, ClientTransaction] = {}
+        #: INVITEs answered but not yet ACKed
         self._uas_invites: Dict[str, ServerTransaction] = {}
+        #: UDP only, built by the first ACK: Call-ID → the 200 OK text of
+        #: an ACKed INVITE, and a FIFO of (expiry, Call-ID), sorted
+        #: because every entry lingers the same 64×T1
+        self._answered: Optional[Dict[str, str]] = None
+        self._answered_expiry: Optional[Deque[Tuple[float, str]]] = None
         #: built with the reconnect process by the first reconnect request
         #: (:meth:`_want_reconnect`)
         self._reconnect_signal: Optional[Signal] = None
@@ -430,6 +442,13 @@ class Phone:
             self.retransmissions_absorbed += 1
             existing.handle_request_retransmission()
             return
+        if self._answered is not None:
+            self._expire_answered()
+            text = self._answered.get(call_id)
+            if text is not None:
+                self.retransmissions_absorbed += 1
+                self._send_text(text)
+                return
         st = ServerTransaction(self.engine, invite, self._send_text,
                                self.reliable, self.timers)
         self._uas_invites[call_id] = st
@@ -440,26 +459,37 @@ class Phone:
         self._note_handled_op()
 
     def _handle_ack(self, ack: SipRequest) -> None:
-        st = self._uas_invites.get(ack.call_id)
-        if st is not None:
-            st.handle_ack()
-            if self.reliable:
-                # Timer I is zero over a reliable transport (RFC 3261
-                # §17.2.1): no INVITE retransmission can arrive to absorb.
-                del self._uas_invites[ack.call_id]
-                return
-            # Keep the terminated transaction around to absorb INVITE
-            # retransmissions (RFC 3261 timer I), then forget the call.
-            self.engine.schedule(self.timers.timeout, self._forget_call,
-                                 ack.call_id)
+        call_id = ack.call_id
+        st = self._uas_invites.pop(call_id, None)
+        if st is None:
+            return
+        st.handle_ack()
+        if self.reliable:
+            # Timer I is zero over a reliable transport (RFC 3261
+            # §17.2.1): no INVITE retransmission can arrive to absorb.
+            return
+        # Over UDP a repeat of the INVITE may still arrive for 64×T1
+        # (timer I); all it can get is the 200 OK again, so keep the text.
+        if self._answered is None:
+            self._answered = {}
+            self._answered_expiry = deque()
+        else:
+            self._expire_answered()
+        self._answered[call_id] = st.last_text
+        self._answered_expiry.append(
+            (self.engine.now + self.timers.timeout, call_id))
 
-    def _forget_call(self, call_id: str) -> None:
-        self._uas_invites.pop(call_id, None)
+    def _expire_answered(self) -> None:
+        """Forget the answered calls whose linger is over.  The linger is
+        [ACK, ACK + 64×T1): a timer armed at the ACK would fire before
+        any INVITE arriving at its expiry instant, so that one is a new
+        call."""
+        expiry, now = self._answered_expiry, self.engine.now
+        while expiry and expiry[0][0] <= now:
+            del self._answered[expiry.popleft()[1]]
 
     def _handle_bye(self, bye: SipRequest) -> None:
-        st = ServerTransaction(self.engine, bye, self._send_text,
-                               self.reliable, self.timers)
-        st.respond(self.builder.response_for(bye, 200))
+        self._send_text(self.builder.response_for(bye, 200).render())
         self._note_handled_op()
 
     def _note_handled_op(self) -> None:

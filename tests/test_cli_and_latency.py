@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.__main__ import build_parser, main
+from repro.__main__ import build_parser, main, overload_grid
+from repro.analysis.overload import (
+    DEFAULT_CONTROLLERS,
+    DEFAULT_LOAD_FACTORS,
+    DEFAULT_SERIES,
+)
 from repro.clients.workload import percentiles
 
 
@@ -43,6 +48,30 @@ class TestCli:
             ["--clients", "100", "500", "1000", "--jobs", "4"])
         assert args.clients == [100, 500, 1000]
         assert args.jobs == 4
+
+    def test_fig_overload_smoke_is_the_ci_grid(self):
+        def grid(*argv):
+            return overload_grid(build_parser().parse_args(
+                ["fig-overload", *argv]))
+
+        assert grid("--smoke") == {
+            "series": ("udp",),
+            "controllers": ("none", "local-occupancy", "window"),
+            "load_factors": (0.5, 2.0), "clients": 16, "workers": 4}
+        # flags given explicitly win, the default client count included
+        assert grid("--smoke", "--clients", "100", "--load-factors", "1",
+                    "--workers", "2") == {
+            "series": ("udp",),
+            "controllers": ("none", "local-occupancy", "window"),
+            "load_factors": (1.0,), "clients": 100, "workers": 2}
+        # without --smoke the figure's own defaults apply
+        defaults = {"series": DEFAULT_SERIES,
+                    "controllers": DEFAULT_CONTROLLERS,
+                    "load_factors": DEFAULT_LOAD_FACTORS, "clients": 100,
+                    "workers": None}
+        assert grid() == defaults
+        assert grid("--overload-series", "sctp", "--clients", "8") == dict(
+            defaults, series=("sctp",), clients=8)
 
     def test_parser_rejects_unknown_series(self):
         with pytest.raises(SystemExit):

@@ -11,8 +11,9 @@ from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.sim.process import SimProcess
 from repro.sip.builder import MessageBuilder
+from repro.sip.dialogs import Dialog
 from repro.sip.parser import StreamFramer, parse_message
-from repro.sip.transaction import TransactionTimers
+from repro.sip.transaction import ServerTransaction, TransactionTimers
 
 from conftest import make_lan
 
@@ -156,7 +157,9 @@ def test_callee_absorbs_invite_retransmission(engine):
     invites = [m for m in proxy.seen
                if m.is_request and m.method == "INVITE"]
     assert invites
-    assert callee._uas_invites[invites[0].call_id].terminated  # ACKed
+    call_id = invites[0].call_id
+    assert call_id in callee._answered  # ACKed, kept as its 200 OK text
+    assert call_id not in callee._uas_invites
 
     def oks():
         return [m.render() for m in proxy.seen
@@ -171,6 +174,101 @@ def test_callee_absorbs_invite_retransmission(engine):
     assert callee.handled_ops == before
     assert callee.retransmissions_absorbed == 1
     assert oks() == 2 * oks()[:1]
+    assert parse_message(callee._answered[call_id]).render() == oks()[0]
+
+
+def udp_callee(engine):
+    """A UDP callee that was never started, and the proxy-side socket
+    that receives what it sends; tests hand it requests themselves, at
+    instants they choose."""
+    __, machines = make_lan(engine, ["server", "client2"])
+    proxy = UdpEndpoint(machines["server"], 5060)
+    callee = Phone(machines["client2"], "bob", "example.com", 30000, "udp",
+                   "server", 5060, rng=__import__("random").Random(2),
+                   role="callee", timers=TransactionTimers())
+    return proxy, callee
+
+
+def received(socket):
+    """The texts waiting at ``socket``, oldest first."""
+    texts = []
+    while True:
+        dgram = socket.try_recvfrom()
+        if dgram is None:
+            return texts
+        texts.append(dgram.payload)
+
+
+def answered_call(engine, callee):
+    """Hand ``callee`` one INVITE, then its ACK 1 ms later: (INVITE text,
+    ACK text, BYE text, the instant the ACK arrived)."""
+    invite, ack, bye = a_call("udp")
+    callee._dispatch(invite)
+    engine.run(until=engine.now + 1_000.0)
+    callee._dispatch(ack)
+    return invite, ack, bye, engine.now
+
+
+def test_udp_callee_answers_bye_without_a_transaction(engine, monkeypatch):
+    """Nothing indexes a BYE's server transaction, so no repeat of the BYE
+    could reach one: the callee sends the 200 OK and keeps nothing, not
+    even a give-up timer."""
+    sent = []
+    monkeypatch.setattr(Phone, "_send_text",
+                        lambda self, text: sent.append(text))
+    __, callee = udp_callee(engine)
+    __, __, bye = a_call("udp")
+    before = engine.events_scheduled
+    callee._dispatch(bye)
+    assert engine.events_scheduled == before
+    (ok,) = [parse_message(text) for text in sent]
+    assert ok.status == 200 and ok.cseq.method == "BYE"
+    assert callee.handled_ops == 1
+    assert not [obj for obj in gc.get_objects()
+                if type(obj) is ServerTransaction and obj.engine is engine]
+
+
+@pytest.mark.parametrize("offset_us, replayed", [(-1.0, True),
+                                                 (0.0, False)])
+def test_answered_invite_is_replayed_until_its_linger_ends(
+        engine, offset_us, replayed):
+    """A repeat of an answered INVITE gets the stored 200 OK until 64×T1
+    after the ACK; from that instant on it is a new call."""
+    proxy, callee = udp_callee(engine)
+    invite, __, __, ack_at = answered_call(engine, callee)
+    engine.run(until=engine.now + 10_000.0)
+    first = received(proxy)
+    assert [parse_message(text).status for text in first] == [180, 200]
+    engine.schedule_at(ack_at + callee.timers.timeout + offset_us,
+                       callee._dispatch, invite)
+    engine.run(until=ack_at + callee.timers.timeout + 10_000.0)
+    again = received(proxy)
+    if replayed:
+        assert again == first[1:]
+        assert (callee.handled_ops, callee.retransmissions_absorbed) == (1, 1)
+    else:
+        assert [parse_message(text).status for text in again] == [180, 200]
+        assert again[1] != first[1]  # a fresh answer, with its own tag
+        assert (callee.handled_ops, callee.retransmissions_absorbed) == (2, 0)
+
+
+def test_duplicate_ack_changes_nothing(engine):
+    """A second ACK sends nothing and does not restart the linger."""
+    proxy, callee = udp_callee(engine)
+    invite, ack, __, ack_at = answered_call(engine, callee)
+    engine.run(until=engine.now + 10_000.0)
+    ok = received(proxy)[1]
+    callee._dispatch(ack)
+    engine.run(until=ack_at + callee.timers.timeout - 20_000.0)
+    assert received(proxy) == []
+    assert (callee.handled_ops, callee.retransmissions_absorbed) == (1, 0)
+    callee._dispatch(invite)  # still the stored answer ...
+    engine.run(until=engine.now + 10_000.0)
+    assert received(proxy) == [ok]
+    engine.schedule_at(ack_at + callee.timers.timeout,
+                       callee._dispatch, invite)
+    engine.run(until=engine.now + 10_000.0)  # ... until the first ACK's
+    assert callee.handled_ops == 2           # linger ends
 
 
 def test_phone_rejects_bad_role():
@@ -284,13 +382,20 @@ def an_invite():
         "bob").render()
 
 
-def an_invite_and_its_ack():
-    """(INVITE text, ACK text) of one call from alice to bob over TCP."""
-    builder = MessageBuilder("alice", "example.com", "client2", 20000, "tcp",
-                             __import__("random").Random(1))
+def a_call(transport):
+    """(INVITE, ACK, BYE) texts of one call from alice to bob."""
+    builder = MessageBuilder("alice", "example.com", "client2", 20000,
+                             transport, __import__("random").Random(1))
     invite = builder.invite("bob")
     ok = builder.response_for(invite, 200, to_tag="t", with_contact=True)
-    return invite.render(), builder.ack_for(invite, ok).render()
+    bye = builder.bye(Dialog.from_invite_success(invite, ok))
+    return (invite.render(), builder.ack_for(invite, ok).render(),
+            bye.render())
+
+
+def an_invite_and_its_ack():
+    """(INVITE text, ACK text) of one call from alice to bob over TCP."""
+    return a_call("tcp")[:2]
 
 
 def phone_processes(engine, machine_name):

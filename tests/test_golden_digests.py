@@ -40,20 +40,20 @@ GOLDEN = {
 }
 
 GOLDEN_OBSERVED = {
-    "udp": "ad60090ce760fdd4",
-    "sctp": "55b4fabf9b816aa4",
-    "tcp-50": "43255f22b51ffc15",
-    "tcp-persistent": "2b0f105839d41da9",
-    "tcp-threaded": "badf3d5872f7a602",
-    "tcp-threaded-50": "a92747e35bf1581a",
+    "udp": "7eb720ee03ca5b65",
+    "sctp": "ad8b59abd7b95524",
+    "tcp-50": "41044a724b7fc88f",
+    "tcp-persistent": "cb8eacbba8e7747b",
+    "tcp-threaded": "75153de51dbe6dce",
+    "tcp-threaded-50": "835b6c1cfa79e2e7",
 }
 
 #: (series, offered calls/s, controller) -> digest of the sampled result
 GOLDEN_OVERLOAD = {
-    ("udp", 20_000.0, "local-occupancy"): "ccde21d2092c7f50",
-    ("udp", 20_000.0, "window"): "5847faa26252bda4",
-    ("tcp-persistent", 8_000.0, "local-occupancy"): "aecf036e955a2769",
-    ("tcp-persistent", 8_000.0, "window"): "88b70822bc054307",
+    ("udp", 20_000.0, "local-occupancy"): "ebde3ee15e72277a",
+    ("udp", 20_000.0, "window"): "4f6b629d035c82b8",
+    ("tcp-persistent", 8_000.0, "local-occupancy"): "f33245a74f55a6c3",
+    ("tcp-persistent", 8_000.0, "window"): "2db076e06fde8479",
 }
 
 

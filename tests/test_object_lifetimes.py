@@ -143,15 +143,17 @@ def test_run_cell_restores_the_collector(enabled, monkeypatch):
 
 
 #: heap growth per completed call a cell may keep (DESIGN.md §3c, fourth
-#: rule): ≈5.1 KB on the retention cell below, 11.8 KB when finished
-#: transactions kept their messages
-MAX_RETAINED_BYTES_PER_CALL = 7_000
+#: rule): ≈3.1 KB on the retention cell below; 5.1 KB when answered calls
+#: kept their INVITE transactions and each BYE one was pinned for T4, and
+#: 11.8 KB when finished transactions kept their messages
+MAX_RETAINED_BYTES_PER_CALL = 4_000
 
 
 def test_finished_transactions_keep_text_not_messages(monkeypatch):
-    """What a cell keeps alive after its calls are done: lingering server
-    transactions hold wire text, answered proxy transactions drop the
-    forwarded request, and the heap grows by a bounded amount per call."""
+    """What a cell keeps alive after its calls are done: a callee keeps an
+    answered call as its 200 OK text and a BYE as nothing, answered proxy
+    transactions drop the forwarded request, and the heap grows by a
+    bounded amount per call."""
     seen = {}
     registration = experiments.BenchmarkManager._registration_phase
     manager_run = experiments.BenchmarkManager.run
@@ -178,20 +180,25 @@ def test_finished_transactions_keep_text_not_messages(monkeypatch):
         tracemalloc.stop()
     calls = result.calls_completed
     assert calls > 0
-    lingering = [txn for phone in seen["phones"]
-                 for txn in phone._uas_invites.values()]
-    assert len(lingering) >= calls  # every answered INVITE, for 64×T1
+    phones = seen["phones"]
+    answered = [text for phone in phones
+                for text in (phone._answered or {}).values()]
+    assert len(answered) >= calls  # every ACKed INVITE, for 64×T1
+    assert all(type(text) is str for text in answered)
+    unacked = [txn for phone in phones for txn in phone._uas_invites.values()]
+    assert not [txn for txn in unacked if txn.terminated]
+    engine = result.testbed.engine
     alive = [obj for obj in gc.get_objects()
-             if type(obj) is ServerTransaction]
-    assert len(alive) >= len(lingering)  # BYE ones too, pinned for T4
+             if type(obj) is ServerTransaction and obj.engine is engine]
+    assert len(alive) == len(unacked)  # nothing for ACKed INVITEs or BYEs
     for txn in alive:
         assert not [ref for ref in gc.get_referents(txn)
                     if isinstance(ref, SipMessage)], txn
-    answered = [txn for txn in result.proxy.txn_table._by_branch.values()
-                if txn.responded]
-    assert answered
+    responded = [txn for txn in result.proxy.txn_table._by_branch.values()
+                 if txn.responded]
+    assert responded
     assert all(txn.forwarded_text is None and txn.forward_target is None
-               for txn in answered)
+               for txn in responded)
     per_call = (seen["ran"] - seen["registered"]) / calls
     assert per_call <= MAX_RETAINED_BYTES_PER_CALL, per_call
 

@@ -142,6 +142,24 @@ def test_compaction_preserves_event_order(engine):
     assert order == [t for t in range(1, 2 * Engine.COMPACT_MIN) if t % 2]
 
 
+def test_small_mostly_cancelled_heap_is_compacted(engine):
+    """A few live events under thousands of cancelled timers (a small
+    cell's heap): compaction keeps the heap within twice the live entries
+    or the floor, and the live events still fire in order."""
+    order, live = [], []
+    for t in range(2_000):
+        handle = engine.schedule(float(t % 97), order.append, t)
+        if t % 40:
+            handle.cancel()
+        else:
+            live.append(t)
+        assert len(engine._heap) <= max(2 * engine.pending,
+                                        Engine.COMPACT_MIN)
+    assert len(engine._heap) < 1_500  # compacted: 2 000 were scheduled
+    engine.run()
+    assert order == sorted(live, key=lambda t: (t % 97, t))
+
+
 class _Owner:
     def callback(self, payload):
         pass
