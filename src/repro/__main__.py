@@ -149,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "smoke runs (fig-overload: udp, three "
                              "controllers, load 0.5 and 2, 16 clients, 4 "
                              "workers; fig-faults: 16 clients; fig-attr: "
-                             "short windows, 24 clients)")
+                             "short windows, 24 clients); flags given "
+                             "explicitly, --clients included, win")
     attr = parser.add_argument_group("fig-attr options")
     attr.add_argument("--transport", default="tcp", choices=("tcp", "udp"),
                       help="transport to attribute (tcp uses the churn "
@@ -240,6 +241,14 @@ def _run_traced(specs, trace_file: str):
     return outcomes
 
 
+def figure_clients(args, smoke_clients: int) -> int:
+    """The client count a figure runs: ``--clients`` when given,
+    otherwise ``smoke_clients`` under ``--smoke``, else the default."""
+    if args.smoke and args.clients is _DEFAULT_CLIENTS:
+        return smoke_clients
+    return args.clients[0]
+
+
 def overload_grid(args) -> dict:
     """The grid ``run_overload_figure`` runs for ``args``: the figure's
     defaults, or with ``--smoke`` :data:`OVERLOAD_SMOKE`; flags given
@@ -252,16 +261,14 @@ def overload_grid(args) -> dict:
 
     grid = dict(OVERLOAD_SMOKE) if args.smoke else {
         "series": DEFAULT_SERIES, "controllers": DEFAULT_CONTROLLERS,
-        "load_factors": DEFAULT_LOAD_FACTORS, "clients": args.clients[0],
-        "workers": None}
+        "load_factors": DEFAULT_LOAD_FACTORS, "workers": None}
     explicit = {"series": args.overload_series,
                 "controllers": args.controllers,
                 "load_factors": args.load_factors,
-                "clients": (None if args.clients is _DEFAULT_CLIENTS
-                            else args.clients[0]),
                 "workers": args.workers}
     grid.update((key, tuple(value) if isinstance(value, list) else value)
                 for key, value in explicit.items() if value is not None)
+    grid["clients"] = figure_clients(args, OVERLOAD_SMOKE["clients"])
     return grid
 
 
@@ -305,11 +312,10 @@ def _run_fig_faults(args, cache) -> int:
         run_faults_figure,
     )
 
-    clients = 16 if args.smoke else args.clients[0]
     jobs = args.jobs if args.jobs is not None else default_jobs()
     data = run_faults_figure(
         series=tuple(args.fault_series or DEFAULT_SERIES),
-        clients=clients,
+        clients=figure_clients(args, 16),
         seed=args.seed,
         workers=args.workers,
         load_factor=(args.load_factor if args.load_factor is not None
@@ -335,7 +341,6 @@ def _run_fig_attr(args) -> int:
 
     fixes = tuple(fix for arg in (args.fixes or ["none,fdcache"])
                   for fix in arg.split(",") if fix)
-    clients = 24 if args.smoke else args.clients[0]
 
     def on_cell(fix, result):
         # Live-result hooks: the causal segment buffer never makes it
@@ -359,7 +364,7 @@ def _run_fig_attr(args) -> int:
     data = run_attr_figure(
         transport=args.transport,
         fixes=fixes,
-        clients=clients,
+        clients=figure_clients(args, 24),
         workers=args.workers,
         seed=args.seed,
         smoke=args.smoke,

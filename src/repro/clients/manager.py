@@ -12,7 +12,6 @@ from repro.clients.openloop import OpenLoopDriver
 from repro.clients.phone import Phone
 from repro.clients.workload import BenchmarkResult, Workload, percentiles
 from repro.sim.events import Event
-from repro.sip.transaction import TransactionTimers
 
 CALLER_PORT_BASE = 20000
 CALLEE_PORT_BASE = 40000
@@ -27,11 +26,6 @@ class BenchmarkManager:
         self.testbed = testbed
         self.proxy = proxy
         self.workload = workload
-        # The phones run the proxy's T1 and T2, and T4 at the RFC's 10×T1.
-        config = proxy.config
-        self.timers = TransactionTimers(t1_us=config.sip_t1_us,
-                                        t2_us=config.sip_t2_us,
-                                        t4_us=10.0 * config.sip_t1_us)
         self.engine = testbed.engine
         self.go_event = Event(self.engine, name="manager.go")
         self.callers: List[Phone] = []
@@ -57,7 +51,8 @@ class BenchmarkManager:
                 proxy_addr=self.testbed.server.address,
                 proxy_port=self.proxy.config.port,
                 ops_per_conn=workload.ops_per_conn,
-                timers=self.timers,
+                # the phones run the proxy's T1
+                t1_us=self.proxy.config.sip_t1_us,
                 open_loop=workload.offered_cps > 0,
             )
             caller = Phone(

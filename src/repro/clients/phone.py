@@ -4,12 +4,13 @@ Phones run on the client machines with uncontended CPU ("the client
 machines ... were never the bottleneck", §4.1) but speak real SIP through
 real transports: a caller registers, then loops INVITE→ACK→BYE calls to
 its designated callee; a callee answers INVITEs (180 then 200), absorbs
-retransmissions, and acknowledges BYEs — via the RFC 3261 transaction
-machines in :mod:`repro.sip.transaction` while a transaction can still
-act.  An answered call keeps only its 200 OK text, over UDP and for 64×T1
-(RFC 3261 timer I), and a BYE needs no transaction at all: nothing
-indexes it, so no repeat of it could ever reach one (DESIGN.md §3c,
-fourth rule).
+retransmissions, and acknowledges BYEs.  Every request a phone sends runs
+a client transaction of :mod:`repro.sip.transaction`, and an INVITE it
+answers runs a server transaction until the ACK; all their timers derive
+from the proxy's T1.  An answered call keeps only its 200 OK text, over
+UDP and for 64×T1 (RFC 3261 timer I), and a BYE needs no transaction at
+all: nothing indexes it, so no repeat of it could ever reach one
+(DESIGN.md §3c, fourth rule).
 
 TCP behaviour mirrors the paper's workloads: the phone keeps one outbound
 connection to the proxy for everything it sends; with ``ops_per_conn``
@@ -41,13 +42,9 @@ from repro.sim.events import Event, Signal
 from repro.sim.primitives import Sleep, Wait
 from repro.sip.builder import MessageBuilder
 from repro.sip.dialogs import Dialog
-from repro.sip.message import SipRequest, SipResponse
+from repro.sip.message import SipRequest
 from repro.sip.parser import SipParseError, StreamFramer, parse_message
-from repro.sip.transaction import (
-    ClientTransaction,
-    ServerTransaction,
-    TransactionTimers,
-)
+from repro.sip.transaction import T1_US, ClientTransaction, ServerTransaction
 
 _SEND_RETRY_US = 1000.0
 
@@ -59,7 +56,7 @@ class Phone:
     __slots__ = (
         "machine", "engine", "user", "domain", "port", "transport",
         "proxy_addr", "proxy_port", "rng", "role", "peer_user",
-        "ops_per_conn", "go_event", "timers", "start_delay_us",
+        "ops_per_conn", "go_event", "t1_us", "start_delay_us",
         "think_time_us", "open_loop", "reliable", "builder", "registered",
         "registration_failures", "running", "ops_completed",
         "calls_attempted", "calls_completed", "calls_failed",
@@ -84,7 +81,7 @@ class Phone:
         peer_user: Optional[str] = None,
         ops_per_conn: Optional[int] = None,
         go_event: Optional[Event] = None,
-        timers: Optional[TransactionTimers] = None,
+        t1_us: float = T1_US,
         start_delay_us: float = 0.0,
         think_time_us: float = 0.0,
         open_loop: bool = False,
@@ -106,7 +103,7 @@ class Phone:
         self.peer_user = peer_user
         self.ops_per_conn = ops_per_conn
         self.go_event = go_event
-        self.timers = timers or TransactionTimers()
+        self.t1_us = t1_us
         self.start_delay_us = start_delay_us
         #: caller pause between calls (the paper's load has none)
         self.think_time_us = think_time_us
@@ -360,15 +357,6 @@ class Phone:
         """Generator: run one client transaction; returns the final
         response or None on timeout."""
         done = Event(self.engine, name=f"{self.user}.txn")
-
-        def on_response(response: SipResponse) -> None:
-            if response.is_final and not done.fired:
-                done.fire(response)
-
-        def on_timeout() -> None:
-            if not done.fired:
-                done.fire(None)
-
         probe = self.machine.probe
         tid = (f"{request.call_id}/{request.method}"
                if probe is not None else None)
@@ -381,9 +369,8 @@ class Phone:
                 probe.mark(tid, "uac_send", self.user)
                 self._send_text(text)
         txn = ClientTransaction(self.engine, request, send_fn,
-                                self.reliable, self.timers,
-                                on_response=on_response,
-                                on_timeout=on_timeout)
+                                self.reliable, self.t1_us,
+                                on_final=done.fire)
         self._client_txns[txn.branch] = txn
         txn.start()
         final = yield Wait(done)
@@ -391,7 +378,6 @@ class Phone:
             probe.mark(tid, "uac_final", self.user)
         self._client_txns.pop(txn.branch, None)
         self.retransmissions += txn.retransmissions
-        txn.cancel()
         return final
 
     def _count_op(self) -> None:
@@ -449,8 +435,8 @@ class Phone:
                 self.retransmissions_absorbed += 1
                 self._send_text(text)
                 return
-        st = ServerTransaction(self.engine, invite, self._send_text,
-                               self.reliable, self.timers)
+        st = ServerTransaction(self.engine, self._send_text, self.reliable,
+                               self.t1_us)
         self._uas_invites[call_id] = st
         tag = self.builder.new_tag()
         st.respond(self.builder.response_for(invite, 180, to_tag=tag))
@@ -477,7 +463,7 @@ class Phone:
             self._expire_answered()
         self._answered[call_id] = st.last_text
         self._answered_expiry.append(
-            (self.engine.now + self.timers.timeout, call_id))
+            (self.engine.now + 64.0 * self.t1_us, call_id))
 
     def _expire_answered(self) -> None:
         """Forget the answered calls whose linger is over.  The linger is

@@ -18,7 +18,8 @@ depend on:
   TIME_WAIT (the §4.3 port-starvation effect).
 - :mod:`~repro.kernel.machine` — a host assembling cores + kernel + NIC.
 - :mod:`~repro.kernel.poller` — an epoll-like readiness multiplexor.
-- :mod:`~repro.kernel.timerwheel` — cancellable kernel timers.
+- :mod:`~repro.kernel.timerwheel` — periodic timers (one-shot timers are
+  plain engine handles).
 """
 
 from repro.kernel.scheduler import Scheduler, KernelProcess, nice_to_weight
@@ -33,7 +34,6 @@ from repro.kernel.sockets import (
 )
 from repro.kernel.machine import Machine
 from repro.kernel.poller import Poller
-from repro.kernel.timerwheel import Timer
 
 __all__ = [
     "Scheduler",
@@ -54,5 +54,4 @@ __all__ = [
     "PortExhaustedError",
     "Machine",
     "Poller",
-    "Timer",
 ]

@@ -1,51 +1,15 @@
-"""Cancellable, restartable timers.
+"""Periodic timers.
 
-Used by the SIP transaction layer (retransmission timers A/B/E/F/G/H) and
-by OpenSER's idle-connection management.
+Used by the overload controllers, the supervisor watchdog, the deadlock
+detector and the metrics sampler.  A one-shot timer (the SIP transaction
+layer's A/B/E/F/G/H) needs nothing beyond the engine's own
+:class:`~repro.sim.engine.Scheduled` handle, so there is no wheel: every
+timer is an entry in the engine's heap.
 """
 
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine, Scheduled
-
-
-class Timer:
-    """A one-shot timer that can be cancelled or restarted."""
-
-    __slots__ = ("engine", "fn", "args", "_handle", "__weakref__")
-
-    def __init__(self, engine: Engine, fn: Callable, *args: Any) -> None:
-        self.engine = engine
-        self.fn = fn
-        self.args = args
-        self._handle: Optional[Scheduled] = None
-
-    @property
-    def active(self) -> bool:
-        return self._handle is not None and not self._handle.cancelled
-
-    def start(self, delay_us: float) -> None:
-        """Arm the timer; restarts (reschedules) if already armed."""
-        self.cancel()
-        self._handle = self.engine.schedule(delay_us, self._fire)
-
-    def cancel(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-            self._handle = None
-
-    def close(self) -> None:
-        """Cancel and drop the callback, which pins its owner (DESIGN §3c)."""
-        self.cancel()
-        self.fn = self.args = None
-
-    def _fire(self) -> None:
-        self._handle = None
-        self.fn(*self.args)
-
-    def __repr__(self) -> str:
-        state = "armed" if self.active else "idle"
-        return f"<Timer {getattr(self.fn, '__name__', self.fn)} {state}>"
 
 
 class PeriodicTimer:

@@ -10,8 +10,9 @@ model; the work itself is functional.
 - :mod:`~repro.sip.uri` / :mod:`~repro.sip.headers` — ``sip:`` URIs and
   structured Via / CSeq / address headers.
 - :mod:`~repro.sip.builder` — request/response construction helpers.
-- :mod:`~repro.sip.transaction` — UAC/UAS transaction state machines with
-  RFC 3261 timers (used by the benchmark phones).
+- :mod:`~repro.sip.transaction` — the benchmark phones' RFC 3261
+  transactions: UAC for every request, UAS for INVITE only, all timers
+  derived from one T1.
 - :mod:`~repro.sip.location` — registrar bindings and the location service.
 - :mod:`~repro.sip.dialogs` — per-call dialog state helpers.
 """
@@ -22,11 +23,7 @@ from repro.sip.uri import SipUri
 from repro.sip.headers import Address, CSeq, Via
 from repro.sip.builder import MessageBuilder
 from repro.sip.location import Binding, LocationService
-from repro.sip.transaction import (
-    ClientTransaction,
-    ServerTransaction,
-    TransactionTimers,
-)
+from repro.sip.transaction import ClientTransaction, ServerTransaction
 from repro.sip.dialogs import Dialog
 
 __all__ = [
@@ -45,6 +42,5 @@ __all__ = [
     "LocationService",
     "ClientTransaction",
     "ServerTransaction",
-    "TransactionTimers",
     "Dialog",
 ]

@@ -73,6 +73,26 @@ class TestCli:
         assert grid("--overload-series", "sctp", "--clients", "8") == dict(
             defaults, series=("sctp",), clients=8)
 
+    @pytest.mark.parametrize("command, module, runner, smoke_clients", [
+        ("fig-faults", "repro.analysis.faults", "run_faults_figure", 16),
+        ("fig-attr", "repro.analysis.attribution", "run_attr_figure", 24)])
+    def test_smoke_gives_way_to_explicit_clients(
+            self, monkeypatch, command, module, runner, smoke_clients):
+        """``--smoke`` picks the client count only when ``--clients`` is
+        not given, as in ``fig-overload``."""
+        import importlib
+
+        figures = importlib.import_module(module)
+        ran = []
+        monkeypatch.setattr(figures, runner,
+                            lambda **kwargs: ran.append(kwargs["clients"]))
+        monkeypatch.setattr(figures, runner.replace("run_", "render_"),
+                            lambda data: "")
+        for argv in (["--smoke"], ["--smoke", "--clients", "32"],
+                     ["--clients", "32"], []):
+            assert main([command, "--no-cache", *argv]) == 0
+        assert ran == [smoke_clients, 32, 32, 100]
+
     def test_parser_rejects_unknown_series(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--series", "carrier-pigeon"])

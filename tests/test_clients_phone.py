@@ -13,7 +13,7 @@ from repro.sim.process import SimProcess
 from repro.sip.builder import MessageBuilder
 from repro.sip.dialogs import Dialog
 from repro.sip.parser import StreamFramer, parse_message
-from repro.sip.transaction import ServerTransaction, TransactionTimers
+from repro.sip.transaction import T1_US, ServerTransaction
 
 from conftest import make_lan
 
@@ -72,20 +72,19 @@ class ScriptedProxy:
         return response.render()
 
 
-def make_pair(engine, timers=None, **phone_kwargs):
+def make_pair(engine, t1_us=T1_US, **phone_kwargs):
     __, machines = make_lan(engine, ["server", "client1", "client2"])
     proxy = ScriptedProxy(machines["server"])
     go = Event(engine, "go")
-    timers = timers or TransactionTimers()
     caller = Phone(machines["client1"], "alice", "example.com", 20000,
                    "udp", "server", 5060,
                    rng=__import__("random").Random(1), role="caller",
-                   peer_user="bob", go_event=go, timers=timers,
+                   peer_user="bob", go_event=go, t1_us=t1_us,
                    **phone_kwargs)
     callee = Phone(machines["client2"], "bob", "example.com", 30000,
                    "udp", "server", 5060,
                    rng=__import__("random").Random(2), role="callee",
-                   timers=timers)
+                   t1_us=t1_us)
     return proxy, go, caller.start(), callee.start()
 
 
@@ -113,8 +112,7 @@ def test_call_message_sequence(engine):
 
 
 def test_caller_times_out_when_callee_unreachable(engine):
-    timers = TransactionTimers(t1_us=20_000.0)
-    proxy, go, caller, callee = make_pair(engine, timers=timers)
+    proxy, go, caller, callee = make_pair(engine, t1_us=20_000.0)
     proxy.drop_methods.add("INVITE")
     engine.run(until=1_000_000.0)
     go.fire(None)
@@ -126,8 +124,7 @@ def test_caller_times_out_when_callee_unreachable(engine):
 def test_caller_retransmits_over_udp(engine):
     """Drop the first INVITE: the caller's timer A resends and the call
     still completes."""
-    timers = TransactionTimers(t1_us=50_000.0)
-    proxy, go, caller, callee = make_pair(engine, timers=timers,
+    proxy, go, caller, callee = make_pair(engine, t1_us=50_000.0,
                                           think_time_us=1e9)
     original_handle = proxy._handle
     dropped = []
@@ -185,7 +182,7 @@ def udp_callee(engine):
     proxy = UdpEndpoint(machines["server"], 5060)
     callee = Phone(machines["client2"], "bob", "example.com", 30000, "udp",
                    "server", 5060, rng=__import__("random").Random(2),
-                   role="callee", timers=TransactionTimers())
+                   role="callee")
     return proxy, callee
 
 
@@ -239,9 +236,9 @@ def test_answered_invite_is_replayed_until_its_linger_ends(
     engine.run(until=engine.now + 10_000.0)
     first = received(proxy)
     assert [parse_message(text).status for text in first] == [180, 200]
-    engine.schedule_at(ack_at + callee.timers.timeout + offset_us,
+    engine.schedule_at(ack_at + 64.0 * callee.t1_us + offset_us,
                        callee._dispatch, invite)
-    engine.run(until=ack_at + callee.timers.timeout + 10_000.0)
+    engine.run(until=ack_at + 64.0 * callee.t1_us + 10_000.0)
     again = received(proxy)
     if replayed:
         assert again == first[1:]
@@ -259,13 +256,13 @@ def test_duplicate_ack_changes_nothing(engine):
     engine.run(until=engine.now + 10_000.0)
     ok = received(proxy)[1]
     callee._dispatch(ack)
-    engine.run(until=ack_at + callee.timers.timeout - 20_000.0)
+    engine.run(until=ack_at + 64.0 * callee.t1_us - 20_000.0)
     assert received(proxy) == []
     assert (callee.handled_ops, callee.retransmissions_absorbed) == (1, 0)
     callee._dispatch(invite)  # still the stored answer ...
     engine.run(until=engine.now + 10_000.0)
     assert received(proxy) == [ok]
-    engine.schedule_at(ack_at + callee.timers.timeout,
+    engine.schedule_at(ack_at + 64.0 * callee.t1_us,
                        callee._dispatch, invite)
     engine.run(until=engine.now + 10_000.0)  # ... until the first ACK's
     assert callee.handled_ops == 2           # linger ends
@@ -326,7 +323,7 @@ def test_port_exhaustion_counts_as_registration_failure(engine):
     machines["server"].spawn_light(refuse_all(), "refuse").start()
     phone = Phone(machines["client1"], "bob", "example.com", 30000, "tcp",
                   "server", 5060, rng=__import__("random").Random(2),
-                  role="callee", timers=TransactionTimers()).start()
+                  role="callee").start()
     engine.run(until=1_000_000.0)
     assert machines["client1"].tcp_ports.exhaustions > 0
     assert phone.registration_failures > 0
@@ -369,7 +366,7 @@ def registered_tcp_phone(engine):
     registrar = TcpRegistrar(machines["server"])
     phone = Phone(machines["client1"], "bob", "example.com", 30000, "tcp",
                   "server", 5060, rng=__import__("random").Random(2),
-                  role="callee", timers=TransactionTimers()).start()
+                  role="callee").start()
     engine.run(until=100_000.0)
     assert phone.registered and len(registrar.conns) == 1
     assert phone.conn.peer is registrar.conns[0]
@@ -476,12 +473,11 @@ def test_registered_tcp_phones_park_no_accept_or_reconnect_process(engine):
     TcpRegistrar(machines["server"])
     callee = Phone(machines["client1"], "bob", "example.com", 30000, "tcp",
                    "server", 5060, rng=__import__("random").Random(2),
-                   role="callee", timers=TransactionTimers()).start()
+                   role="callee").start()
     caller = Phone(machines["client2"], "alice", "example.com", 20000, "tcp",
                    "server", 5060, rng=__import__("random").Random(1),
                    role="caller", peer_user="bob",
-                   go_event=Event(engine, "go"),
-                   timers=TransactionTimers()).start()
+                   go_event=Event(engine, "go")).start()
     engine.run(until=100_000.0)
     assert callee.registered and caller.registered
     assert phone_processes(engine, "client1") == []

@@ -1,42 +1,16 @@
-"""Unit tests for the smaller supporting pieces: timers, tick sources,
-machine, stats, config, rng."""
+"""Unit tests for the smaller supporting pieces: periodic timers, tick
+sources, machine, stats, config, rng."""
 
 import pytest
 
 from repro.kernel.machine import Machine
 from repro.kernel.poller import TickSource
-from repro.kernel.timerwheel import PeriodicTimer, Timer
+from repro.kernel.timerwheel import PeriodicTimer
 from repro.proxy.config import ProxyConfig
 from repro.proxy.costs import CostModel
 from repro.proxy.stats import ProxyStats
 from repro.sim.engine import Engine
 from repro.sim.rng import RngStreams
-
-
-class TestTimer:
-    def test_fires_once(self, engine):
-        fired = []
-        timer = Timer(engine, fired.append, "x")
-        timer.start(100.0)
-        engine.run()
-        assert fired == ["x"]
-        assert not timer.active
-
-    def test_cancel(self, engine):
-        fired = []
-        timer = Timer(engine, fired.append, "x")
-        timer.start(100.0)
-        timer.cancel()
-        engine.run()
-        assert fired == []
-
-    def test_restart_reschedules(self, engine):
-        fired = []
-        timer = Timer(engine, lambda: fired.append(engine.now))
-        timer.start(100.0)
-        timer.start(500.0)  # restart supersedes
-        engine.run()
-        assert fired == [500.0]
 
 
 class TestPeriodicTimer:

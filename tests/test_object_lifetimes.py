@@ -35,7 +35,7 @@ from repro.sip.transaction import ServerTransaction
 #: one-off set-up cycles are tolerated up to this many objects per cell
 MAX_GARBAGE = 200
 #: per-call types: not one instance may need the collector
-PER_CALL = {"ClientTransaction", "ServerTransaction", "Timer", "Scheduled",
+PER_CALL = {"ClientTransaction", "ServerTransaction", "Scheduled",
             "SipRequest", "SipResponse", "generator"}
 
 SERIES = ("udp", "sctp", "tcp-50", "tcp-persistent", "tcp-threaded",

@@ -13,7 +13,6 @@ from repro.sip.parser import parse_message
 from repro.sip.transaction import (
     ClientTransaction,
     ServerTransaction,
-    TransactionTimers,
     TxnState,
 )
 
@@ -36,6 +35,33 @@ def collect(sink):
     return send
 
 
+def stamp(engine, sink):
+    """A send_fn that records the instant of every send."""
+    def send(text):
+        sink.append(engine.now)
+    return send
+
+
+@pytest.mark.parametrize("side", ["client", "server"])
+def test_backoff_caps_at_8_t1(engine, alice, bob, side):
+    """Timer A (client) and timer G (server) double from T1 up to
+    T2 = 8×T1, whatever T1 is, until timer B/H gives up at 64×T1."""
+    sent = []
+    invite = alice.invite("bob")
+    if side == "client":
+        txn = ClientTransaction(engine, invite, stamp(engine, sent),
+                                reliable=False, t1_us=10_000.0)
+        txn.start()
+    else:
+        txn = ServerTransaction(engine, stamp(engine, sent), reliable=False,
+                                t1_us=10_000.0)
+        txn.respond(bob.response_for(invite, 200, to_tag="b"))
+    engine.run(until=1_000_000.0)
+    gaps = [later - earlier for earlier, later in zip(sent, sent[1:])]
+    assert gaps == [10_000.0, 20_000.0, 40_000.0] + [80_000.0] * 7
+    assert txn.state is TxnState.TERMINATED
+
+
 class TestClientTransaction:
     def test_start_sends_request(self, engine, alice):
         wire = []
@@ -47,9 +73,8 @@ class TestClientTransaction:
 
     def test_udp_retransmits_with_backoff(self, engine, alice):
         wire = []
-        timers = TransactionTimers(t1_us=500_000.0)
         txn = ClientTransaction(engine, alice.invite("bob"), collect(wire),
-                                reliable=False, timers=timers)
+                                reliable=False, t1_us=500_000.0)
         txn.start()
         engine.run(until=3_400_000.0)  # retransmits at 0.5s, 1.5s (next: 3.5s)
         assert len(wire) == 3
@@ -58,18 +83,18 @@ class TestClientTransaction:
 
     def test_non_invite_retransmits_first_send_in_proceeding(
             self, engine, alice, bob):
-        """Timer E keeps firing after a 1xx (at T2), always the same text."""
+        """Timer E keeps firing after a 1xx (at T2 = 8×T1), always the same
+        text."""
         wire = []
         invite = alice.invite("bob")
         bye = alice.bye(Dialog.from_invite_success(
             invite, bob.response_for(invite, 200, to_tag="b")))
         txn = ClientTransaction(engine, bye, collect(wire), reliable=False,
-                                timers=TransactionTimers(t1_us=10_000.0,
-                                                         t2_us=40_000.0))
+                                t1_us=10_000.0)
         txn.start()
         engine.run(until=25_000.0)  # timer E at 10 ms
         txn.handle_response(bob.response_for(bye, 100))
-        engine.run(until=200_000.0)  # then every 40 ms
+        engine.run(until=200_000.0)  # at 30 ms, then every 80 ms
         assert txn.state is TxnState.PROCEEDING
         assert len(wire) >= 5
         assert wire == [bye.render()] * len(wire)
@@ -94,27 +119,44 @@ class TestClientTransaction:
         assert txn.state is TxnState.PROCEEDING
 
     def test_final_response_terminates(self, engine, alice, bob):
-        responses = []
+        finals = []
         invite = alice.invite("bob")
         txn = ClientTransaction(engine, invite, collect([]), reliable=False,
-                                on_response=responses.append)
+                                on_final=finals.append)
         txn.start()
         ok = bob.response_for(invite, 200, to_tag="b")
         txn.handle_response(ok)
         assert txn.state is TxnState.TERMINATED
-        assert txn.final_response.status == 200
-        assert responses == [ok]
-        engine.run(until=60_000_000.0)  # no timers left
+        assert finals == [ok]
+        fired = engine.events_fired
+        engine.run(until=60_000_000.0)
+        assert engine.events_fired == fired  # no timers left
 
     def test_timeout_fires_after_64_t1(self, engine, alice):
         timeouts = []
-        timers = TransactionTimers(t1_us=10_000.0)
-        txn = ClientTransaction(engine, alice.invite("bob"), collect([]),
-                                reliable=False, timers=timers,
-                                on_timeout=lambda: timeouts.append(engine.now))
+        txn = ClientTransaction(
+            engine, alice.invite("bob"), collect([]), reliable=False,
+            t1_us=10_000.0,
+            on_final=lambda final: timeouts.append((engine.now, final)))
         txn.start()
         engine.run(until=10_000_000.0)
-        assert timeouts == [pytest.approx(640_000.0)]
+        assert timeouts == [(pytest.approx(640_000.0), None)]
+        assert txn.state is TxnState.TERMINATED
+
+    def test_timeout_still_fires_after_a_provisional(
+            self, engine, alice, bob):
+        """A 1xx stops timer A but not timer B: a call that rings and is
+        never answered still ends with ``on_final(None)`` at 64×T1."""
+        wire, finals = [], []
+        invite = alice.invite("bob")
+        txn = ClientTransaction(
+            engine, invite, collect(wire), reliable=False, t1_us=10_000.0,
+            on_final=lambda final: finals.append((engine.now, final)))
+        txn.start()
+        txn.handle_response(bob.response_for(invite, 180, to_tag="b"))
+        engine.run(until=10_000_000.0)
+        assert len(wire) == 1
+        assert finals == [(pytest.approx(640_000.0), None)]
         assert txn.state is TxnState.TERMINATED
 
     def test_matches_by_branch_and_method(self, engine, alice, bob):
@@ -130,17 +172,16 @@ class TestServerTransaction:
     def test_respond_sends(self, engine, alice, bob):
         wire = []
         invite = alice.invite("bob")
-        txn = ServerTransaction(engine, invite, collect(wire), reliable=False)
+        txn = ServerTransaction(engine, collect(wire), reliable=False)
         txn.respond(bob.response_for(invite, 180, to_tag="b"))
         assert len(wire) == 1
         assert parse_message(wire[0]).status == 180
 
     def test_invite_final_retransmits_until_ack(self, engine, alice, bob):
         wire = []
-        timers = TransactionTimers(t1_us=100_000.0)
         invite = alice.invite("bob")
-        txn = ServerTransaction(engine, invite, collect(wire),
-                                reliable=False, timers=timers)
+        txn = ServerTransaction(engine, collect(wire), reliable=False,
+                                t1_us=100_000.0)
         txn.respond(bob.response_for(invite, 200, to_tag="b"))
         engine.run(until=350_000.0)  # retransmits at 100ms and 300ms
         assert len(wire) == 3
@@ -150,23 +191,45 @@ class TestServerTransaction:
         assert len(wire) == 3
         assert txn.terminated
 
-    def test_reliable_final_not_retransmitted(self, engine, alice, bob):
+    @pytest.mark.parametrize("reliable, timers_armed", [(True, 1),
+                                                        (False, 2)])
+    def test_reliable_final_not_retransmitted(self, engine, alice, bob,
+                                              reliable, timers_armed):
+        """The 180 arms nothing; the 200 arms timer H, and timer G too
+        unless the transport is reliable."""
         wire = []
         invite = alice.invite("bob")
-        txn = ServerTransaction(engine, invite, collect(wire), reliable=True)
+        txn = ServerTransaction(engine, collect(wire), reliable)
+        scheduled = engine.events_scheduled
+        txn.respond(bob.response_for(invite, 180, to_tag="b"))
+        assert engine.events_scheduled == scheduled
         txn.respond(bob.response_for(invite, 200, to_tag="b"))
+        assert engine.events_scheduled == scheduled + timers_armed
         engine.run(until=10_000_000.0)
-        assert len(wire) == 1
+        assert (len(wire) == 2) is reliable
 
     def test_request_retransmission_replays_response(self, engine, alice, bob):
         wire = []
         invite = alice.invite("bob")
-        txn = ServerTransaction(engine, invite, collect(wire), reliable=False)
+        txn = ServerTransaction(engine, collect(wire), reliable=False)
         txn.respond(bob.response_for(invite, 180, to_tag="b"))
         txn.handle_request_retransmission()
         assert len(wire) == 2
         assert wire[0] == wire[1]
-        assert txn.request_retransmissions_absorbed == 1
+
+    def test_request_retransmission_before_any_response_is_absorbed(
+            self, engine, alice, bob):
+        """Until the first response there is nothing to replay: a
+        duplicate request sends nothing and arms no timer."""
+        wire = []
+        invite = alice.invite("bob")
+        txn = ServerTransaction(engine, collect(wire), reliable=False)
+        scheduled = engine.events_scheduled
+        txn.handle_request_retransmission()
+        assert wire == []
+        assert engine.events_scheduled == scheduled
+        txn.respond(bob.response_for(invite, 180, to_tag="b"))
+        assert len(wire) == 1
 
     def test_every_resend_is_the_last_response_verbatim(
             self, engine, alice, bob):
@@ -174,9 +237,8 @@ class TestServerTransaction:
         last response sent, byte for byte: 180 until the 200, then 200."""
         wire = []
         invite = alice.invite("bob")
-        txn = ServerTransaction(engine, invite, collect(wire),
-                                reliable=False,
-                                timers=TransactionTimers(t1_us=10_000.0))
+        txn = ServerTransaction(engine, collect(wire), reliable=False,
+                                t1_us=10_000.0)
         ringing = bob.response_for(invite, 180, to_tag="b")
         ok = bob.response_for(invite, 200, to_tag="b", with_contact=True)
         txn.respond(ringing)
@@ -190,18 +252,12 @@ class TestServerTransaction:
         assert txn.last_text == ok.render()
 
     def test_give_up_without_ack(self, engine, alice, bob):
-        timers = TransactionTimers(t1_us=1_000.0)
         invite = alice.invite("bob")
-        txn = ServerTransaction(engine, invite, collect([]), reliable=False,
-                                timers=timers)
+        txn = ServerTransaction(engine, collect([]), reliable=False,
+                                t1_us=1_000.0)
         txn.respond(bob.response_for(invite, 200, to_tag="b"))
         engine.run(until=1_000_000.0)
         assert txn.terminated
-
-    def test_key_matches_transaction_key(self, engine, alice, bob):
-        invite = alice.invite("bob")
-        txn = ServerTransaction(engine, invite, collect([]), reliable=False)
-        assert txn.key == invite.transaction_key()
 
 
 @pytest.fixture
@@ -241,18 +297,21 @@ class TestLifetimes:
     @pytest.mark.parametrize("reliable", [False, True])
     @pytest.mark.parametrize("ending", sorted(CLIENT_ENDINGS))
     def test_client_transaction(self, engine, alice, bob, ending, reliable):
+        """``on_final`` runs once: with the final response, or with None
+        at 64×T1 or on abort(); never for a 1xx, never after cancel()."""
         seen = []
         invite = alice.invite("bob")
         # Like the phone's, the callbacks close over the transaction's user.
         box = [ClientTransaction(
-            engine, invite, collect([]), reliable,
-            TransactionTimers(t1_us=10_000.0),
-            on_response=lambda response: seen.append((box, response.status)),
-            on_timeout=lambda: seen.append((box, "timeout")))]
+            engine, invite, collect([]), reliable, t1_us=10_000.0,
+            on_final=lambda final: seen.append(
+                (box, "timeout" if final is None else final.status)))]
         txn = box[0]
         txn.start()
         engine.run(until=35_000.0)  # unreliable: timer A fired twice
         assert txn.retransmissions == (0 if reliable else 2)
+        txn.handle_response(bob.response_for(invite, 180, to_tag="b"))
+        assert seen == []  # a 1xx is not final
         CLIENT_ENDINGS[ending](
             engine, txn,
             lambda status: bob.response_for(invite, status, to_tag="b"))
@@ -276,25 +335,20 @@ class TestLifetimes:
         assert engine.events_fired == fired  # nothing was left armed
 
     @pytest.mark.parametrize("reliable", [False, True])
-    @pytest.mark.parametrize("ending", ["ack", "give-up", "non-INVITE"])
+    @pytest.mark.parametrize("ending", ["ack", "give-up"])
     def test_server_transaction(self, engine, alice, bob, ending, reliable):
         wire = []
         invite = alice.invite("bob")
-        request = invite if ending != "non-INVITE" else alice.bye(
-            Dialog.from_invite_success(
-                invite, bob.response_for(invite, 200, to_tag="b")))
-        box = [ServerTransaction(engine, request, collect(wire), reliable,
-                                 TransactionTimers(t1_us=10_000.0,
-                                                   t4_us=100_000.0))]
+        box = [ServerTransaction(engine, collect(wire), reliable,
+                                 t1_us=10_000.0)]
         txn = box[0]
-        txn.respond(bob.response_for(request, 200, to_tag="b"))
-        engine.run(until=35_000.0)  # unreliable INVITE: timer G fired twice
-        assert len(wire) == (
-            3 if ending != "non-INVITE" and not reliable else 1)
+        txn.respond(bob.response_for(invite, 200, to_tag="b"))
+        engine.run(until=35_000.0)  # unreliable: timer G fired twice
+        assert len(wire) == (1 if reliable else 3)
         if ending == "ack":
             txn.handle_ack()
         else:
-            engine.run(until=700_000.0)  # timer H (64×T1) / timer J (T4)
+            engine.run(until=700_000.0)  # timer H (64×T1)
         assert txn.terminated
         sent = len(wire)
         # A late timer is ignored; a late duplicate request is still
