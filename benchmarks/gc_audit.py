@@ -11,7 +11,9 @@ subprocess of this script, and prints
   collections per generation over the whole cell and inside
   ``BenchmarkManager.run()``, peak RSS, the engine's heap size and how many
   of its entries are cancelled, and a census of the gc-tracked objects
-  alive at the end of the cell, by type, with their shallow bytes;
+  alive at the end of the cell, by type, with their shallow bytes, ranked
+  once by count and once by bytes (a few thousand large objects, such as
+  one ``random.Random`` per phone, never make the top by count);
 * pass ``garbage``: everything a final ``gc.collect()`` could free only
   because it sat in a reference cycle (``gc.DEBUG_SAVEALL``, result still
   referenced), by type.  "cyclic garbage: 0" means every object of the cell
@@ -249,6 +251,8 @@ def main(argv=None) -> int:
     census = timing["census"]
     print(f"tracked objects at end of cell: {sum(r[1] for r in census)}")
     _table(census)
+    print("largest types by shallow bytes:")
+    _table(sorted(census, key=lambda row: row[2], reverse=True))
     return 0
 
 

@@ -43,6 +43,9 @@ class BenchmarkManager:
         transport = self.proxy.config.transport
         phone_transport = "tcp" if transport == "tcp-threaded" else transport
         rng = self.testbed.rng.stream("phones")
+        # every phone draws its branches, tags and Call-IDs from one
+        # stream: they are fixed-width hex that no result reads
+        ids = self.testbed.rng.stream("phone-ids")
         for index in range(workload.clients):
             stagger = rng.uniform(0.0, REGISTER_STAGGER_US)
             common = dict(
@@ -59,7 +62,7 @@ class BenchmarkManager:
                 machine=self.testbed.client_for(index),
                 user=f"caller{index}",
                 port=CALLER_PORT_BASE + index,
-                rng=self.testbed.rng.stream(f"phone-caller{index}"),
+                rng=ids,
                 role="caller",
                 peer_user=f"callee{index}",
                 go_event=self.go_event,
@@ -70,7 +73,7 @@ class BenchmarkManager:
                 machine=self.testbed.client_for(index + 1),
                 user=f"callee{index}",
                 port=CALLEE_PORT_BASE + index,
-                rng=self.testbed.rng.stream(f"phone-callee{index}"),
+                rng=ids,
                 role="callee",
                 start_delay_us=stagger,
                 **common,

@@ -55,7 +55,7 @@ class Phone:
     #: thousands of phones per cell; slots keep each one small
     __slots__ = (
         "machine", "engine", "user", "domain", "port", "transport",
-        "proxy_addr", "proxy_port", "rng", "role", "peer_user",
+        "proxy_addr", "proxy_port", "role", "peer_user",
         "ops_per_conn", "go_event", "t1_us", "start_delay_us",
         "think_time_us", "open_loop", "reliable", "builder", "registered",
         "registration_failures", "running", "ops_completed",
@@ -98,7 +98,6 @@ class Phone:
         self.transport = transport
         self.proxy_addr = proxy_addr
         self.proxy_port = proxy_port
-        self.rng = rng
         self.role = role
         self.peer_user = peer_user
         self.ops_per_conn = ops_per_conn
@@ -339,12 +338,13 @@ class Phone:
             return
         self.setup_latencies_us.append(self.engine.now - invite_sent_at)
         self._count_op()
-        ack = self.builder.ack_for(invite, final)
-        self._send_text(ack.render())
+        self._send_text(self.builder.ack_for(invite, final).render())
+        # Past the ACK a call needs only its dialog: the INVITE and its
+        # 200 OK are not held while the BYE runs.
         dialog = Dialog.from_invite_success(invite, final)
-        bye = self.builder.bye(dialog)
+        del invite, final
         bye_sent_at = self.engine.now
-        final = yield from self._run_client_txn(bye)
+        final = yield from self._run_client_txn(self.builder.bye(dialog))
         if final is None or not final.is_success:
             self.calls_failed += 1
             return

@@ -5,6 +5,13 @@ think times, hash placement, ...) draws from a stream obtained via
 ``RngStreams.stream(name)``.  Streams are independent and derived from the
 master seed, so a run is reproducible and adding a new consumer does not
 perturb existing streams.
+
+A stream is a Mersenne Twister (2.5 KB of state), so streams are named
+per purpose, not per object: all phones of a cell draw their branches,
+tags and Call-IDs from the one ``"phone-ids"`` stream.  Those values are
+fixed-width hex that no simulated number reads, which
+``tests/test_clients_manager.py::test_identifiers_never_reach_a_result``
+pins by redrawing them from another generator.
 """
 
 import hashlib

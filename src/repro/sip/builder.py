@@ -2,7 +2,11 @@
 
 A :class:`MessageBuilder` carries one user agent's identity (URI, contact,
 Via parameters) and mints requests with fresh branches, tags, and Call-IDs
-from a deterministic RNG stream.
+from a deterministic RNG stream.  The stream may be shared: the benchmark
+phones all draw from one (``"phone-ids"``).  Each value has a fixed width,
+so which draws a builder gets changes no message length and no simulated
+number (``tests/test_clients_manager.py::
+test_identifiers_never_reach_a_result``).
 """
 
 from typing import Optional

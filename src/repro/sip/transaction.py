@@ -7,8 +7,9 @@ after 64×T1 (timers B/F/H); over reliable transports the retransmission
 timers stay quiet, exactly as the RFC prescribes.
 
 Each timer is the engine's own :class:`~repro.sim.engine.Scheduled`
-handle, which cancels idempotently and drops its callback on cancel or
-fire; a transaction ends by cancelling both (DESIGN.md §3c).
+handle, which drops its callback on cancel or fire; a transaction ends by
+cancelling both (DESIGN.md §3c).  A handle is cleared to ``None`` when it
+is cancelled or fires, so no handle is cancelled twice.
 
 The *proxy* keeps its transaction state in
 :mod:`repro.proxy.txn_table` instead — its retransmissions must run inside
@@ -89,6 +90,7 @@ class ClientTransaction:
                 # transaction now owns reliability.
                 if self._retransmit_handle is not None:
                     self._retransmit_handle.cancel()
+                    self._retransmit_handle = None
             else:
                 # Timer E keeps firing in Proceeding for non-INVITE, at
                 # the T2 ceiling (§17.1.2.2) — over UDP an overloaded
@@ -107,16 +109,24 @@ class ClientTransaction:
         self.state = TxnState.TERMINATED
         if self._retransmit_handle is not None:
             self._retransmit_handle.cancel()
+            self._retransmit_handle = None
         if self._timeout_handle is not None:
             self._timeout_handle.cancel()
+            self._timeout_handle = None
         self.on_final = None
 
     def abort(self) -> None:
         """Fail the transaction immediately (transport error, RFC 3261
         §8.1.3.1: treat as a 503/timeout)."""
-        self._timed_out()
+        if self.state is TxnState.TERMINATED:
+            return
+        on_final = self.on_final
+        self.cancel()
+        if on_final is not None:
+            on_final(None)
 
     def _retransmit(self) -> None:
+        self._retransmit_handle = None  # fired
         if self.state is not TxnState.CALLING and not (
                 self.state is TxnState.PROCEEDING
                 and self.request.method != "INVITE"):
@@ -128,12 +138,9 @@ class ClientTransaction:
                                                        self._retransmit)
 
     def _timed_out(self) -> None:
-        if self.state is TxnState.TERMINATED:
-            return
-        on_final = self.on_final
-        self.cancel()
-        if on_final is not None:
-            on_final(None)
+        """Timer B/F: no final response within 64×T1."""
+        self._timeout_handle = None  # fired
+        self.abort()
 
     def __repr__(self) -> str:
         return (f"<ClientTransaction {self.request.method} "
@@ -183,13 +190,20 @@ class ServerTransaction:
 
     def handle_ack(self) -> None:
         """ACK confirms our 2xx: stop retransmitting."""
-        self._give_up()
+        self.state = TxnState.TERMINATED
+        if self._retransmit_handle is not None:
+            self._retransmit_handle.cancel()
+            self._retransmit_handle = None
+        if self._give_up_handle is not None:
+            self._give_up_handle.cancel()
+            self._give_up_handle = None
 
     @property
     def terminated(self) -> bool:
         return self.state is TxnState.TERMINATED
 
     def _retransmit(self) -> None:
+        self._retransmit_handle = None  # fired
         if self.state is not TxnState.COMPLETED:
             return
         self.send_fn(self.last_text)
@@ -198,11 +212,9 @@ class ServerTransaction:
                                                        self._retransmit)
 
     def _give_up(self) -> None:
-        self.state = TxnState.TERMINATED
-        if self._retransmit_handle is not None:
-            self._retransmit_handle.cancel()
-        if self._give_up_handle is not None:
-            self._give_up_handle.cancel()
+        """Timer H: no ACK within 64×T1; stop as if it had come."""
+        self._give_up_handle = None  # fired
+        self.handle_ack()
 
     def __repr__(self) -> str:
         return f"<ServerTransaction INVITE {self.state.value}>"

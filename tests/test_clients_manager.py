@@ -1,10 +1,17 @@
 """Unit tests for workload specs and the benchmark manager."""
 
+import dataclasses
+import random
+
 import pytest
 
 from repro import ProxyConfig, Testbed, Workload, build_proxy
+from repro.analysis.experiments import ExperimentSpec, run_cell
 from repro.clients import BenchmarkManager
+from repro.clients.manager import REGISTER_STAGGER_US
 from repro.clients.workload import BenchmarkResult, percentiles
+from repro.sim.rng import RngStreams
+from repro.sip.builder import BRANCH_MAGIC, MessageBuilder
 
 
 class TestWorkload:
@@ -52,6 +59,18 @@ class TestManager:
         # Spread across the three client machines.
         machines = {phone.machine.name for phone in manager.callers}
         assert machines == {"client1", "client2", "client3"}
+
+    def test_phones_share_one_identifier_stream(self):
+        """Every phone's builder draws from the one ``phone-ids`` stream;
+        the registration stagger keeps its own ``phones`` stream."""
+        bed, __, manager = self.make(clients=3)
+        stagger = RngStreams(2).stream("phones")
+        manager.setup_phones()
+        ids = bed.rng.stream("phone-ids")
+        for phone in manager.callers + manager.callees:
+            assert phone.builder.rng is ids
+        assert [c.start_delay_us for c in manager.callers] == \
+            [stagger.uniform(0.0, REGISTER_STAGGER_US) for __ in range(3)]
 
     def test_caller_and_callee_on_different_machines(self):
         bed, __, manager = self.make(clients=3)
@@ -126,3 +145,32 @@ class TestManager:
         assert all(not p.alive
                    for phone in manager.callers
                    for p in phone.processes)
+
+
+@pytest.mark.parametrize("series", ["udp", "tcp-persistent"])
+def test_identifiers_never_reach_a_result(series, monkeypatch):
+    """Branches, tags and Call-IDs are fixed-width hex that no simulated
+    number reads: drawn from another generator, they leave every field of
+    the result as it was.  This is what lets all phones share one stream."""
+    spec = ExperimentSpec(
+        series=series, clients=8, workers=4, seed=1, warmup_us=30_000.0,
+        measure_us=100_000.0, idle_timeout_us=60_000.0, scale_windows=False)
+    drawn = dataclasses.asdict(run_cell(spec))
+    other = random.Random(7)
+    draws = {"new_branch": 0, "new_tag": 0, "new_call_id": 0}
+
+    def hex_digits(name, bits):
+        draws[name] += 1
+        return f"{other.getrandbits(bits):0{bits // 4}x}"
+
+    monkeypatch.setattr(
+        MessageBuilder, "new_branch",
+        lambda self: BRANCH_MAGIC + hex_digits("new_branch", 48))
+    monkeypatch.setattr(MessageBuilder, "new_tag",
+                        lambda self: hex_digits("new_tag", 32))
+    monkeypatch.setattr(
+        MessageBuilder, "new_call_id",
+        lambda self: f"{hex_digits('new_call_id', 48)}@{self.host}")
+    redrawn = dataclasses.asdict(run_cell(spec))
+    assert all(draws.values()), draws
+    assert redrawn == drawn

@@ -352,6 +352,36 @@ def test_persistent_cell_parks_no_process_per_phone():
         <= MAX_PHONE_GENERATORS_PER_PHONE, (cells["generator"], servers)
 
 
+#: messages alive per caller at the end of a persistent cell (DESIGN.md
+#: §3c, fifth rule): 1.0 and 0.0 on the 16-client cell below — the
+#: request of each caller's open transaction, INVITE or BYE — and 2.25
+#: and 0.63 when a caller held its INVITE, ACK and 200 OK until its BYE
+#: completed
+MAX_REQUESTS_PER_CALLER = 1.1
+MAX_RESPONSES_PER_CALLER = 0.1
+
+
+def test_persistent_cell_keeps_no_identifier_stream_or_message_per_phone():
+    """Phones share one identifier stream, so the cell's ``Random``s are
+    its named streams however many phones it has (3 at 8 and at 16
+    clients; one more per phone when each had its own), and past the ACK
+    a caller keeps only its dialog."""
+    census = {}
+    for clients in (8, 16):
+        spec = dataclasses.replace(small_cell("tcp-persistent"),
+                                   clients=clients,
+                                   idle_timeout_us=1_000_000.0)
+        result, __, census[clients] = cell_census(spec)
+        assert result.calls_completed > 0 and result.calls_failed == 0
+    assert census[16]["Random"] == census[8]["Random"], \
+        (census[8]["Random"], census[16]["Random"])
+    callers = 16
+    assert census[16]["SipRequest"] / callers <= MAX_REQUESTS_PER_CALLER, \
+        census[16]["SipRequest"]
+    assert census[16]["SipResponse"] / callers <= MAX_RESPONSES_PER_CALLER, \
+        census[16]["SipResponse"]
+
+
 def test_names_built_on_demand_keep_their_values():
     """A connection's name is the causal ``sockq`` segment's ``who``, and
     a ``done`` event looked at after the end still carries the result."""

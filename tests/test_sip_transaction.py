@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Scheduled
 from repro.sip.builder import MessageBuilder
 from repro.sip.dialogs import Dialog
 from repro.sip.parser import parse_message
@@ -270,6 +270,23 @@ def no_collector():
         gc.enable()
 
 
+@pytest.fixture
+def spent_cancels(monkeypatch):
+    """Counts ``Scheduled.cancel()`` calls on a handle that was already
+    cancelled or had fired: no-op calls a transaction avoids by clearing
+    a handle when it cancels it or it fires."""
+    spent = []
+    cancel = Scheduled.cancel
+
+    def counted(handle):
+        if handle.cancelled:
+            spent.append(handle.time)
+        cancel(handle)
+
+    monkeypatch.setattr(Scheduled, "cancel", counted)
+    return spent
+
+
 def dies_by_refcount(txn_box):
     """Drop the last strong reference (``txn_box`` holds it) and report
     whether the transaction went away without the cyclic collector."""
@@ -296,9 +313,12 @@ class TestLifetimes:
 
     @pytest.mark.parametrize("reliable", [False, True])
     @pytest.mark.parametrize("ending", sorted(CLIENT_ENDINGS))
-    def test_client_transaction(self, engine, alice, bob, ending, reliable):
+    def test_client_transaction(self, engine, alice, bob, ending, reliable,
+                                spent_cancels):
         """``on_final`` runs once: with the final response, or with None
-        at 64×T1 or on abort(); never for a 1xx, never after cancel()."""
+        at 64×T1 or on abort(); never for a 1xx, never after cancel().
+        No timer is cancelled after a 1xx cancelled it or after it
+        fired."""
         seen = []
         invite = alice.invite("bob")
         # Like the phone's, the callbacks close over the transaction's user.
@@ -328,6 +348,7 @@ class TestLifetimes:
         txn.abort()
         txn.cancel()
         assert [outcome for __, outcome in seen] == outcomes
+        assert spent_cancels == []
         del txn, seen[:]
         assert dies_by_refcount(box)
         fired = engine.events_fired
@@ -336,7 +357,8 @@ class TestLifetimes:
 
     @pytest.mark.parametrize("reliable", [False, True])
     @pytest.mark.parametrize("ending", ["ack", "give-up"])
-    def test_server_transaction(self, engine, alice, bob, ending, reliable):
+    def test_server_transaction(self, engine, alice, bob, ending, reliable,
+                                spent_cancels):
         wire = []
         invite = alice.invite("bob")
         box = [ServerTransaction(engine, collect(wire), reliable,
@@ -359,6 +381,7 @@ class TestLifetimes:
         assert len(wire) == sent
         txn.handle_request_retransmission()
         assert len(wire) == sent + 1 and wire[-1] == wire[0]
+        assert spent_cancels == []  # nor timer H by its own firing
         del txn
         assert dies_by_refcount(box)
         fired = engine.events_fired
