@@ -25,7 +25,6 @@ are rejected here — run them through ``run_cell`` directly (the CLI's
 """
 
 import dataclasses
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass
@@ -73,6 +72,8 @@ def _execute(spec: ExperimentSpec) -> tuple:
 
 
 def _pool(jobs: int):
+    import multiprocessing  # only a pool needs it (see the module docstring)
+
     try:
         ctx = multiprocessing.get_context("fork")
     except ValueError:  # platforms without fork

@@ -7,10 +7,14 @@ its designated callee; a callee answers INVITEs (180 then 200), absorbs
 retransmissions, and acknowledges BYEs.  Every request a phone sends runs
 a client transaction of :mod:`repro.sip.transaction`, and an INVITE it
 answers runs a server transaction until the ACK; all their timers derive
-from the proxy's T1.  An answered call keeps only its 200 OK text, over
-UDP and for 64×T1 (RFC 3261 timer I), and a BYE needs no transaction at
-all: nothing indexes it, so no repeat of it could ever reach one
-(DESIGN.md §3c, fourth rule).
+from the proxy's T1.  A phone speaks SIP as wire text, like a scenario
+load generator: :class:`~repro.sip.builder.MessageBuilder` formats what
+it sends and :class:`~repro.sip.reader.PhoneMessage` reads the fields it
+acts on from what it receives; only the proxy parses messages into the
+full model (DESIGN.md §3c).  An answered call keeps only its 200 OK
+text, over UDP and for 64×T1 (RFC 3261 timer I), and a BYE needs no
+transaction at all: nothing indexes it, so no repeat of it could ever
+reach one (DESIGN.md §3c, fourth rule).
 
 TCP behaviour mirrors the paper's workloads: the phone keeps one outbound
 connection to the proxy for everything it sends; with ``ops_per_conn``
@@ -41,9 +45,8 @@ from repro.net.udp import UdpEndpoint
 from repro.sim.events import Event, Signal
 from repro.sim.primitives import Sleep, Wait
 from repro.sip.builder import MessageBuilder
-from repro.sip.dialogs import Dialog
-from repro.sip.message import SipRequest
-from repro.sip.parser import SipParseError, StreamFramer, parse_message
+from repro.sip.parser import SipParseError, StreamFramer
+from repro.sip.reader import PhoneMessage
 from repro.sip.transaction import T1_US, ClientTransaction, ServerTransaction
 
 _SEND_RETRY_US = 1000.0
@@ -305,9 +308,10 @@ class Phone:
     # ==================================================================
     def _register(self, attempts: int = 3):
         for __ in range(attempts):
-            request = self.builder.register()
-            final = yield from self._run_client_txn(request)
-            if final is not None and final.is_success:
+            text, branch, call_id = self.builder.register_text()
+            final = yield from self._run_client_txn("REGISTER", branch,
+                                                    call_id, text)
+            if final is not None and 200 <= final.status < 300:
                 self.registered = True
                 return
             self.registration_failures += 1
@@ -329,23 +333,27 @@ class Phone:
                 self.calls_failed += 1
                 yield Sleep(10_000.0)
                 return
-        invite = self.builder.invite(self.peer_user)
+        builder = self.builder
+        text, branch, dialog = builder.invite_text(self.peer_user)
         invite_sent_at = self.engine.now
-        final = yield from self._run_client_txn(invite)
-        if final is None or not final.is_success:
+        final = yield from self._run_client_txn("INVITE", branch,
+                                                dialog.call_id, text)
+        if final is None or not 200 <= final.status < 300:
             self.calls_failed += 1
             yield Sleep(10_000.0)  # brief backoff after a failed call
             return
         self.setup_latencies_us.append(self.engine.now - invite_sent_at)
         self._count_op()
-        self._send_text(self.builder.ack_for(invite, final).render())
-        # Past the ACK a call needs only its dialog: the INVITE and its
-        # 200 OK are not held while the BYE runs.
-        dialog = Dialog.from_invite_success(invite, final)
-        del invite, final
+        # Past the ACK a call needs only its dialog: the INVITE's text and
+        # its 200 OK are not held while the BYE runs.
+        dialog.confirm(final)
+        self._send_text(builder.ack_text(dialog))
+        text, branch = builder.bye_text(dialog)
+        del final
         bye_sent_at = self.engine.now
-        final = yield from self._run_client_txn(self.builder.bye(dialog))
-        if final is None or not final.is_success:
+        final = yield from self._run_client_txn("BYE", branch,
+                                                dialog.call_id, text)
+        if final is None or not 200 <= final.status < 300:
             self.calls_failed += 1
             return
         self.processing_latencies_us.append(self.engine.now - bye_sent_at)
@@ -353,13 +361,14 @@ class Phone:
         self.calls_completed += 1
         yield from self._maybe_reconnect()
 
-    def _run_client_txn(self, request: SipRequest):
-        """Generator: run one client transaction; returns the final
-        response or None on timeout."""
+    def _run_client_txn(self, method: str, branch: str, call_id: str,
+                        text: str):
+        """Generator: run one client transaction for the request ``text``;
+        returns the final response (a :class:`PhoneMessage`) or None on
+        timeout."""
         done = Event(self.engine, name=f"{self.user}.txn")
         probe = self.machine.probe
-        tid = (f"{request.call_id}/{request.method}"
-               if probe is not None else None)
+        tid = f"{call_id}/{method}" if probe is not None else None
         send_fn = self._send_text
         if probe is not None:
             # Mark every send, retransmissions included, so the journey
@@ -368,15 +377,15 @@ class Phone:
             def send_fn(text):
                 probe.mark(tid, "uac_send", self.user)
                 self._send_text(text)
-        txn = ClientTransaction(self.engine, request, send_fn,
+        txn = ClientTransaction(self.engine, method, branch, text, send_fn,
                                 self.reliable, self.t1_us,
                                 on_final=done.fire)
-        self._client_txns[txn.branch] = txn
+        self._client_txns[branch] = txn
         txn.start()
         final = yield Wait(done)
         if probe is not None and final is not None:
             probe.mark(tid, "uac_final", self.user)
-        self._client_txns.pop(txn.branch, None)
+        self._client_txns.pop(branch, None)
         self.retransmissions += txn.retransmissions
         return final
 
@@ -398,20 +407,23 @@ class Phone:
     # callee side (reactive)
     # ==================================================================
     def _dispatch(self, text: str) -> None:
+        """Act on one received text.  A message is dropped where a field
+        the phone acts on does not read."""
         try:
-            message = parse_message(text)
-        except SipParseError:
+            message = PhoneMessage(text)
+        except ValueError:
             return
-        if not message.is_request:
-            try:
-                via = message.top_via
-                txn = self._client_txns.get(
-                    via.branch if via is not None else None)
-                matched = txn is not None and txn.matches(message)
-            except ValueError:  # a Via or CSeq value that does not parse
+        if message.status:
+            txn = self._client_txns.get(message.branch)
+            if txn is None or not txn.matches(message):
                 return
-            if matched:
-                txn.handle_response(message)
+            if txn.method == "INVITE" and 200 <= message.status < 300:
+                try:  # the call's dialog reads the To and the Contact
+                    message.to_tag()
+                    message.contact_uri()
+                except ValueError:
+                    return
+            txn.handle_response(message)
             return
         method = message.method
         if method == "INVITE":
@@ -421,7 +433,7 @@ class Phone:
         elif method == "BYE":
             self._handle_bye(message)
 
-    def _handle_invite(self, invite: SipRequest) -> None:
+    def _handle_invite(self, invite: PhoneMessage) -> None:
         call_id = invite.call_id
         existing = self._uas_invites.get(call_id)
         if existing is not None:
@@ -435,16 +447,19 @@ class Phone:
                 self.retransmissions_absorbed += 1
                 self._send_text(text)
                 return
+        try:
+            ringing, ok = self.builder.answer_texts(invite,
+                                                    self.builder.new_tag())
+        except ValueError:  # a To that cannot take our tag
+            return
         st = ServerTransaction(self.engine, self._send_text, self.reliable,
                                self.t1_us)
         self._uas_invites[call_id] = st
-        tag = self.builder.new_tag()
-        st.respond(self.builder.response_for(invite, 180, to_tag=tag))
-        st.respond(self.builder.response_for(invite, 200, to_tag=tag,
-                                             with_contact=True))
+        st.respond(ringing, final=False)
+        st.respond(ok, final=True)
         self._note_handled_op()
 
-    def _handle_ack(self, ack: SipRequest) -> None:
+    def _handle_ack(self, ack: PhoneMessage) -> None:
         call_id = ack.call_id
         st = self._uas_invites.pop(call_id, None)
         if st is None:
@@ -474,8 +489,8 @@ class Phone:
         while expiry and expiry[0][0] <= now:
             del self._answered[expiry.popleft()[1]]
 
-    def _handle_bye(self, bye: SipRequest) -> None:
-        self._send_text(self.builder.response_for(bye, 200).render())
+    def _handle_bye(self, bye: PhoneMessage) -> None:
+        self._send_text(self.builder.ok_text(bye))
         self._note_handled_op()
 
     def _note_handled_op(self) -> None:

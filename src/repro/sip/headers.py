@@ -152,11 +152,6 @@ class Address:
     def tag(self) -> Optional[str]:
         return self.params.get("tag")
 
-    def with_tag(self, tag: str) -> "Address":
-        params = dict(self.params)
-        params["tag"] = tag
-        return Address(self.uri, self.display, params)
-
     def render(self) -> str:
         out = ""
         if self.display:

@@ -205,16 +205,8 @@ class SipResponse(SipMessage):
         return False
 
     @property
-    def is_provisional(self) -> bool:
-        return 100 <= self.status < 200
-
-    @property
     def is_final(self) -> bool:
         return self.status >= 200
-
-    @property
-    def is_success(self) -> bool:
-        return 200 <= self.status < 300
 
     def start_line(self) -> str:
         return f"{SIP_VERSION} {self.status} {self.reason}"

@@ -11,6 +11,9 @@ handle, which drops its callback on cancel or fire; a transaction ends by
 cancelling both (DESIGN.md §3c).  A handle is cleared to ``None`` when it
 is cancelled or fires, so no handle is cancelled twice.
 
+A transaction holds what it sends as wire text and reads responses as
+:class:`~repro.sip.reader.PhoneMessage` fields, never as parsed messages.
+
 The *proxy* keeps its transaction state in
 :mod:`repro.proxy.txn_table` instead — its retransmissions must run inside
 a scheduled timer process and charge simulated CPU.
@@ -19,7 +22,7 @@ a scheduled timer process and charge simulated CPU.
 import enum
 from typing import Callable, Optional
 
-from repro.sip.message import SipRequest, SipResponse
+from repro.sip.reader import PhoneMessage
 
 #: RFC 3261 T1 (µs); T2 is 8×T1 and timers B/F/H are 64×T1
 T1_US = 500_000.0
@@ -35,57 +38,56 @@ class TxnState(enum.Enum):
 class ClientTransaction:
     """UAC transaction: send a request, absorb the response pattern.
 
-    ``send_fn(text)`` must be non-blocking (datagram send or buffered
-    stream write).  ``on_final`` runs once: with the final response, or
-    with ``None`` if none arrives within 64×T1 or on :meth:`abort`.
+    ``text`` is the request's wire text, ``method`` and ``branch`` its
+    method and top-Via branch; every retransmission repeats the text
+    verbatim.  ``send_fn(text)`` must be non-blocking (datagram send or
+    buffered stream write).  ``on_final`` runs once: with the final
+    response, or with ``None`` if none arrives within 64×T1 or on
+    :meth:`abort`.
     """
 
-    __slots__ = ("engine", "request", "send_fn", "reliable", "t1_us",
-                 "on_final", "state", "branch", "retransmissions",
-                 "_interval", "_retransmit_handle", "_timeout_handle",
-                 "_text", "__weakref__")
+    __slots__ = ("engine", "method", "branch", "text", "send_fn",
+                 "reliable", "t1_us", "on_final", "state",
+                 "retransmissions", "_interval", "_retransmit_handle",
+                 "_timeout_handle", "__weakref__")
 
-    def __init__(self, engine, request: SipRequest,
+    def __init__(self, engine, method: str, branch: str, text: str,
                  send_fn: Callable[[str], None], reliable: bool,
                  t1_us: float = T1_US,
                  on_final: Optional[Callable] = None) -> None:
         self.engine = engine
-        self.request = request
+        self.method = method
+        self.branch = branch
+        self.text = text
         self.send_fn = send_fn
         self.reliable = reliable
         self.t1_us = t1_us
         self.on_final = on_final
         self.state = TxnState.CALLING
-        via = request.top_via
-        self.branch = via.branch if via else None
         self.retransmissions = 0
         self._interval = t1_us
         self._retransmit_handle = self._timeout_handle = None
-        #: the request as first sent; retransmissions repeat it verbatim
-        self._text: Optional[str] = None
 
     def start(self) -> None:
-        self._text = self.request.render()
-        self.send_fn(self._text)
+        self.send_fn(self.text)
         schedule = self.engine.schedule
         if not self.reliable:
             self._retransmit_handle = schedule(self._interval,
                                                self._retransmit)
         self._timeout_handle = schedule(64.0 * self.t1_us, self._timed_out)
 
-    def matches(self, response: SipResponse) -> bool:
-        via = response.top_via
-        if via is None or via.branch != self.branch:
-            return False
-        cseq = response.cseq
-        return cseq is not None and cseq.method == self.request.method
+    def matches(self, response: PhoneMessage) -> bool:
+        """Whether ``response`` is ours: same top-Via branch and CSeq
+        method (RFC 3261 §17.1.3)."""
+        return (response.branch == self.branch
+                and response.cseq_method == self.method)
 
-    def handle_response(self, response: SipResponse) -> None:
+    def handle_response(self, response: PhoneMessage) -> None:
         if self.state is TxnState.TERMINATED:
             return
-        if response.is_provisional:
+        if response.status < 200:
             self.state = TxnState.PROCEEDING
-            if self.request.method == "INVITE":
+            if self.method == "INVITE":
                 # Timer A stops on a 1xx (RFC 3261 §17.1.1.2): the server
                 # transaction now owns reliability.
                 if self._retransmit_handle is not None:
@@ -129,10 +131,10 @@ class ClientTransaction:
         self._retransmit_handle = None  # fired
         if self.state is not TxnState.CALLING and not (
                 self.state is TxnState.PROCEEDING
-                and self.request.method != "INVITE"):
+                and self.method != "INVITE"):
             return
         self.retransmissions += 1
-        self.send_fn(self._text)
+        self.send_fn(self.text)
         self._interval = min(self._interval * 2.0, 8.0 * self.t1_us)
         self._retransmit_handle = self.engine.schedule(self._interval,
                                                        self._retransmit)
@@ -143,7 +145,7 @@ class ClientTransaction:
         self.abort()
 
     def __repr__(self) -> str:
-        return (f"<ClientTransaction {self.request.method} "
+        return (f"<ClientTransaction {self.method} "
                 f"{self.state.value} rtx={self.retransmissions}>")
 
 
@@ -151,9 +153,9 @@ class ServerTransaction:
     """INVITE UAS transaction: absorb request retransmissions, repeat the
     final response until acknowledged or until timer H expires.
 
-    It keeps the last response's wire text, never the messages: replaying
-    that text is all a finished transaction can still do (DESIGN.md
-    §3c).  A phone answers a BYE without one."""
+    It keeps the last response's wire text: replaying that text is all a
+    finished transaction can still do (DESIGN.md §3c).  A phone answers a
+    BYE without one."""
 
     __slots__ = ("engine", "send_fn", "reliable", "t1_us", "state",
                  "last_text", "_interval", "_retransmit_handle",
@@ -171,11 +173,11 @@ class ServerTransaction:
         self._interval = t1_us
         self._retransmit_handle = self._give_up_handle = None
 
-    def respond(self, response: SipResponse) -> None:
+    def respond(self, text: str, final: bool) -> None:
         """Send a response; the (one) final response arms timers G and H."""
-        self.last_text = response.render()
-        self.send_fn(self.last_text)
-        if response.is_final:
+        self.last_text = text
+        self.send_fn(text)
+        if final:
             self.state = TxnState.COMPLETED
             schedule = self.engine.schedule
             if not self.reliable:

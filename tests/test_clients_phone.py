@@ -11,8 +11,8 @@ from repro.sim.engine import Engine
 from repro.sim.events import Event
 from repro.sim.process import SimProcess
 from repro.sip.builder import MessageBuilder
-from repro.sip.dialogs import Dialog
 from repro.sip.parser import StreamFramer, parse_message
+from repro.sip.reader import PhoneMessage
 from repro.sip.transaction import T1_US, ServerTransaction
 
 from conftest import make_lan
@@ -300,7 +300,7 @@ def test_unparsable_response_header_is_ignored(engine, name, value):
     ((branch, txn),) = caller._client_txns.items()
     ringing = MessageBuilder("bob", "example.com", "client2", 30000, "udp",
                              __import__("random").Random(2)).response_for(
-        txn.request, 180, to_tag="t")
+        parse_message(txn.text), 180, to_tag="t")
     ringing.set(name, value)
     state = txn.state
     caller._dispatch(ringing.render())
@@ -383,11 +383,10 @@ def a_call(transport):
     """(INVITE, ACK, BYE) texts of one call from alice to bob."""
     builder = MessageBuilder("alice", "example.com", "client2", 20000,
                              transport, __import__("random").Random(1))
-    invite = builder.invite("bob")
-    ok = builder.response_for(invite, 200, to_tag="t", with_contact=True)
-    bye = builder.bye(Dialog.from_invite_success(invite, ok))
-    return (invite.render(), builder.ack_for(invite, ok).render(),
-            bye.render())
+    invite, __, dialog = builder.invite_text("bob")
+    __, ok = builder.answer_texts(PhoneMessage(invite), "t")
+    dialog.confirm(PhoneMessage(ok))
+    return invite, builder.ack_text(dialog), builder.bye_text(dialog)[0]
 
 
 def an_invite_and_its_ack():

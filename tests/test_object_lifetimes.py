@@ -13,6 +13,7 @@ probes) are tolerated; anything that scales with calls is not.
 import collections
 import dataclasses
 import gc
+import os
 import sys
 import tracemalloc
 
@@ -29,8 +30,11 @@ from repro.net.tcp import TcpConn, TcpListener, connect
 from repro.sim.engine import Engine
 from repro.obs.causal import Segment
 from repro.obs.tracer import Span
-from repro.sip.message import SipMessage
+from repro.clients.phone import Phone
+from repro.sip.headers import Address, Via
+from repro.sip.message import SipMessage, SipRequest, SipResponse
 from repro.sip.transaction import ServerTransaction
+from repro.sip.uri import SipUri
 
 #: one-off set-up cycles are tolerated up to this many objects per cell
 MAX_GARBAGE = 200
@@ -353,11 +357,11 @@ def test_persistent_cell_parks_no_process_per_phone():
 
 
 #: messages alive per caller at the end of a persistent cell (DESIGN.md
-#: §3c, fifth rule): 1.0 and 0.0 on the 16-client cell below — the
-#: request of each caller's open transaction, INVITE or BYE — and 2.25
-#: and 0.63 when a caller held its INVITE, ACK and 200 OK until its BYE
-#: completed
-MAX_REQUESTS_PER_CALLER = 1.1
+#: §3c, fifth rule): 0.0 and 0.0 on the 16-client cell below, since a
+#: caller's open transaction keeps its request as wire text; 1.0 and 0.0
+#: when it kept a ``SipRequest``, and 2.25 and 0.63 when a caller held its
+#: INVITE, ACK and 200 OK until its BYE completed
+MAX_REQUESTS_PER_CALLER = 0.1
 MAX_RESPONSES_PER_CALLER = 0.1
 
 
@@ -380,6 +384,44 @@ def test_persistent_cell_keeps_no_identifier_stream_or_message_per_phone():
         census[16]["SipRequest"]
     assert census[16]["SipResponse"] / callers <= MAX_RESPONSES_PER_CALLER, \
         census[16]["SipResponse"]
+
+
+#: the proxy's message model, which phones never build (DESIGN.md §3c)
+MODEL_CLASSES = (SipRequest, SipResponse, Address, SipUri, Via)
+
+
+def test_a_udp_call_builds_no_message_objects_on_the_phone_side(
+        monkeypatch):
+    """Phones send and read SIP as wire text: through a whole UDP cell,
+    no ``SipRequest``, ``SipResponse``, ``Address``, ``SipUri`` or ``Via``
+    is constructed under a phone's frame, while the proxy builds them
+    for every message it handles."""
+    built = collections.Counter()
+    phone_code = sys.modules[Phone.__module__].__file__
+
+    def counted(cls):
+        init = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                filename = frame.f_code.co_filename
+                if filename == phone_code:
+                    built["phone", cls.__name__] += 1
+                    break
+                if f"{os.sep}proxy{os.sep}" in filename:
+                    built["proxy", cls.__name__] += 1
+                    break
+                frame = frame.f_back
+            init(self, *args, **kwargs)
+        return __init__
+
+    for cls in MODEL_CLASSES:
+        monkeypatch.setattr(cls, "__init__", counted(cls))
+    result = run_cell(dataclasses.replace(small_cell("udp"), clients=1))
+    assert result.calls_completed >= 1
+    assert not [key for key in built if key[0] == "phone"], built
+    assert built["proxy", "SipRequest"] and built["proxy", "SipResponse"]
 
 
 def test_names_built_on_demand_keep_their_values():

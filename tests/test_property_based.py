@@ -2,6 +2,8 @@
 protocol invariants."""
 
 import collections
+import functools
+import random
 import string
 from types import SimpleNamespace
 
@@ -14,7 +16,14 @@ from repro.kernel.poller import Poller, TickSource
 from repro.kernel.sockets import PortAllocator, PortExhaustedError, StreamBuffer
 from repro.obs.causal import CausalTracer
 from repro.obs.tracer import Tracer
+from repro.proxy.config import ProxyConfig
+from repro.proxy.core import ProxyCore
+from repro.proxy.costs import CostModel
+from repro.proxy.stats import ProxyStats
+from repro.proxy.txn_table import TimerList, TransactionTable
 from repro.sim.engine import Engine
+from repro.sip.builder import MessageBuilder
+from repro.sip.location import LocationService
 from repro.sip.headers import Address, CSeq, Via
 from repro.sip.message import COMPACT_FORMS, SipRequest, SipResponse
 from repro.sip.parser import (
@@ -25,7 +34,10 @@ from repro.sip.parser import (
     _parse_headers,
     parse_message,
 )
+from repro.sip.reader import PhoneMessage
 from repro.sip.uri import SipUri
+
+from conftest import drive
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -170,6 +182,216 @@ class TestHeaderNameInterning:
     def test_every_interned_spelling_is_what_the_slow_path_gives(
             self, spelling):
         assert _KNOWN_NAMES[spelling] == _old_canonical(spelling)
+
+
+@functools.lru_cache(maxsize=None)
+def phone_bound_texts():
+    """Every text a proxy sends a phone in one call, REGISTER to the BYE's
+    200 OK, plus a 404: the proxy's real forward and response paths."""
+    engine = Engine()
+    costs = CostModel()
+    core = ProxyCore(engine, ProxyConfig(transport="udp", workers=1),
+                     costs, LocationService(), TransactionTable(costs),
+                     TimerList(costs), ProxyStats(), via_host="server")
+    alice = MessageBuilder("alice", "example.com", "client1", 20000, "udp",
+                           random.Random(1))
+    bob = MessageBuilder("bob", "example.com", "client2", 40000, "udp",
+                         random.Random(2))
+    sent = []
+
+    def relay(text, source):
+        actions = drive(engine, core.process(text, source))
+        sent.extend(action.text for action in actions)
+        return actions[-1].text
+
+    for builder, source in ((alice, ("client1", 20000)),
+                            (bob, ("client2", 40000))):
+        relay(builder.register_text()[0], source)
+    invite, __, dialog = alice.invite_text("bob")
+    forwarded = relay(invite, ("client1", 20000))
+    ringing, ok = bob.answer_texts(PhoneMessage(forwarded), "b0b")
+    relay(ringing, ("client2", 40000))
+    dialog.confirm(PhoneMessage(relay(ok, ("client2", 40000))))
+    relay(alice.ack_text(dialog), ("client1", 20000))
+    bye = relay(alice.bye_text(dialog)[0], ("client1", 20000))
+    relay(bob.ok_text(PhoneMessage(bye)), ("client2", 40000))
+    relay(alice.invite_text("nobody")[0], ("client1", 20000))
+    assert {text.split(" ", 2)[1] if text.startswith("SIP/") else
+            text.split(" ", 1)[0] for text in sent} == {
+        "100", "180", "200", "404", "INVITE", "ACK", "BYE"}
+    return tuple(sent)
+
+
+#: characters a perturbation writes: SIP punctuation and padding
+PERTURBING = string.ascii_letters + string.digits + " \t<>;:=@/.-"
+#: the headers a phone acts on, as the perturbations address them
+ACTED_ON = ("Via", "CSeq", "Call-ID", "To")
+SPELLINGS = {"Via": "v", "Call-ID": "i", "To": "t", "From": "f",
+             "Contact": "m", "Content-Length": "l"}
+
+
+@st.composite
+def perturbed_value(draw, value):
+    """``value`` replaced outright, or edited in one place (a character
+    inserted, replaced or deleted), or padded with whitespace."""
+    how = draw(st.sampled_from(["replace", "edit", "pad"]))
+    if how == "replace":
+        return draw(st.text(alphabet=PERTURBING, max_size=30))
+    if how == "pad":
+        return (draw(st.sampled_from(["", " ", "\t", "  "])) + value
+                + draw(st.sampled_from(["", " ", "\t "])))
+    i = draw(st.integers(0, len(value)))
+    char = draw(st.sampled_from(PERTURBING))
+    return value[:i] + draw(st.sampled_from(["", char])) + value[
+        i + draw(st.integers(0, 1)):]
+
+
+@st.composite
+def perturbed_texts(draw):
+    """A phone-bound text with its Via, CSeq, Call-ID or To lines garbled
+    or dropped, header names in lower case or compact form, and Via lines
+    added; the body and its Content-Length are left alone."""
+    text = draw(st.sampled_from(phone_bound_texts()))
+    head, __, body = text.partition("\r\n\r\n")
+    start, *lines = head.split("\r\n")
+    for __ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["garble", "garble", "drop", "lower",
+                                     "compact", "add via"]))
+        names = [line.partition(":")[0] for line in lines]
+        if edit == "add via":
+            value = draw(st.sampled_from(
+                [line.partition(": ")[2] for line in lines
+                 if line.startswith("Via: ")] or ["SIP/2.0/UDP x:1"]))
+            lines.insert(draw(st.integers(0, len(lines))),
+                         f"Via: {draw(perturbed_value(value))}")
+            continue
+        targets = [i for i, name in enumerate(names)
+                   if name in (ACTED_ON if edit in ("garble", "drop")
+                               else SPELLINGS)]
+        if not targets:
+            continue
+        i = draw(st.sampled_from(targets))
+        name, __, value = lines[i].partition(": ")
+        if edit == "garble":
+            lines[i] = f"{name}: {draw(perturbed_value(value))}"
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "lower":
+            lines[i] = f"{name.lower()}: {value}"
+        else:
+            lines[i] = f"{SPELLINGS[name]}: {value}"
+    return "\r\n".join([start, *lines]) + "\r\n\r\n" + body
+
+
+def model_view(text):
+    """What the message model gives a phone for ``text``, or None where
+    ``parse_message`` raises or, for a response, the ``top_via`` or
+    ``cseq`` accessor does (the parent phone dropped such a response, or
+    ignored it for want of a transaction)."""
+    try:
+        message = parse_message(text)
+        if message.is_request:
+            fields = {"status": 0, "method": message.method,
+                      "branch": None, "cseq_method": None,
+                      "via_lines": "".join(f"\r\nVia: {via}" for via in
+                                           message.get_all("Via"))}
+        else:
+            via, cseq = message.top_via, message.cseq
+            fields = {"status": message.status, "method": None,
+                      "branch": via.branch if via is not None else None,
+                      "cseq_method": cseq.method if cseq is not None
+                      else None,
+                      "via_lines": None}
+    except ValueError:
+        return None
+    fields.update(from_=message.get("From"), to=message.get("To"),
+                  call_id=message.call_id, cseq=message.get("CSeq"),
+                  contact=message.get("Contact"))
+    return fields
+
+
+def outcome(read):
+    """What ``read()`` gives, or ``"raises"`` where it raises
+    ``ValueError``."""
+    try:
+        return read()
+    except ValueError:
+        return "raises"
+
+
+def address_view(value):
+    """(URI, tag) as ``Address.parse`` gives them; raises ``ValueError``
+    for a header that is missing too."""
+    if value is None:
+        raise ValueError("no such header")
+    address = Address.parse(value)
+    return address.uri.render(), address.tag
+
+
+def assert_reader_agrees(text):
+    """The phone's reader yields the fields the message model's accessors
+    give, and raises exactly where they do."""
+    expected = model_view(text)
+    try:
+        message = PhoneMessage(text)
+    except ValueError:
+        assert expected is None, expected
+        return
+    assert expected is not None
+    assert {name: getattr(message, name) for name in expected} == expected
+    to = outcome(lambda: address_view(message.to))
+    assert outcome(message.to_tag) == (to if to == "raises" else to[1])
+    contact = outcome(lambda: address_view(message.contact))
+    if message.contact is None:
+        assert message.contact_uri() is None
+    else:
+        assert outcome(message.contact_uri) == (
+            contact if contact == "raises" else contact[0])
+
+
+def one_character_edits(value, chars=" \t;:<>=@/"):
+    """``value`` with one character deleted, or one of ``chars`` inserted
+    or put in its place, at every position."""
+    for i in range(len(value) + 1):
+        if i < len(value):
+            yield value[:i] + value[i + 1:]
+        for char in chars:
+            yield value[:i] + char + value[i:]
+            if i < len(value):
+                yield value[:i] + char + value[i + 1:]
+
+
+class TestPhoneReaderAgreement:
+    def test_every_proxy_made_text_reads_by_template(self, monkeypatch):
+        """What the proxy sends fits a template: the parser's reader is
+        the fallback, not the path."""
+        monkeypatch.setattr(PhoneMessage, "_read_model", None)
+        for text in phone_bound_texts():
+            assert_reader_agrees(text)
+
+    def test_every_one_character_edit_of_a_field_agrees(self):
+        """The start line, each value a phone acts on and the
+        Content-Length, edited in each place: every near miss of a
+        template falls to the same fields or the same drop."""
+        for text in phone_bound_texts():
+            head, __, body = text.partition("\r\n\r\n")
+            lines = head.split("\r\n")
+            for start in one_character_edits(lines[0], " \t/09"):
+                assert_reader_agrees("\r\n".join([start] + lines[1:])
+                                     + "\r\n\r\n" + body)
+            for i, line in enumerate(lines[1:], 1):
+                name, __, value = line.partition(": ")
+                if name not in ACTED_ON + ("Contact", "Content-Length"):
+                    continue
+                for edited in one_character_edits(value):
+                    assert_reader_agrees("\r\n".join(
+                        lines[:i] + [f"{name}: {edited}"] + lines[i + 1:])
+                        + "\r\n\r\n" + body)
+
+    @given(perturbed_texts())
+    @settings(max_examples=600, deadline=None)
+    def test_reader_agrees_with_the_message_model(self, text):
+        assert_reader_agrees(text)
 
 
 class TestFramerProperties:

@@ -14,6 +14,7 @@ from repro.proxy.txn_table import TimerList, TransactionTable
 from repro.sip.builder import MessageBuilder
 from repro.sip.location import LocationService
 from repro.sip.parser import parse_message
+from repro.sip.reader import PhoneMessage
 
 from conftest import drive
 
@@ -37,6 +38,16 @@ def alice(transport="udp"):
 def bob(transport="udp"):
     return MessageBuilder("bob", "example.com", "client2", 40000,
                           transport, random.Random(2))
+
+
+def an_invite_and_its_ack():
+    """(INVITE, its ACK) from alice, as message objects, of a call bob
+    answered with a 200 OK carrying his Contact."""
+    caller = alice()
+    text, __, dialog = caller.invite_text("bob")
+    __, ok = bob().answer_texts(PhoneMessage(text), "bt")
+    dialog.confirm(PhoneMessage(ok))
+    return parse_message(text), parse_message(caller.ack_text(dialog))
 
 
 def register(engine, core, builder, source):
@@ -240,11 +251,9 @@ class TestByeAndAck:
     def test_ack_forwarded_statelessly(self, engine):
         core = make_core(engine)
         register(engine, core, bob(), ("client2", 40000))
-        invite = alice().invite("bob")
+        invite, ack = an_invite_and_its_ack()
         drive(engine, core.process(invite.render(), ("client1", 20000)))
         created = core.stats.transactions_created
-        ok = bob().response_for(invite, 200, to_tag="bt", with_contact=True)
-        ack = alice().ack_for(invite, ok)
         actions = drive(engine, core.process(ack.render(),
                                              ("client1", 20000)))
         assert len(actions) == 1
@@ -395,10 +404,7 @@ class TestMandatoryHeaders:
     def test_ack_missing_to_is_dropped(self, engine):
         core = make_core(engine)
         register(engine, core, bob(), ("client2", 40000))
-        caller = alice()
-        invite = caller.invite("bob")
-        ok = bob().response_for(invite, 200, to_tag="t")
-        actions = self.send_without(engine, core, caller.ack_for(invite, ok),
-                                    "To")
+        __, ack = an_invite_and_its_ack()
+        actions = self.send_without(engine, core, ack, "To")
         assert actions == []
         assert core.stats.parse_errors == 1

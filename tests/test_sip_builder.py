@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.sip.builder import MessageBuilder
-from repro.sip.dialogs import Dialog
 from repro.sip.parser import parse_message
+from repro.sip.reader import PhoneMessage
 
 
 @pytest.fixture
@@ -75,19 +75,26 @@ def test_response_for_echoes_routing_headers(alice, bob):
 
 
 def test_response_with_contact(alice, bob):
-    invite = alice.invite("bob")
-    ok = bob.response_for(invite, 200, to_tag="t", with_contact=True)
-    assert ok.contact.uri.host == "client2"
+    __, ok = bob.answer_texts(PhoneMessage(alice.invite("bob").render()), "t")
+    assert parse_message(ok).contact.uri.host == "client2"
+
+
+def confirmed(alice, bob):
+    """(INVITE, 200 OK, the caller's confirmed dialog) of one call."""
+    text, __, dialog = alice.invite_text("bob")
+    __, ok = bob.answer_texts(PhoneMessage(text), "bobtag")
+    dialog.confirm(PhoneMessage(ok))
+    return parse_message(text), parse_message(ok), dialog
 
 
 def test_ack_matches_invite_dialog(alice, bob):
-    invite = alice.invite("bob")
-    ok = bob.response_for(invite, 200, to_tag="bobtag", with_contact=True)
-    ack = alice.ack_for(invite, ok)
+    invite, ok, dialog = confirmed(alice, bob)
+    ack = parse_message(alice.ack_text(dialog))
     assert ack.method == "ACK"
     assert ack.call_id == invite.call_id
     assert ack.cseq.number == invite.cseq.number
     assert ack.cseq.method == "ACK"
+    assert ack.get("From") == invite.get("From")
     assert ack.get("To") == ok.get("To")
     assert ack.uri.host == "client2"  # routed to the contact
     # New branch per RFC 3261 §17.1.1.3 for 2xx ACK.
@@ -95,12 +102,84 @@ def test_ack_matches_invite_dialog(alice, bob):
 
 
 def test_bye_from_dialog(alice, bob):
-    invite = alice.invite("bob")
-    ok = bob.response_for(invite, 200, to_tag="bobtag", with_contact=True)
-    dialog = Dialog.from_invite_success(invite, ok)
-    bye = alice.bye(dialog)
+    invite, ok, dialog = confirmed(alice, bob)
+    text, branch = alice.bye_text(dialog)
+    bye = parse_message(text)
     assert bye.method == "BYE"
+    assert bye.top_via.branch == branch
     assert bye.call_id == invite.call_id
     assert bye.from_addr.tag == invite.from_addr.tag
     assert bye.to_addr.tag == "bobtag"
+    assert bye.uri.host == "client2"
     assert bye.cseq.number > invite.cseq.number
+
+
+def test_ack_without_contact_goes_to_the_request_uri(alice, bob):
+    text, __, dialog = alice.invite_text("bob")
+    ok = bob.response_for(parse_message(text), 200, to_tag="t")
+    dialog.confirm(PhoneMessage(ok.render()))
+    assert parse_message(alice.ack_text(dialog)).uri.render() == \
+        "sip:bob@example.com"
+
+
+def test_objects_are_the_texts_parsed(alice):
+    """There is one wire format: ``register()``/``invite()`` parse what
+    ``register_text()``/``invite_text()`` send, byte for byte."""
+    twin = MessageBuilder("alice", "example.com", "client1", 40000, "udp",
+                          random.Random(1))
+    assert alice.register().render() == twin.register_text()[0]
+    assert alice.invite("bob").render() == twin.invite_text("bob")[0]
+
+
+def test_identifiers_are_drawn_in_a_fixed_order():
+    """REGISTER draws tag, branch, Call-ID; INVITE branch, tag, Call-ID;
+    ACK and BYE a branch each.  All phones share one stream, so this
+    order fixes which phone gets which value."""
+    draws = []
+
+    class Stream:
+        def getrandbits(self, bits):
+            draws.append(bits)
+            return len(draws)
+
+    builder = MessageBuilder("a", "d", "h", 1, "udp", Stream())
+    text, branch, call_id = builder.register_text()
+    register = parse_message(text)
+    assert register.from_addr.tag == f"{1:08x}"
+    assert branch == register.top_via.branch == f"z9hG4bK{2:012x}"
+    assert call_id == register.call_id == f"{3:012x}@h"
+    text, branch, dialog = builder.invite_text("b")
+    invite = parse_message(text)
+    assert branch == invite.top_via.branch == f"z9hG4bK{4:012x}"
+    assert invite.from_addr.tag == f"{5:08x}"
+    assert dialog.call_id == invite.call_id == f"{6:012x}@h"
+    assert draws == [32, 48, 48, 48, 32, 48]
+
+
+def test_answer_copies_the_request_lines(alice, bob):
+    """180 and 200 repeat the INVITE's Via lines (all of them, in order),
+    From, Call-ID and CSeq as received, and its To with our tag."""
+    text, __, __ = alice.invite_text("bob")
+    forwarded = text.replace(
+        "Via: ", "Via: SIP/2.0/UDP proxy:5060;branch=z9hG4bK-pxy-1\r\nVia: ",
+        1)
+    invite = parse_message(forwarded)
+    ringing, ok = bob.answer_texts(PhoneMessage(forwarded), "bobtag")
+    for text, status in ((ringing, 180), (ok, 200)):
+        response = parse_message(text)
+        assert response.status == status
+        assert response.get_all("Via") == invite.get_all("Via")
+        for name in ("From", "Call-ID", "CSeq"):
+            assert response.get(name) == invite.get(name)
+        assert response.get("To") == invite.get("To") + ";tag=bobtag"
+    assert ringing == bob.response_for(invite, 180, to_tag="bobtag").render()
+    assert parse_message(ok).contact.uri.host == "client2"
+    assert parse_message(ringing).contact is None
+
+
+def test_ok_to_a_bye_adds_no_tag(alice, bob):
+    invite, ok, dialog = confirmed(alice, bob)
+    text, __ = alice.bye_text(dialog)
+    response = parse_message(bob.ok_text(PhoneMessage(text)))
+    assert response.status == 200
+    assert response.get("To") == parse_message(text).get("To")

@@ -69,12 +69,6 @@ class TestAddress:
         assert addr.uri.params == {"transport": "tcp"}
         assert addr.tag == "7"
 
-    def test_with_tag_is_nonmutating(self):
-        addr = Address.parse("<sip:a@b.c>")
-        tagged = addr.with_tag("t1")
-        assert addr.tag is None
-        assert tagged.tag == "t1"
-
     def test_render_roundtrip(self):
         text = '"Bob" <sip:bob@example.com:5062>;tag=abc'
         assert Address.parse(text).render() == text

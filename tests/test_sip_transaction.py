@@ -8,8 +8,8 @@ import pytest
 
 from repro.sim.engine import Engine, Scheduled
 from repro.sip.builder import MessageBuilder
-from repro.sip.dialogs import Dialog
 from repro.sip.parser import parse_message
+from repro.sip.reader import PhoneMessage
 from repro.sip.transaction import (
     ClientTransaction,
     ServerTransaction,
@@ -42,20 +42,37 @@ def stamp(engine, sink):
     return send
 
 
+def inviting(engine, alice, send_fn, reliable, **kwargs):
+    """(INVITE client transaction, the INVITE's text)."""
+    text, branch, __ = alice.invite_text("bob")
+    return (ClientTransaction(engine, "INVITE", branch, text, send_fn,
+                              reliable, **kwargs), text)
+
+
+def reply(bob, request_text, status, **kwargs):
+    """Bob's response to a request text, as the phone reads it."""
+    return PhoneMessage(bob.response_for(parse_message(request_text), status,
+                                         **kwargs).render())
+
+
+def answers(bob, invite_text):
+    """(180, 200) texts answering an INVITE text, as a callee sends them."""
+    return bob.answer_texts(PhoneMessage(invite_text), "b")
+
+
 @pytest.mark.parametrize("side", ["client", "server"])
 def test_backoff_caps_at_8_t1(engine, alice, bob, side):
     """Timer A (client) and timer G (server) double from T1 up to
     T2 = 8×T1, whatever T1 is, until timer B/H gives up at 64×T1."""
     sent = []
-    invite = alice.invite("bob")
     if side == "client":
-        txn = ClientTransaction(engine, invite, stamp(engine, sent),
-                                reliable=False, t1_us=10_000.0)
+        txn, __ = inviting(engine, alice, stamp(engine, sent),
+                           reliable=False, t1_us=10_000.0)
         txn.start()
     else:
         txn = ServerTransaction(engine, stamp(engine, sent), reliable=False,
                                 t1_us=10_000.0)
-        txn.respond(bob.response_for(invite, 200, to_tag="b"))
+        txn.respond(answers(bob, alice.invite_text("bob")[0])[1], final=True)
     engine.run(until=1_000_000.0)
     gaps = [later - earlier for earlier, later in zip(sent, sent[1:])]
     assert gaps == [10_000.0, 20_000.0, 40_000.0] + [80_000.0] * 7
@@ -65,54 +82,51 @@ def test_backoff_caps_at_8_t1(engine, alice, bob, side):
 class TestClientTransaction:
     def test_start_sends_request(self, engine, alice):
         wire = []
-        txn = ClientTransaction(engine, alice.invite("bob"), collect(wire),
-                                reliable=False)
+        txn, __ = inviting(engine, alice, collect(wire), reliable=False)
         txn.start()
         assert len(wire) == 1
         assert wire[0].startswith("INVITE")
 
     def test_udp_retransmits_with_backoff(self, engine, alice):
         wire = []
-        txn = ClientTransaction(engine, alice.invite("bob"), collect(wire),
-                                reliable=False, t1_us=500_000.0)
+        txn, text = inviting(engine, alice, collect(wire), reliable=False,
+                             t1_us=500_000.0)
         txn.start()
         engine.run(until=3_400_000.0)  # retransmits at 0.5s, 1.5s (next: 3.5s)
         assert len(wire) == 3
         assert txn.retransmissions == 2
-        assert wire == [txn.request.render()] * 3  # verbatim, byte for byte
+        assert wire == [text] * 3  # verbatim, byte for byte
 
     def test_non_invite_retransmits_first_send_in_proceeding(
             self, engine, alice, bob):
         """Timer E keeps firing after a 1xx (at T2 = 8×T1), always the same
         text."""
         wire = []
-        invite = alice.invite("bob")
-        bye = alice.bye(Dialog.from_invite_success(
-            invite, bob.response_for(invite, 200, to_tag="b")))
-        txn = ClientTransaction(engine, bye, collect(wire), reliable=False,
-                                t1_us=10_000.0)
+        invite, __, dialog = alice.invite_text("bob")
+        dialog.confirm(PhoneMessage(answers(bob, invite)[1]))
+        bye, branch = alice.bye_text(dialog)
+        txn = ClientTransaction(engine, "BYE", branch, bye, collect(wire),
+                                reliable=False, t1_us=10_000.0)
         txn.start()
         engine.run(until=25_000.0)  # timer E at 10 ms
-        txn.handle_response(bob.response_for(bye, 100))
+        txn.handle_response(reply(bob, bye, 100))
         engine.run(until=200_000.0)  # at 30 ms, then every 80 ms
         assert txn.state is TxnState.PROCEEDING
         assert len(wire) >= 5
-        assert wire == [bye.render()] * len(wire)
+        assert wire == [bye] * len(wire)
 
     def test_tcp_never_retransmits(self, engine, alice):
         wire = []
-        txn = ClientTransaction(engine, alice.invite("bob"), collect(wire),
-                                reliable=True)
+        txn, __ = inviting(engine, alice, collect(wire), reliable=True)
         txn.start()
         engine.run(until=10_000_000.0)
         assert len(wire) == 1
 
     def test_provisional_stops_retransmission(self, engine, alice, bob):
         wire = []
-        invite = alice.invite("bob")
-        txn = ClientTransaction(engine, invite, collect(wire), reliable=False)
+        txn, text = inviting(engine, alice, collect(wire), reliable=False)
         txn.start()
-        ringing = bob.response_for(invite, 180, to_tag="b")
+        ringing = reply(bob, text, 180, to_tag="b")
         engine.schedule(100_000.0, txn.handle_response, ringing)
         engine.run(until=5_000_000.0)
         assert len(wire) == 1
@@ -120,11 +134,10 @@ class TestClientTransaction:
 
     def test_final_response_terminates(self, engine, alice, bob):
         finals = []
-        invite = alice.invite("bob")
-        txn = ClientTransaction(engine, invite, collect([]), reliable=False,
-                                on_final=finals.append)
+        txn, text = inviting(engine, alice, collect([]), reliable=False,
+                             on_final=finals.append)
         txn.start()
-        ok = bob.response_for(invite, 200, to_tag="b")
+        ok = reply(bob, text, 200, to_tag="b")
         txn.handle_response(ok)
         assert txn.state is TxnState.TERMINATED
         assert finals == [ok]
@@ -134,9 +147,8 @@ class TestClientTransaction:
 
     def test_timeout_fires_after_64_t1(self, engine, alice):
         timeouts = []
-        txn = ClientTransaction(
-            engine, alice.invite("bob"), collect([]), reliable=False,
-            t1_us=10_000.0,
+        txn, __ = inviting(
+            engine, alice, collect([]), reliable=False, t1_us=10_000.0,
             on_final=lambda final: timeouts.append((engine.now, final)))
         txn.start()
         engine.run(until=10_000_000.0)
@@ -148,41 +160,41 @@ class TestClientTransaction:
         """A 1xx stops timer A but not timer B: a call that rings and is
         never answered still ends with ``on_final(None)`` at 64×T1."""
         wire, finals = [], []
-        invite = alice.invite("bob")
-        txn = ClientTransaction(
-            engine, invite, collect(wire), reliable=False, t1_us=10_000.0,
+        txn, text = inviting(
+            engine, alice, collect(wire), reliable=False, t1_us=10_000.0,
             on_final=lambda final: finals.append((engine.now, final)))
         txn.start()
-        txn.handle_response(bob.response_for(invite, 180, to_tag="b"))
+        txn.handle_response(reply(bob, text, 180, to_tag="b"))
         engine.run(until=10_000_000.0)
         assert len(wire) == 1
         assert finals == [(pytest.approx(640_000.0), None)]
         assert txn.state is TxnState.TERMINATED
 
     def test_matches_by_branch_and_method(self, engine, alice, bob):
-        invite = alice.invite("bob")
-        txn = ClientTransaction(engine, invite, collect([]), reliable=False)
-        ok = bob.response_for(invite, 200, to_tag="b")
-        assert txn.matches(ok)
-        other = bob.response_for(alice.invite("bob"), 200, to_tag="b")
+        txn, text = inviting(engine, alice, collect([]), reliable=False)
+        ok = bob.response_for(parse_message(text), 200, to_tag="b")
+        assert txn.matches(PhoneMessage(ok.render()))
+        other = reply(bob, alice.invite_text("bob")[0], 200, to_tag="b")
         assert not txn.matches(other)
+        ok.set("CSeq", ok.get("CSeq").replace("INVITE", "BYE"))
+        assert not txn.matches(PhoneMessage(ok.render()))
+        ok.remove_first("CSeq")
+        assert not txn.matches(PhoneMessage(ok.render()))
 
 
 class TestServerTransaction:
     def test_respond_sends(self, engine, alice, bob):
         wire = []
-        invite = alice.invite("bob")
         txn = ServerTransaction(engine, collect(wire), reliable=False)
-        txn.respond(bob.response_for(invite, 180, to_tag="b"))
+        txn.respond(answers(bob, alice.invite_text("bob")[0])[0], final=False)
         assert len(wire) == 1
         assert parse_message(wire[0]).status == 180
 
     def test_invite_final_retransmits_until_ack(self, engine, alice, bob):
         wire = []
-        invite = alice.invite("bob")
         txn = ServerTransaction(engine, collect(wire), reliable=False,
                                 t1_us=100_000.0)
-        txn.respond(bob.response_for(invite, 200, to_tag="b"))
+        txn.respond(answers(bob, alice.invite_text("bob")[0])[1], final=True)
         engine.run(until=350_000.0)  # retransmits at 100ms and 300ms
         assert len(wire) == 3
         assert wire == [wire[0]] * 3
@@ -198,21 +210,20 @@ class TestServerTransaction:
         """The 180 arms nothing; the 200 arms timer H, and timer G too
         unless the transport is reliable."""
         wire = []
-        invite = alice.invite("bob")
+        ringing, ok = answers(bob, alice.invite_text("bob")[0])
         txn = ServerTransaction(engine, collect(wire), reliable)
         scheduled = engine.events_scheduled
-        txn.respond(bob.response_for(invite, 180, to_tag="b"))
+        txn.respond(ringing, final=False)
         assert engine.events_scheduled == scheduled
-        txn.respond(bob.response_for(invite, 200, to_tag="b"))
+        txn.respond(ok, final=True)
         assert engine.events_scheduled == scheduled + timers_armed
         engine.run(until=10_000_000.0)
         assert (len(wire) == 2) is reliable
 
     def test_request_retransmission_replays_response(self, engine, alice, bob):
         wire = []
-        invite = alice.invite("bob")
         txn = ServerTransaction(engine, collect(wire), reliable=False)
-        txn.respond(bob.response_for(invite, 180, to_tag="b"))
+        txn.respond(answers(bob, alice.invite_text("bob")[0])[0], final=False)
         txn.handle_request_retransmission()
         assert len(wire) == 2
         assert wire[0] == wire[1]
@@ -222,13 +233,12 @@ class TestServerTransaction:
         """Until the first response there is nothing to replay: a
         duplicate request sends nothing and arms no timer."""
         wire = []
-        invite = alice.invite("bob")
         txn = ServerTransaction(engine, collect(wire), reliable=False)
         scheduled = engine.events_scheduled
         txn.handle_request_retransmission()
         assert wire == []
         assert engine.events_scheduled == scheduled
-        txn.respond(bob.response_for(invite, 180, to_tag="b"))
+        txn.respond(answers(bob, alice.invite_text("bob")[0])[0], final=False)
         assert len(wire) == 1
 
     def test_every_resend_is_the_last_response_verbatim(
@@ -236,26 +246,23 @@ class TestServerTransaction:
         """Replays (duplicate INVITE) and timer G repeat the text of the
         last response sent, byte for byte: 180 until the 200, then 200."""
         wire = []
-        invite = alice.invite("bob")
         txn = ServerTransaction(engine, collect(wire), reliable=False,
                                 t1_us=10_000.0)
-        ringing = bob.response_for(invite, 180, to_tag="b")
-        ok = bob.response_for(invite, 200, to_tag="b", with_contact=True)
-        txn.respond(ringing)
+        ringing, ok = answers(bob, alice.invite_text("bob")[0])
+        txn.respond(ringing, final=False)
         txn.handle_request_retransmission()
-        txn.respond(ok)
+        txn.respond(ok, final=True)
         txn.handle_request_retransmission()
         engine.run(until=35_000.0)  # timer G at 10 ms and 30 ms
         txn.handle_ack()
         txn.handle_request_retransmission()  # absorbed after the ACK too
-        assert wire == [ringing.render()] * 2 + [ok.render()] * 5
-        assert txn.last_text == ok.render()
+        assert wire == [ringing] * 2 + [ok] * 5
+        assert txn.last_text == ok
 
     def test_give_up_without_ack(self, engine, alice, bob):
-        invite = alice.invite("bob")
         txn = ServerTransaction(engine, collect([]), reliable=False,
                                 t1_us=1_000.0)
-        txn.respond(bob.response_for(invite, 200, to_tag="b"))
+        txn.respond(answers(bob, alice.invite_text("bob")[0])[1], final=True)
         engine.run(until=1_000_000.0)
         assert txn.terminated
 
@@ -295,12 +302,13 @@ def dies_by_refcount(txn_box):
 
 
 CLIENT_ENDINGS = {
-    "final 2xx": lambda engine, txn, reply: txn.handle_response(reply(200)),
-    "final non-2xx": lambda engine, txn, reply: txn.handle_response(
-        reply(486)),
-    "cancel": lambda engine, txn, reply: txn.cancel(),
-    "timer B/F": lambda engine, txn, reply: engine.run(until=700_000.0),
-    "abort": lambda engine, txn, reply: txn.abort(),
+    "final 2xx": lambda engine, txn, answer: txn.handle_response(
+        answer(200)),
+    "final non-2xx": lambda engine, txn, answer: txn.handle_response(
+        answer(486)),
+    "cancel": lambda engine, txn, answer: txn.cancel(),
+    "timer B/F": lambda engine, txn, answer: engine.run(until=700_000.0),
+    "abort": lambda engine, txn, answer: txn.abort(),
 }
 
 
@@ -320,21 +328,21 @@ class TestLifetimes:
         No timer is cancelled after a 1xx cancelled it or after it
         fired."""
         seen = []
-        invite = alice.invite("bob")
         # Like the phone's, the callbacks close over the transaction's user.
-        box = [ClientTransaction(
-            engine, invite, collect([]), reliable, t1_us=10_000.0,
+        box = [inviting(
+            engine, alice, collect([]), reliable, t1_us=10_000.0,
             on_final=lambda final: seen.append(
-                (box, "timeout" if final is None else final.status)))]
+                (box, "timeout" if final is None else final.status)))[0]]
         txn = box[0]
+        invite = txn.text
         txn.start()
         engine.run(until=35_000.0)  # unreliable: timer A fired twice
         assert txn.retransmissions == (0 if reliable else 2)
-        txn.handle_response(bob.response_for(invite, 180, to_tag="b"))
+        txn.handle_response(reply(bob, invite, 180, to_tag="b"))
         assert seen == []  # a 1xx is not final
         CLIENT_ENDINGS[ending](
             engine, txn,
-            lambda status: bob.response_for(invite, status, to_tag="b"))
+            lambda status: reply(bob, invite, status, to_tag="b"))
         assert txn.state is TxnState.TERMINATED
         outcomes = [outcome for __, outcome in seen]
         assert outcomes == {"final 2xx": [200], "final non-2xx": [486],
@@ -342,7 +350,7 @@ class TestLifetimes:
                             "abort": ["timeout"]}[ending]
         # Late arrivals after termination are ignored, not raised on a
         # released timer: a response, both timers, a second cancel/abort.
-        txn.handle_response(bob.response_for(invite, 200, to_tag="b"))
+        txn.handle_response(reply(bob, invite, 200, to_tag="b"))
         txn._retransmit()
         txn._timed_out()
         txn.abort()
@@ -360,11 +368,10 @@ class TestLifetimes:
     def test_server_transaction(self, engine, alice, bob, ending, reliable,
                                 spent_cancels):
         wire = []
-        invite = alice.invite("bob")
         box = [ServerTransaction(engine, collect(wire), reliable,
                                  t1_us=10_000.0)]
         txn = box[0]
-        txn.respond(bob.response_for(invite, 200, to_tag="b"))
+        txn.respond(answers(bob, alice.invite_text("bob")[0])[1], final=True)
         engine.run(until=35_000.0)  # unreliable: timer G fired twice
         assert len(wire) == (1 if reliable else 3)
         if ending == "ack":
