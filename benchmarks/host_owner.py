@@ -1,15 +1,16 @@
 """Who spends a cell's host time: the phones, the proxy, or the rest?
 
     python benchmarks/host_owner.py --workload udp-closed-100
-        [--seed 1] [--profile bench|smoke] [--interval-ms 0.5]
+        [--profile bench|smoke]
 
 The perf harness charges a function's self time to the package that
 defines it, so SIP parsing and formatting done *for the phones* lands in
 ``sip`` beside the proxy's own, and ``clients`` looks cheap.  This script
 splits the time by *owner* instead.  It runs one ``benchmarks/perf``
-workload in this process under a ``SIGPROF`` interval timer (process CPU
-time, every ``--interval-ms``) and, at each sample, walks the Python
-stack from the innermost frame outward:
+workload (seed 1) in this process under a ``SIGPROF`` interval timer
+(every 0.5 ms of process CPU time; the kernel's tick may space samples
+wider) and, at each sample, walks the Python stack from the innermost
+frame outward:
 
 * the *leaf package* is the ``repro`` package of the innermost frame
   (``python`` when it is outside ``src/repro``: the standard library, this
@@ -47,6 +48,8 @@ from workloads import WORKLOADS, spec_kwargs  # noqa: E402
 SRC = str(HERE.parent / "src" / "repro") + os.sep
 PHONE = os.path.join(SRC, "clients", "phone.py")
 OTHER = "engine+kernel"
+SEED = 1
+INTERVAL_S = 0.0005  #: asked of the timer; the kernel's tick may be coarser
 
 
 def _where(filename: str) -> tuple:
@@ -64,8 +67,7 @@ def _where(filename: str) -> tuple:
 class Sampler:
     """Counts (owner, leaf package) of the stack at every SIGPROF."""
 
-    def __init__(self, interval_s: float) -> None:
-        self.interval_s = interval_s
+    def __init__(self) -> None:
         self.counts = collections.Counter()
         self._where = {}  #: code filename -> _where(filename), memoised
 
@@ -91,8 +93,7 @@ class Sampler:
 
     def __enter__(self) -> "Sampler":
         signal.signal(signal.SIGPROF, self._on_sample)
-        signal.setitimer(signal.ITIMER_PROF, self.interval_s,
-                         self.interval_s)
+        signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -107,8 +108,8 @@ def report(sampler: Sampler, args, wall_s: float, calls: int) -> str:
         owners[owner] += count
     lines = [
         f"workload {args.workload} (profile {args.profile}, seed "
-        f"{args.seed}): {calls} calls in {wall_s:.2f} s wall, "
-        f"{total} samples (timer asked for one per {args.interval_ms} ms "
+        f"{SEED}): {calls} calls in {wall_s:.2f} s wall, "
+        f"{total} samples (timer asked for one per {1000 * INTERVAL_S} ms "
         f"of CPU; the kernel's tick may space them wider)",
         "",
         "owner            share",
@@ -134,15 +135,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS),
                         default="udp-closed-100")
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--profile", choices=("bench", "smoke"),
                         default="bench")
-    parser.add_argument("--interval-ms", type=float, default=0.5)
     args = parser.parse_args(argv)
-    spec = ExperimentSpec(**spec_kwargs(args.workload, args.profile,
-                                        args.seed))
+    spec = ExperimentSpec(**spec_kwargs(args.workload, args.profile, SEED))
     start = time.perf_counter()
-    with Sampler(args.interval_ms / 1000.0) as sampler:
+    with Sampler() as sampler:
         result = run_cell(spec)
     wall_s = time.perf_counter() - start
     print(report(sampler, args, wall_s, result.calls_completed))

@@ -450,7 +450,7 @@ class Phone:
         try:
             ringing, ok = self.builder.answer_texts(invite,
                                                     self.builder.new_tag())
-        except ValueError:  # a To that cannot take our tag
+        except ValueError:  # a header to copy is missing or untaggable
             return
         st = ServerTransaction(self.engine, self._send_text, self.reliable,
                                self.t1_us)
@@ -490,7 +490,11 @@ class Phone:
             del self._answered[expiry.popleft()[1]]
 
     def _handle_bye(self, bye: PhoneMessage) -> None:
-        self._send_text(self.builder.ok_text(bye))
+        try:
+            ok = self.builder.ok_text(bye)
+        except ValueError:  # a header to copy is missing
+            return
+        self._send_text(ok)
         self._note_handled_op()
 
     def _note_handled_op(self) -> None:

@@ -39,9 +39,12 @@ def _copied(via_lines: str, from_, to, call_id, cseq,
             to_tag: Optional[str]) -> str:
     """The header lines a response copies from its request (RFC 3261
     §8.2.6.2), each after its CRLF, with ``to_tag`` added to a To that
-    has none; raises ``ValueError`` for a To that cannot take one (it
-    does not parse as an address, or is missing)."""
-    if to_tag is not None and (to is None or ";tag=" not in to):
+    has none; raises ``ValueError`` where From, To, Call-ID or CSeq is
+    missing, and for a To that cannot take the tag (it does not parse as
+    an address)."""
+    if from_ is None or to is None or call_id is None or cseq is None:
+        raise ValueError("a response copies From, To, Call-ID and CSeq")
+    if to_tag is not None and ";tag=" not in to:
         name_addr(to)
         to = f"{to};tag={to_tag}"
     return (f"{via_lines}\r\nFrom: {from_}\r\nTo: {to}"
@@ -157,14 +160,15 @@ class MessageBuilder:
     def answer_texts(self, invite: PhoneMessage,
                      tag: str) -> Tuple[str, str]:
         """(180 Ringing, 200 OK with our Contact) answering ``invite``
-        with To tag ``tag``; raises ``ValueError`` where the INVITE's To
-        cannot take it."""
+        with To tag ``tag``; raises ``ValueError`` where the INVITE lacks
+        a header it copies or its To cannot take the tag."""
         copied = _copied(invite.via_lines, invite.from_, invite.to,
                          invite.call_id, invite.cseq, tag)
         return self._response(180, copied), self._response(200, copied, True)
 
     def ok_text(self, request: PhoneMessage) -> str:
-        """The 200 OK answering a BYE."""
+        """The 200 OK answering a BYE; raises ``ValueError`` where the BYE
+        lacks a header it copies."""
         return self._response(200, _copied(
             request.via_lines, request.from_, request.to, request.call_id,
             request.cseq, None))
@@ -178,7 +182,8 @@ class MessageBuilder:
 
     def response_for(self, request: SipRequest, status: int,
                      to_tag: Optional[str] = None) -> SipResponse:
-        """A response echoing ``request``'s routing headers."""
+        """A response echoing ``request``'s routing headers; raises
+        ``ValueError`` where the request lacks one."""
         via_lines = "".join([f"\r\nVia: {via}"
                              for via in request.get_all("Via")])
         return parse_message(self._response(status, _copied(

@@ -107,11 +107,6 @@ class SipMessage:
         return CSeq.parse(value) if value is not None else None
 
     @property
-    def from_addr(self) -> Optional[Address]:
-        value = self.get("From")
-        return Address.parse(value) if value is not None else None
-
-    @property
     def to_addr(self) -> Optional[Address]:
         value = self.get("To")
         return Address.parse(value) if value is not None else None

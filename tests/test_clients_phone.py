@@ -225,6 +225,19 @@ def test_udp_callee_answers_bye_without_a_transaction(engine, monkeypatch):
                 if type(obj) is ServerTransaction and obj.engine is engine]
 
 
+def test_callee_drops_a_bye_it_cannot_answer(engine, monkeypatch):
+    """A BYE without a Call-ID gets no 200 OK with an invented one, and
+    counts as no handled operation."""
+    sent = []
+    monkeypatch.setattr(Phone, "_send_text",
+                        lambda self, text: sent.append(text))
+    __, callee = udp_callee(engine)
+    __, __, bye = a_call("udp")
+    callee._dispatch("".join(line for line in bye.splitlines(keepends=True)
+                             if not line.startswith("Call-ID: ")))
+    assert sent == [] and callee.handled_ops == 0
+
+
 @pytest.mark.parametrize("offset_us, replayed", [(-1.0, True),
                                                  (0.0, False)])
 def test_answered_invite_is_replayed_until_its_linger_ends(

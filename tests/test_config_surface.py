@@ -62,8 +62,6 @@ ALLOWED = {
     "IpcStall.*": _FAULT,
     "SipMessage.headers": "message data; SipRequest/SipResponse pass it on",
     "SipMessage.body": "message data; SipRequest/SipResponse pass it on",
-    "SipMessage.from_addr": "message-model accessor beside to_addr; tests "
-                            "read the From tag the phones write with it",
     "Binding.expires_us": "location-service record field; tests age "
                           "bindings with it",
     # -- values tests use to steer behaviour -----------------------------

@@ -5,8 +5,13 @@ import random
 import pytest
 
 from repro.sip.builder import MessageBuilder
+from repro.sip.headers import Address
 from repro.sip.parser import parse_message
 from repro.sip.reader import PhoneMessage
+
+
+def from_tag(message):
+    return Address.parse(message.get("From")).tag
 
 
 @pytest.fixture
@@ -35,7 +40,7 @@ def test_invite_shape(alice):
     invite = alice.invite("bob")
     assert invite.method == "INVITE"
     assert invite.uri.aor == "bob@example.com"
-    assert invite.from_addr.tag is not None
+    assert from_tag(invite) is not None
     assert invite.to_addr.tag is None
     assert invite.top_via.branch.startswith("z9hG4bK")
     assert invite.body.startswith("v=0")
@@ -108,7 +113,7 @@ def test_bye_from_dialog(alice, bob):
     assert bye.method == "BYE"
     assert bye.top_via.branch == branch
     assert bye.call_id == invite.call_id
-    assert bye.from_addr.tag == invite.from_addr.tag
+    assert from_tag(bye) == from_tag(invite)
     assert bye.to_addr.tag == "bobtag"
     assert bye.uri.host == "client2"
     assert bye.cseq.number > invite.cseq.number
@@ -145,13 +150,13 @@ def test_identifiers_are_drawn_in_a_fixed_order():
     builder = MessageBuilder("a", "d", "h", 1, "udp", Stream())
     text, branch, call_id = builder.register_text()
     register = parse_message(text)
-    assert register.from_addr.tag == f"{1:08x}"
+    assert from_tag(register) == f"{1:08x}"
     assert branch == register.top_via.branch == f"z9hG4bK{2:012x}"
     assert call_id == register.call_id == f"{3:012x}@h"
     text, branch, dialog = builder.invite_text("b")
     invite = parse_message(text)
     assert branch == invite.top_via.branch == f"z9hG4bK{4:012x}"
-    assert invite.from_addr.tag == f"{5:08x}"
+    assert from_tag(invite) == f"{5:08x}"
     assert dialog.call_id == invite.call_id == f"{6:012x}@h"
     assert draws == [32, 48, 48, 48, 32, 48]
 
@@ -183,3 +188,24 @@ def test_ok_to_a_bye_adds_no_tag(alice, bob):
     response = parse_message(bob.ok_text(PhoneMessage(text)))
     assert response.status == 200
     assert response.get("To") == parse_message(text).get("To")
+
+
+def without(text, name):
+    """``text`` with its ``name`` header line taken out."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(name + ": "))
+
+
+@pytest.mark.parametrize("name", ["From", "To", "Call-ID", "CSeq"])
+def test_a_request_missing_a_copied_header_gets_no_answer(alice, bob, name):
+    """A response copies From, To, Call-ID and CSeq: it cannot be made,
+    rather than made with a value invented for the missing one."""
+    invite, ok, dialog = confirmed(alice, bob)
+    bye = PhoneMessage(without(alice.bye_text(dialog)[0], name))
+    with pytest.raises(ValueError):
+        bob.ok_text(bye)
+    invite = without(alice.invite_text("bob")[0], name)
+    with pytest.raises(ValueError):
+        bob.answer_texts(PhoneMessage(invite), "t")
+    with pytest.raises(ValueError):
+        bob.response_for(parse_message(invite), 180)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sip.headers import Address
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.parser import parse_message
 from repro.sip.uri import SipUri
@@ -61,7 +62,7 @@ def test_structured_accessors():
     request = make_invite()
     assert request.call_id == "call-1@client1"
     assert request.cseq.method == "INVITE"
-    assert request.from_addr.tag == "a1"
+    assert Address.parse(request.get("From")).tag == "a1"
     assert request.to_addr.uri.user == "bob"
     assert request.max_forwards == 70
     assert request.content_length == 5
