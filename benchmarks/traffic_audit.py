@@ -584,10 +584,8 @@ def traffic(tmp: Path):
                                        "--clients", "20", "--idle", "pq",
                                        "--no-cache", "--jobs", "1"]),
         ("fig-overload smoke",
-         cli + ["fig-overload", "--overload-series", "udp", "--controllers",
-                "none", "local-occupancy", "--load-factors", "0.5", "2.0",
-                "--clients", "16", "--workers", "4", "--no-cache",
-                "--jobs", "1", "--json", str(tmp / "overload.json")]),
+         cli + ["fig-overload", "--smoke", "--no-cache", "--jobs", "1",
+                "--json", str(tmp / "overload.json")]),
         ("fig-faults smoke",
          cli + ["fig-faults", "--smoke", "--workers", "4", "--seed", "3",
                 "--no-cache", "--jobs", "1",

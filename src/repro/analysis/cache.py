@@ -14,9 +14,9 @@ spec payload.  The payload embeds:
   is set);
 - the effective ``REPRO_SCALE`` and ``TIME_COMPRESSION`` values, since
   both change the numbers a cell produces;
-- ``SCHEMA_VERSION``, bumped whenever the simulator's behaviour changes
-  in a result-affecting way — bumping it invalidates every cached cell
-  at once.
+- a SHA-256 of the ``repro`` package's source (:func:`source_digest`),
+  so any edit to a simulator module invalidates every cached cell at
+  once, whether or not it moves a number.
 
 Specs whose payload cannot be canonicalized to JSON (e.g. an exotic
 custom cost object) are simply not cached.  Clearing the cache is always
@@ -24,21 +24,16 @@ safe: delete the directory or call :meth:`ResultCache.clear`.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import pathlib
 from typing import Optional
 
-#: bump when simulator changes invalidate previously computed results
-#: (v2: results carry latency p99.9/mean keys and sampled metric series;
-#: v3: overload subsystem — goodput/rejection fields, Timer E in
-#: Proceeding, controller hooks in the proxy core;
-#: v4: fault subsystem — fabric egress/ordering fixes, IPC
-#: blocked-marker hygiene, fault_plan/watchdog spec fields;
-#: v5: causal-tracing subsystem — attribution result field, causal spec
-#: field, datagram trace slots)
-SCHEMA_VERSION = 5
+#: the ``repro`` package directory (this file lives at
+#: ``<package>/analysis/cache.py``)
+PACKAGE_DIR = pathlib.Path(__file__).resolve().parents[1]
 
 #: default location, relative to the repository root (this file lives at
 #: ``<root>/src/repro/analysis/cache.py``)
@@ -51,6 +46,19 @@ def default_cache_dir() -> pathlib.Path:
     return pathlib.Path(env) if env else DEFAULT_CACHE_DIR
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """SHA-256 over every ``.py`` file under :data:`PACKAGE_DIR` (relative
+    path and bytes, in path order); computed once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        digest.update(path.relative_to(PACKAGE_DIR).as_posix().encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+        digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def spec_payload(spec) -> Optional[dict]:
     """Canonical, JSON-ready description of everything a cell depends on.
 
@@ -60,7 +68,7 @@ def spec_payload(spec) -> Optional[dict]:
 
     if spec.live_only:
         return None  # never serve a live sink's cell from disk
-    payload = {"schema": SCHEMA_VERSION,
+    payload = {"schema": source_digest(),
                "scale": _scale(),
                "time_compression": TIME_COMPRESSION}
     for field in dataclasses.fields(spec):

@@ -1,16 +1,13 @@
-"""The supervisor watchdog: detect dead/hung workers and restart them.
+"""The supervisor watchdog: detect dead or deadlocked workers and
+restart them.
 
-Three triggers, checked every period:
+Two triggers, checked every period:
 
 - **crash** — the worker process is no longer alive;
 - **deadlock** — a :class:`~repro.faults.deadlock.DeadlockDetector`
   reports an active cycle involving the worker (restarting the worker
   drains its channels, which wakes the blocked supervisor — the §6
-  recovery path);
-- **hang** — the worker's heartbeat (stamped at the top of its event
-  loop) is older than :data:`HANG_TIMEOUT_US` *and* the architecture reports
-  pending work for it.  The work-pending gate keeps an idle worker —
-  legitimately silent for seconds — from tripping the timeout.
+  recovery path).
 
 Recovery itself is the proxy's job (``BaseProxyServer.restart_worker``,
 one template for every architecture): kill what is left of the process,
@@ -22,16 +19,12 @@ Like the detector, ticks are plain engine callbacks with zero simulated
 cost — enabling the watchdog never perturbs a fault-free run.
 """
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.kernel.timerwheel import PeriodicTimer
 
 #: check period (µs of simulated time)
 PERIOD_US = 50_000.0
-
-#: heartbeat age treated as a hang (µs of simulated time); far beyond any
-#: healthy fd-request round trip, well inside a measurement window
-HANG_TIMEOUT_US = 300_000.0
 
 
 class Watchdog:
@@ -48,13 +41,6 @@ class Watchdog:
 
     # ------------------------------------------------------------------
     def start(self) -> "Watchdog":
-        # Baseline the heartbeats so a worker that has not run yet (the
-        # benchmark may start the watchdog before traffic) is not
-        # instantly "hung".
-        now = self.engine.now
-        heartbeats = self.proxy.worker_heartbeat_us
-        for index in range(len(heartbeats)):
-            heartbeats[index] = max(heartbeats[index], now)
         self._timer.start()
         return self
 
@@ -75,23 +61,15 @@ class Watchdog:
 
     def _tick(self) -> None:
         self.checks += 1
-        now = self.engine.now
         deadlocked = self._deadlocked_workers()
-        heartbeats = self.proxy.worker_heartbeat_us
         for index, proc in self.proxy.worker_processes():
             if not proc.alive:
                 self._restart(index, "crash")
             elif index in deadlocked:
                 self._restart(index, "deadlock")
-            elif (now - heartbeats[index] >= HANG_TIMEOUT_US
-                  and self.proxy.worker_work_pending(index)):
-                self._restart(index, "hang")
 
     def _restart(self, index: int, reason: str) -> None:
         info = self.proxy.restart_worker(index) or {}
-        # Give the replacement a full hang timeout before it can be
-        # flagged again (its own loop re-stamps from the first wake-up).
-        self.proxy.worker_heartbeat_us[index] = self.engine.now
         record = {"t_us": self.engine.now, "worker": index,
                   "reason": reason}
         record.update(info)

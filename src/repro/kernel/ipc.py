@@ -54,26 +54,21 @@ class IpcMessage:
 class _Direction:
     """One direction of a channel: a bounded FIFO of messages."""
 
-    __slots__ = ("capacity", "queue", "readable_signal", "writable_signal",
-                 "stalled")
+    __slots__ = ("capacity", "queue", "readable_signal", "writable_signal")
 
     def __init__(self, engine, capacity: int, name: str) -> None:
         self.capacity = capacity
         self.queue: Deque[IpcMessage] = collections.deque()
         self.readable_signal = Signal(engine, name=f"{name}.readable")
         self.writable_signal = Signal(engine, name=f"{name}.writable")
-        #: fault injection: a stalled direction accepts no transfers in
-        #: either sense (senders see a full buffer, receivers an empty
-        #: one), like a wedged peer that stopped servicing the socket
-        self.stalled = False
 
     @property
     def full(self) -> bool:
-        return self.stalled or len(self.queue) >= self.capacity
+        return len(self.queue) >= self.capacity
 
     @property
     def empty(self) -> bool:
-        return self.stalled or not self.queue
+        return not self.queue
 
 
 class IpcEndpoint:
@@ -189,27 +184,6 @@ class IpcChannel:
         """Messages queued in both directions (the sampler's depth gauge)."""
         return self.a.pending() + self.b.pending()
 
-    # -- fault injection ---------------------------------------------------
-    @property
-    def stalled(self) -> bool:
-        return self._a2b.stalled or self._b2a.stalled
-
-    def stall(self) -> None:
-        """Freeze both directions (no transfers complete until unstall)."""
-        self._a2b.stalled = True
-        self._b2a.stalled = True
-
-    def unstall(self) -> None:
-        """Thaw the channel and wake anyone the stall left blocked."""
-        for direction in (self._a2b, self._b2a):
-            if not direction.stalled:
-                continue
-            direction.stalled = False
-            if direction.queue:
-                direction.readable_signal.fire()
-            if len(direction.queue) < direction.capacity:
-                direction.writable_signal.fire()
-
     def drain(self) -> int:
         """Discard every queued message (dropping queue fd references);
         returns how many were discarded.  Used when a worker is restarted
@@ -221,9 +195,7 @@ class IpcChannel:
                 if msg.fd is not None:
                     msg.fd.description.decref()
                 dropped += 1
-            if not direction.stalled and \
-                    len(direction.queue) < direction.capacity:
-                direction.writable_signal.fire()
+            direction.writable_signal.fire()
         return dropped
 
     def __repr__(self) -> str:

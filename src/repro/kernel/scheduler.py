@@ -186,7 +186,7 @@ class Scheduler:
         if proc.in_runqueue or proc.core is not None or not proc.alive:
             return
         if proc.suspended:
-            return  # fault injection: hung processes never get the CPU
+            return  # suspended processes never get the CPU
         if proc.parked:
             return  # waiting out an expired-array epoch
         if proc.blocked_at is not None:
@@ -416,16 +416,15 @@ class Scheduler:
         return best
 
     # ------------------------------------------------------------------
-    # fault injection: hangs
+    # SIGSTOP / SIGCONT
     # ------------------------------------------------------------------
     def suspend(self, proc: "KernelProcess") -> None:
-        """Stop giving ``proc`` the CPU (a SIGSTOP-style hang).
+        """Stop giving ``proc`` the CPU (SIGSTOP-style).
 
         A running process is evicted mid-slice (partial time charged);
         a queued one is lazily removed.  The process keeps advancing
         through non-CPU effects until its next ``Compute``, then stalls
-        holding whatever locks/buffers it holds — exactly the failure a
-        watchdog must detect from the outside.
+        holding whatever locks/buffers it holds.
         """
         if proc.suspended or not proc.alive:
             return
@@ -485,7 +484,7 @@ class KernelProcess(SimProcess):
         self.blocked_at: Optional[float] = None
         self.parked = False
         self.epochs_parked = 0
-        #: fault injection: a suspended (hung) process never runs
+        #: a suspended process never runs (:meth:`Scheduler.suspend`)
         self.suspended = False
         #: [remaining_us, label] of the in-progress Compute, if any
         self.pending: Optional[list] = None

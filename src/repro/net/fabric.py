@@ -7,10 +7,10 @@ Delivery time for a payload of ``size`` bytes from machine A to machine B:
 
 Egress serialization makes a machine's NIC a FIFO resource, so a gigabit
 link saturates realistically under the paper's ~100 MB/s message load.
-An optional uniform loss rate supports fault-injection tests; the primary
-loss mechanism remains receive-buffer overflow at the endpoints.
+An optional uniform loss rate supports loss tests; the primary loss
+mechanism remains receive-buffer overflow at the endpoints.
 
-Two fault-model invariants the delivery path maintains:
+Two invariants the delivery path maintains:
 
 - **Loss happens at the switch, after the NIC.**  A dropped packet still
   consumed the sender's egress serialization time (the frame was
@@ -21,14 +21,9 @@ Two fault-model invariants the delivery path maintains:
   arrive before an earlier one — TCP bytestreams (and SCTP ordered
   streams) rely on this.  Jitter therefore raises a per-pair arrival
   floor instead of drawing independent per-packet delays.
-
-The :mod:`repro.faults` injector drives the window-scoped impairment
-knobs (``extra_latency_us``/``extra_jitter_us``/``loss_rate`` and the
-``partition``/``heal`` pair) to model bursts, delay spikes and link
-partitions without touching the delivery code.
 """
 
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.sim.engine import Engine
 
@@ -54,16 +49,11 @@ class Fabric:
         self.rng = rng
         self.machines: Dict[str, object] = {}
         self._egress_free: Dict[str, float] = {}
-        #: fault-window impairments (see :mod:`repro.faults.injector`)
-        self.extra_latency_us = 0.0
-        self.extra_jitter_us = 0.0
-        self._partitioned: Set[Tuple[str, str]] = set()
         #: per-(src, dst) monotonic arrival floor (FIFO path)
         self._order_floor: Dict[Tuple[str, str], float] = {}
         #: statistics
         self.packets_sent = 0
         self.packets_lost = 0
-        self.packets_partitioned = 0
         self.bytes_sent = 0
         #: the testbed's probe (net endpoints read it off the fabric so
         #: every machine shares one trace-id space); None when unobserved
@@ -83,28 +73,14 @@ class Fabric:
             raise KeyError(f"no machine at address {addr!r}")
         return m
 
-    # -- link partitions ---------------------------------------------------
-    def partition(self, a: str, b: str) -> None:
-        """Cut both directions between two machines (switch drops frames)."""
-        self._partitioned.add((a, b))
-        self._partitioned.add((b, a))
-
-    def heal(self, a: str, b: str) -> None:
-        """Restore a previously partitioned pair (idempotent)."""
-        self._partitioned.discard((a, b))
-        self._partitioned.discard((b, a))
-
-    def partitioned(self, a: str, b: str) -> bool:
-        return (a, b) in self._partitioned
-
     def deliver(self, src_addr: str, dst_addr: str, size: int,
                 deliver_fn: Callable, *args) -> None:
         """Schedule ``deliver_fn(*args)`` at the destination's arrival time.
 
-        Loss and partitions (if configured) silently drop the delivery,
-        exactly as a switch drop would: the sender learns nothing — but
-        only *after* the NIC serialized the frame, so egress accounting
-        is identical for delivered and dropped packets.
+        Loss (if configured) silently drops the delivery, exactly as a
+        switch drop would: the sender learns nothing — but only *after*
+        the NIC serialized the frame, so egress accounting is identical
+        for delivered and dropped packets.
         """
         if dst_addr not in self.machines:
             raise KeyError(f"no machine at address {dst_addr!r}")
@@ -114,18 +90,13 @@ class Fabric:
         depart = (max(now, self._egress_free[src_addr])
                   + size / BANDWIDTH_BYTES_PER_US)
         self._egress_free[src_addr] = depart
-        if (src_addr, dst_addr) in self._partitioned:
-            self.packets_lost += 1
-            self.packets_partitioned += 1
-            return
         if self.loss_rate > 0.0 and self.rng is not None:
             if self.rng.random() < self.loss_rate:
                 self.packets_lost += 1
                 return
-        arrive = depart + self.latency_us + self.extra_latency_us
-        jitter = self.jitter_us + self.extra_jitter_us
-        if jitter > 0.0 and self.rng is not None:
-            arrive += self.rng.uniform(0.0, jitter)
+        arrive = depart + self.latency_us
+        if self.jitter_us > 0.0 and self.rng is not None:
+            arrive += self.rng.uniform(0.0, self.jitter_us)
         pair = (src_addr, dst_addr)
         floor = self._order_floor.get(pair, 0.0)
         if arrive < floor:

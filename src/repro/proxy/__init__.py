@@ -2,9 +2,9 @@
 
 Four interchangeable architectures over one transport-independent core
 (:mod:`~repro.proxy.core`).  :mod:`~repro.proxy.base` holds what all four
-share — worker spawn, heartbeats, the restart template, the timer
-process — and two skeletons hold what each pair shares, so a flavor
-keeps only what the paper varies:
+share — worker spawn, the restart template, the timer process — and
+two skeletons hold what each pair shares, so a flavor keeps only what
+the paper varies:
 
 - :mod:`~repro.proxy.datagram` — symmetric workers on one message socket
   (worker loop, send path, receive-buffer queue signal):

@@ -13,7 +13,7 @@ from repro.sip.location import LocationService
 
 class BaseProxyServer:
     """State common to every architecture: the SIP core and its shared
-    (shm) structures, worker spawn/heartbeat/restart, and the
+    (shm) structures, worker spawn/restart, and the
     retransmission/GC timer process."""
 
     #: worker ``index`` runs as process ``f"{worker_stem}-{index}"``
@@ -43,9 +43,6 @@ class BaseProxyServer:
         #: the worker processes by index (a subset of :attr:`processes`)
         self.workers: List = []
         self.started = False
-        #: per-worker liveness stamps, written at the top of each worker
-        #: loop iteration (zero simulated cost); the watchdog's hang check
-        self.worker_heartbeat_us: List[float] = [0.0] * config.workers
 
     # ------------------------------------------------------------------
     def start(self) -> "BaseProxyServer":
@@ -99,11 +96,6 @@ class BaseProxyServer:
         """``[(index, KernelProcess), ...]`` for the current workers."""
         return list(enumerate(self.workers))
 
-    def worker_work_pending(self, index: int) -> bool:
-        """Whether worker ``index`` has undrained input (the watchdog's
-        hang check only fires for workers that *should* be running)."""
-        return False
-
     def ipc_topology(self):
         """``[(endpoint, owner, peer), ...]`` for the deadlock detector:
         ``owner`` blocked on ``endpoint`` waits on ``peer``.  Empty for
@@ -120,10 +112,10 @@ class BaseProxyServer:
         raise ValueError(f"no worker {index} to crash")
 
     def restart_worker(self, index: int):
-        """Replace a dead/hung worker: reap the process, clean up what it
-        held (:meth:`_reap_worker`), spawn a namesake successor and give
-        it back the dead worker's load (:meth:`_rehome`).  Returns a
-        JSON-ready summary of the repair."""
+        """Replace a dead or deadlocked worker: reap the process, clean up
+        what it held (:meth:`_reap_worker`), spawn a namesake successor
+        and give it back the dead worker's load (:meth:`_rehome`).
+        Returns a JSON-ready summary of the repair."""
         who = f"{self.worker_stem}-{index}"
         old = self.workers[index]
         old.kill()

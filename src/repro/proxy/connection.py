@@ -104,14 +104,6 @@ class ConnectionProxyServer(BaseProxyServer):
             locks.append(self.idle.lock)
         return locks
 
-    def worker_work_pending(self, index: int) -> bool:
-        # A hung worker's starvation shows up on the connections it owns
-        # (phones keep writing).
-        return any(record.conn.readable()
-                   for record in self.conn_table.all_records()
-                   if record.owner == index and not record.closed
-                   and not record.released)
-
     # -- manager side ---------------------------------------------------
     def _accept(self, conn, who: str):
         """Generator: install an accepted connection in the manager's

@@ -31,24 +31,15 @@ class DatagramProxyServer(BaseProxyServer):
         buffer = self.socket.buffer
         return len(buffer.queue) / buffer.capacity
 
-    def worker_work_pending(self, index: int) -> bool:
-        # Symmetric workers share the socket: any receive backlog is
-        # work this worker should be helping drain.
-        return len(self.socket.buffer.queue) > 0
-
     def _worker_body(self, index: int):
         who = f"{self.worker_stem}-{index}"
         proc_name = f"{self.machine.name}/{who}"
-        engine = self.engine
         probe = self.probe
-        heartbeats = self.worker_heartbeat_us
         receive, unpack = self._receive, self._unpack
         recv_us, recv_label = self._recv_cost
         process = self.core.process
         while True:
-            heartbeats[index] = engine.now
             message = yield from receive()
-            heartbeats[index] = engine.now
             payload, source, trace_id = unpack(message)
             if probe is not None:
                 probe.ctx_begin(proc_name, trace_id if trace_id is not None

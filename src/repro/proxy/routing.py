@@ -5,8 +5,6 @@ SIP terms, and the architecture modules (UDP/TCP/SCTP/threaded servers)
 translate targets into sockets, connections and descriptors.
 """
 
-from typing import Optional
-
 from repro.sip.location import Binding
 
 
@@ -64,10 +62,6 @@ class SendAction:
         self.target = target
         #: "reply" | "forward_request" | "forward_response" | "retransmit"
         self.kind = kind
-
-    @property
-    def size(self) -> int:
-        return len(self.text)
 
     def __repr__(self) -> str:
         return f"<SendAction {self.kind} {len(self.text)}B -> {self.target!r}>"

@@ -6,7 +6,7 @@ cross-checking, profiles, and the §4.3 diagnostics (idle cores, EMFILE,
 port exhaustion).
 """
 
-from typing import Dict, Optional
+from typing import Dict
 
 
 class ProxyStats:
@@ -65,13 +65,6 @@ class ProxyStats:
         current = self.snapshot()
         return {name: current[name] - earlier.get(name, 0)
                 for name in current}
-
-    @property
-    def fd_cache_hit_rate(self) -> Optional[float]:
-        total = self.fd_cache_hits + self.fd_cache_misses
-        if total == 0:
-            return None
-        return self.fd_cache_hits / total
 
     def __repr__(self) -> str:
         return (f"<ProxyStats rx={self.messages_received} "

@@ -62,12 +62,7 @@ class TcpProxyServer(ConnectionProxyServer):
         pending = sum(chan.pending_total() for chan in chans)
         return pending / (self.config.ipc_capacity * len(chans))
 
-    # -- fault-injection / watchdog surface -----------------------------
-    def worker_work_pending(self, index: int) -> bool:
-        return (self.assign_chans[index].pending_total() +
-                self.req_chans[index].pending_total()) > 0 or \
-            super().worker_work_pending(index)
-
+    # -- deadlock-detector surface -------------------------------------
     def ipc_topology(self):
         """The §6 wait-for edges: the supervisor blocked on a channel
         waits on that channel's worker, and vice versa."""
@@ -234,7 +229,6 @@ class TcpProxyServer(ConnectionProxyServer):
     # workers
     # ==================================================================
     def _worker_body(self, index: int):
-        engine = self.engine
         assign_ep = self.assign_chans[index].b
         ctx = WorkerCtx(self, index, self.workers[index].fdtable, assign_ep)
         ctx.req_ep = self.req_chans[index].a
@@ -243,11 +237,8 @@ class TcpProxyServer(ConnectionProxyServer):
             ctx.cache.obs_probe = self.probe
         self.fd_caches[index] = ctx.cache
         poller, tick, conns = ctx.poller, ctx.tick, ctx.conns
-        heartbeats = self.worker_heartbeat_us
         while True:
-            heartbeats[index] = engine.now
             ready = yield from poller.wait()
-            heartbeats[index] = engine.now
             yield Compute(self.costs.poll_syscall_us +
                           self.costs.poll_per_fd_us * len(poller.sources),
                           "epoll_wait")

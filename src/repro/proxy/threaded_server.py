@@ -47,11 +47,7 @@ class ThreadedTcpProxyServer(ConnectionProxyServer):
         self.processes.append(self.manager)
         super()._spawn_processes()
 
-    # -- fault-injection / watchdog surface -----------------------------
-    def worker_work_pending(self, index: int) -> bool:
-        return bool(self._inboxes[index]) or \
-            super().worker_work_pending(index)
-
+    # -- watchdog surface -----------------------------------------------
     def _shared_locks(self):
         return super()._shared_locks() + [
             wc.send_lock for wc in self.conns.values()]
@@ -124,17 +120,13 @@ class ThreadedTcpProxyServer(ConnectionProxyServer):
     # worker threads
     # ==================================================================
     def _worker_body(self, index: int):
-        engine = self.engine
         inbox = self._inboxes[index]
         intake = _InboxSource(inbox, self._inbox_signals[index])
         # Threads install into the one shared descriptor table.
         ctx = WorkerCtx(self, index, self.manager.fdtable, intake)
         poller, tick, mine = ctx.poller, ctx.tick, ctx.conns
-        heartbeats = self.worker_heartbeat_us
         while True:
-            heartbeats[index] = engine.now
             ready = yield from poller.wait()
-            heartbeats[index] = engine.now
             yield Compute(self.costs.poll_syscall_us +
                           self.costs.poll_per_fd_us * len(poller.sources),
                           "epoll_wait")

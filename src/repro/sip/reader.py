@@ -31,9 +31,10 @@ from repro.sip.parser import parse_message
 
 #: a header value as written here: no leading or trailing whitespace
 _VALUE = r"(\S(?:.*\S)?)"
-#: a response as the proxy relays one: status line, Via lines (the top
-#: one as a user agent writes it, its branch captured), From, To,
-#: Call-ID, CSeq, an optional Contact, and no body
+#: a response as the proxy relays or makes one: status line, Via lines
+#: (the top one as a user agent writes it, its branch captured), From,
+#: To, Call-ID, CSeq, an optional Contact, Content-Length, the
+#: Retry-After a 503 adds after it, and no body
 _RESPONSE = re.compile(
     r"SIP/2\.0 ([0-9]{3}) .*"
     r"\r\nVia: SIP/2\.0/[^/;\s]+ [^/;:\s]+(?::[0-9]+)?;branch=([^;\s]*)"
@@ -41,7 +42,7 @@ _RESPONSE = re.compile(
     rf"\r\nFrom: {_VALUE}\r\nTo: {_VALUE}\r\nCall-ID: {_VALUE}"
     r"\r\nCSeq: (([0-9]+) ([A-Z]+))"
     rf"(?:\r\nContact: {_VALUE})?"
-    r"\r\nContent-Length: 0\r\n\r\n")
+    r"\r\nContent-Length: 0(?:\r\nRetry-After: [0-9]+)?\r\n\r\n")
 #: a request as the proxy forwards one: request line (a plain sip: URI),
 #: Via lines, Max-Forwards, From, To, Call-ID, CSeq, an optional Contact
 #: and Content-Type, Content-Length; the body follows the match

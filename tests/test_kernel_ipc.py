@@ -281,41 +281,8 @@ def test_receivers_woken_together_each_get_one_message(engine):
 
 
 # ----------------------------------------------------------------------
-# stall / unstall / drain (fault injection + worker restart)
+# drain (worker restart)
 # ----------------------------------------------------------------------
-def test_stalled_channel_blocks_both_sides(engine):
-    chan = IpcChannel(engine, capacity=4)
-    assert chan.a.try_send(IpcMessage("queued"))
-    chan.stall()
-    assert chan.stalled
-    # Stalled: appears full to senders and empty to receivers.
-    assert not chan.a.try_send(IpcMessage("rejected"))
-    assert chan.b.try_recv() is None
-    chan.unstall()
-    assert not chan.stalled
-    assert chan.b.try_recv().kind == "queued"
-
-
-def test_unstall_wakes_blocked_parties(engine):
-    chan = IpcChannel(engine, capacity=4)
-    chan.stall()
-    got = []
-
-    def sender():
-        yield from chan.a.send(IpcMessage("m"))
-        got.append(("sent", engine.now))
-
-    def receiver():
-        msg = yield from chan.b.recv()
-        got.append(("got-" + msg.kind, engine.now))
-
-    s = SimProcess(engine, sender(), "s").start()
-    r = SimProcess(engine, receiver(), "r").start()
-    engine.schedule_at(400.0, chan.unstall)
-    run_until_done(engine, [s, r])
-    assert got == [("sent", 400.0), ("got-m", 400.0)]
-
-
 def test_drain_discards_messages_and_fd_references(engine):
     chan = IpcChannel(engine, capacity=8)
     table = FdTable(owner="t")

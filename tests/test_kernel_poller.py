@@ -169,13 +169,13 @@ def test_stream_buffer_signals_every_edge(engine):
         lambda: buf.push("d"), lambda: buf.read(), lambda: buf.push_eof()])
 
 
-def test_ipc_endpoint_signals_every_edge_including_unstall(engine):
+def test_ipc_endpoint_signals_every_edge(engine):
     chan = IpcChannel(engine, capacity=4)
     end = chan.b
     assert_edges_signalled(end, [
         lambda: chan.a.try_send(IpcMessage("m")), end.try_recv,
-        lambda: chan.a.try_send(IpcMessage("m")), chan.stall,
-        chan.unstall])
+        lambda: chan.a.try_send(IpcMessage("m")), chan.drain,
+        lambda: chan.a.try_send(IpcMessage("m"))])
 
 
 def test_tick_source_signals_every_edge(engine):

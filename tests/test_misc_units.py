@@ -126,13 +126,6 @@ class TestProxyStats:
         stats.degraded = True  # flag, not a counter
         assert "degraded" not in stats.snapshot()
 
-    def test_fd_cache_hit_rate(self):
-        stats = ProxyStats()
-        assert stats.fd_cache_hit_rate is None
-        stats.fd_cache_hits = 3
-        stats.fd_cache_misses = 1
-        assert stats.fd_cache_hit_rate == pytest.approx(0.75)
-
 
 class TestProxyConfig:
     def test_defaults_validate(self):

@@ -184,10 +184,20 @@ class TestHeaderNameInterning:
         assert _KNOWN_NAMES[spelling] == _old_canonical(spelling)
 
 
+class _Shed:
+    """An overload controller that sheds every INVITE with a 503."""
+
+    retry_after_s = 1
+
+    def admit(self, now, source):
+        return False
+
+
 @functools.lru_cache(maxsize=None)
 def phone_bound_texts():
     """Every text a proxy sends a phone in one call, REGISTER to the BYE's
-    200 OK, plus a 404: the proxy's real forward and response paths."""
+    200 OK, plus a 404 and an overload 503: the proxy's real forward and
+    response paths."""
     engine = Engine()
     costs = CostModel()
     core = ProxyCore(engine, ProxyConfig(transport="udp", workers=1),
@@ -216,9 +226,11 @@ def phone_bound_texts():
     bye = relay(alice.bye_text(dialog)[0], ("client1", 20000))
     relay(bob.ok_text(PhoneMessage(bye)), ("client2", 40000))
     relay(alice.invite_text("nobody")[0], ("client1", 20000))
+    core.controller = _Shed()
+    relay(alice.invite_text("bob")[0], ("client1", 20000))
     assert {text.split(" ", 2)[1] if text.startswith("SIP/") else
             text.split(" ", 1)[0] for text in sent} == {
-        "100", "180", "200", "404", "INVITE", "ACK", "BYE"}
+        "100", "180", "200", "404", "503", "INVITE", "ACK", "BYE"}
     return tuple(sent)
 
 
@@ -535,8 +547,7 @@ class TestStreamBufferProperties:
 #: IpcEndpoint of a channel, 2 a TickSource
 POLLER_STEPS = ([(op, i) for op in ("add", "remove") for i in range(3)]
                 + [(op, 0) for op in ("push", "read", "eof")]
-                + [(op, 1) for op in ("push", "read", "stall", "unstall",
-                                      "drain")]
+                + [(op, 1) for op in ("push", "read", "drain")]
                 + [("consume", 2), ("tick", 2)])
 
 
@@ -583,8 +594,8 @@ class TestPollerProperties:
                 source.consume()
             elif op == "tick":
                 engine.run(until=engine.now + 5.0)
-            else:  # stall / unstall / drain
-                getattr(chan, op)()
+            else:  # drain
+                chan.drain()
             if check:
                 assert poller.ready() == full_scan()
         assert poller.ready() == full_scan()

@@ -6,8 +6,8 @@ The contract the rest of the project builds on:
   spec grid produce byte-identical results;
 - a cache hit returns the identical result without re-execution;
 - duplicate specs in one batch are computed once;
-- cache keys capture everything result-affecting (spec fields and
-  ``REPRO_SCALE``) and nothing else.
+- cache keys capture everything result-affecting (spec fields,
+  ``REPRO_SCALE`` and the simulator's source) and nothing else.
 """
 
 import dataclasses
@@ -17,7 +17,8 @@ import pytest
 
 from repro.analysis import (ExperimentSpec, ResultCache, default_jobs,
                             run_cells, spec_key)
-from repro.analysis.cache import SCHEMA_VERSION, spec_payload
+from repro.analysis import cache as cache_module
+from repro.analysis.cache import source_digest, spec_payload
 from repro.clients.workload import BenchmarkResult
 
 
@@ -132,8 +133,45 @@ class TestSpecKeys:
         monkeypatch.setenv("REPRO_SCALE", "0.25")
         assert spec_key(spec) != base
 
-    def test_payload_embeds_schema_version(self):
-        assert spec_payload(ExperimentSpec())["schema"] == SCHEMA_VERSION
+    def test_key_moves_when_the_source_digest_moves(self, tmp_path,
+                                                   monkeypatch):
+        """An entry cached before an edit to a simulator module is a miss
+        after it."""
+        assert spec_payload(ExperimentSpec())["schema"] == source_digest()
+        spec = tiny_grid()[0]
+        cache = ResultCache(tmp_path)
+        key = spec_key(spec)
+        cache.put(key, spec, {"ops": 1})
+        assert cache.get(spec_key(spec)) == {"ops": 1}
+        monkeypatch.setattr(cache_module, "source_digest", lambda: "edited")
+        assert spec_key(spec) != key
+        assert cache.get(spec_key(spec)) is None
+
+    def test_source_digest_moves_with_every_module(self, tmp_path,
+                                                  monkeypatch):
+        """Editing, adding or renaming any ``.py`` file under the package
+        moves the digest; other files do not."""
+        package = tmp_path / "repro"
+        (package / "net").mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        monkeypatch.setattr(cache_module, "PACKAGE_DIR", package)
+        module = package / "net" / "fabric.py"
+        steps = [lambda: module.write_text("LATENCY_US = 50.0\n"),
+                 lambda: module.write_text("LATENCY_US = 51.0\n"),
+                 lambda: (package / "net" / "tcp.py").write_text(""),
+                 lambda: module.rename(package / "fabric.py")]
+        digests = []
+        try:
+            for step in steps:
+                step()
+                source_digest.cache_clear()
+                digests.append(source_digest())
+            (package / "notes.txt").write_text("not source")
+            source_digest.cache_clear()
+            assert source_digest() == digests[-1]
+        finally:
+            source_digest.cache_clear()
+        assert len(set(digests)) == len(steps)
 
     def test_unserializable_spec_is_uncacheable(self):
         spec = ExperimentSpec(fault_plan={"events": [object()]})
