@@ -25,9 +25,10 @@ dynamic report:
    so a shared name can hide an orphan — report 4 cannot).
 4. ``--calls``: runs a fixed set of non-test traffic — the four
    ``BENCHMARK.json`` workloads at smoke windows, a traced + sampled +
-   profiled CLI cell, SCTP and threaded cells, the three figure smokes
-   and the four examples, at ``REPRO_SCALE=0.1`` — each under
-   ``cProfile`` in its own process, and lists the ``src/repro``
+   profiled CLI cell, SCTP and threaded cells, one UDP cell run twice
+   against a temporary result cache (cleared and missed, then hit), the
+   three figure smokes and the four examples, at ``REPRO_SCALE=0.1`` —
+   each under ``cProfile`` in its own process, and lists the ``src/repro``
    functions none of it enters.  ≈15 min on a 2-core VM.
 
 Usage::
@@ -583,6 +584,13 @@ def traffic(tmp: Path):
         ("cli tcp-threaded-50", cli + ["--series", "tcp-threaded-50",
                                        "--clients", "20", "--idle", "pq",
                                        "--no-cache", "--jobs", "1"]),
+        # the result cache as a default CLI run meets it: a cleared,
+        # empty cache that misses and stores, then a hit
+        ("cli udp (cache cleared, miss)",
+         cli + ["--series", "udp", "--clients", "10", "--jobs", "1",
+                "--clear-cache"]),
+        ("cli udp (cache hit)",
+         cli + ["--series", "udp", "--clients", "10", "--jobs", "1"]),
         ("fig-overload smoke",
          cli + ["fig-overload", "--smoke", "--no-cache", "--jobs", "1",
                 "--json", str(tmp / "overload.json")]),

@@ -5,6 +5,18 @@ message: parse it, match or create transaction state (shared, locked),
 route it, and emit the messages to transmit.  It is a generator so that
 every step charges calibrated CPU on the simulated cores; the transport
 architectures wrap it with their own receive/transmit machinery.
+
+Each step's simulated cost is the cost model's, whatever the host does.
+On the host, a text the phones wrote is read by template
+(:func:`~repro.sip.reader.proxy_read`) for only what the proxy routes on,
+and sent on as the received text spliced: a forwarded request with our
+Via line inserted after the start line and Max-Forwards rewritten, a
+relayed response with its top Via line cut, and a reply repeating the
+request's Via, From, To, Call-ID and CSeq lines.  The message model is
+the fallback: a text no template fits is parsed into it and rendered
+from it, so what the model rejects is rejected at the same step.
+``tests/test_property_based.py::TestProxyReaderAgreement`` holds the two
+paths to the same sends, counters and span attributes.
 """
 
 from sys import intern
@@ -18,6 +30,7 @@ from repro.sip.headers import Via
 from repro.sip.location import Binding, LocationService
 from repro.sip.message import SipRequest, SipResponse
 from repro.sip.parser import SipParseError, parse_message
+from repro.sip.reader import ProxyRequest, ProxyResponse, proxy_read
 
 #: how long a completed transaction lingers to absorb retransmissions
 GC_LINGER_US = 1_000_000.0
@@ -40,7 +53,9 @@ class ProxyCore:
         self.timer_list = timer_list
         self.stats = stats
         self.via_host = via_host
-        self.via_port = config.port
+        #: our Via value up to the branch, as ``Via.render`` writes it
+        self._via_head = (f"SIP/2.0/{config.transport.split('-')[0].upper()}"
+                          f" {via_host}:{config.port};branch=")
         self._branch_counter = 0
         self._pending_register_contact = None
         #: optional probe (set by BaseProxyServer): pipeline spans, and
@@ -97,13 +112,15 @@ class ProxyCore:
                       if span is not None else None)
         yield Compute(self.costs.parse_cost(len(text), len(self.location)),
                       "parse_msg")
-        try:
-            message = parse_message(text)
-        except SipParseError:
-            self.stats.parse_errors += 1
-            if parse_span is not None:
-                self.probe.end(parse_span.set(error="parse"))
-            return []
+        message = proxy_read(text)
+        if message is None:
+            try:
+                message = parse_message(text)
+            except SipParseError:
+                self.stats.parse_errors += 1
+                if parse_span is not None:
+                    self.probe.end(parse_span.set(error="parse"))
+                return []
         if parse_span is not None:
             self.probe.end(parse_span)
             # Recorded rows share one string per Call-ID, method and status
@@ -125,65 +142,83 @@ class ProxyCore:
         pipeline, and creates **no** transaction state.
         """
         yield Compute(self.costs.reject_503_us, "reject_503")
-        try:
-            request = parse_message(text)
-        except SipParseError:
-            self.stats.parse_errors += 1
-            return []
+        request = proxy_read(text)
+        if request is None:
+            try:
+                request = parse_message(text)
+            except SipParseError:
+                self.stats.parse_errors += 1
+                return []
         self.stats.invites_rejected += 1
         if span is not None:
             span.set(call_id=request.call_id, kind="INVITE", rejected=True)
         if self.probe is not None:
             self.probe.count("core.rejected_503")
-        reply = self._make_response(request, 503, "Service Unavailable")
-        reply.add("Retry-After", str(self.controller.retry_after_s))
-        return [SendAction(reply.render(), ToSource(source), "reply")]
+        retry_after = self.controller.retry_after_s
+        if type(request) is ProxyRequest:
+            reply = request.reply(503, f"Retry-After: {retry_after}\r\n")
+        else:
+            response = self._make_response(request, 503)
+            response.add("Retry-After", str(retry_after))
+            reply = response.render()
+        return [SendAction(reply, ToSource(source), "reply")]
 
     # ------------------------------------------------------------------
     # requests
     # ------------------------------------------------------------------
-    def _process_request(self, request: SipRequest, source,
-                         who: str) -> List[SendAction]:
+    def _process_request(self, request, source, who: str) -> List[SendAction]:
         method = request.method
-        if method not in ("REGISTER", "ACK", "INVITE", "BYE"):
-            # Anything else: politely decline, on the request line alone.
-            reply = self._make_response(request, 501, "Not Implemented")
-            return [SendAction(reply.render(), ToSource(source), "reply")]
-        # the dict's keys are the header names, collected without a
-        # Python-level loop on every request
-        if not MANDATORY_HEADERS.issubset(dict(request.headers)):
-            # Malformed: charged the parse only, answered 400 unless it
-            # is an ACK (which gets no response).
-            self.stats.parse_errors += 1
-            if method == "ACK":
-                return []
-            reply = self._make_response(request, 400)
-            return [SendAction(reply.render(), ToSource(source), "reply")]
+        # A template admits these four methods only, each with every
+        # mandatory header; a parsed request is checked here.
+        if type(request) is not ProxyRequest:
+            if method not in ("REGISTER", "ACK", "INVITE", "BYE"):
+                # Anything else: politely decline, on the request line
+                # alone.
+                reply = self._make_response(request, 501, "Not Implemented")
+                return [SendAction(reply.render(), ToSource(source), "reply")]
+            # the dict's keys are the header names, collected without a
+            # Python-level loop on every request
+            if not MANDATORY_HEADERS.issubset(dict(request.headers)):
+                # Malformed: charged the parse only, answered 400 unless
+                # it is an ACK (which gets no response).
+                self.stats.parse_errors += 1
+                if method == "ACK":
+                    return []
+                return self._reply(request, 400, source)
         if method == "REGISTER":
             return (yield from self._process_register(request, source))
         if method == "ACK":
             return (yield from self._process_ack(request, who))
         return (yield from self._process_relay(request, source, who))
 
-    def _process_register(self, request: SipRequest,
-                          source) -> List[SendAction]:
+    def _process_register(self, request, source) -> List[SendAction]:
         yield Compute(self.costs.registrar_update_us, "save_usrloc")
-        try:
-            contact = request.contact
-            to_addr = request.to_addr
-        except ValueError:  # an address that does not parse is no address
-            contact = to_addr = None
-        if contact is None or to_addr is None:
+        # Nothing reads a binding's contact URI, so a template read keeps
+        # none.
+        contact = None
+        if type(request) is ProxyRequest:
+            registration = request.registration
+        else:
+            try:
+                contact, to_addr = request.contact, request.to_addr
+            except ValueError:  # an address that does not parse is none
+                contact = to_addr = None
+            registration = None
+            if contact is not None and to_addr is not None:
+                contact = contact.uri
+                registration = (to_addr.uri.aor, contact.host, contact.port,
+                                contact.params.get("transport"))
+        if registration is None:
             self.stats.parse_errors += 1
-            reply = self._make_response(request, 400)
-            return [SendAction(reply.render(), ToSource(source), "reply")]
+            return self._reply(request, 400, source)
+        aor, host, port, transport = registration
         binding = Binding(
-            aor=to_addr.uri.aor,
-            contact=contact.uri,
-            addr=contact.uri.host,
-            port=contact.uri.port or 5060,
-            transport=contact.uri.params.get("transport",
-                                             self.config.transport),
+            aor=aor,
+            contact=contact,
+            addr=host,
+            port=port or 5060,
+            transport=(transport if transport is not None
+                       else self.config.transport),
             conn=source if self.config.transport in ("tcp", "tcp-threaded")
             else None,
             assoc=source if self.config.transport == "sctp" else None,
@@ -192,11 +227,9 @@ class ProxyCore:
         self.location.register(binding)
         self.stats.registrations += 1
         self._pending_register_contact = (binding.addr, binding.port)
-        reply = self._make_response(request, 200)
-        return [SendAction(reply.render(), ToSource(source), "reply")]
+        return self._reply(request, 200, source)
 
-    def _process_relay(self, request: SipRequest, source,
-                       who: str) -> List[SendAction]:
+    def _process_relay(self, request, source, who: str) -> List[SendAction]:
         try:
             upstream_key = request.transaction_key()
             max_forwards = request.max_forwards
@@ -225,21 +258,18 @@ class ProxyCore:
         self.stats.transactions_created += 1
         trying_text: Optional[str] = None
         if request.method == "INVITE" and self.config.stateful:
-            trying = self._make_response(request, 100)
-            trying_text = trying.render()
+            trying_text = self._reply_text(request, 100)
             actions.append(SendAction(trying_text, ToSource(source), "reply"))
 
         # Max-Forwards (RFC 3261 §16.3 check 2).
         if max_forwards is not None and max_forwards <= 0:
-            reply = self._make_response(request, 483)
-            return [SendAction(reply.render(), ToSource(source), "reply")]
+            return self._reply(request, 483, source)
 
         yield Compute(self.costs.route_lookup_us, "lookup_contact")
-        binding = self._resolve_uri(request.uri)
+        binding = self._resolve(request)
         if binding is None:
             self.stats.routing_failures += 1
-            reply = self._make_response(request, 404)
-            return [SendAction(reply.render(), ToSource(source), "reply")]
+            return self._reply(request, 404, source)
 
         forwarded, our_branch = yield from self._build_forward(request,
                                                                max_forwards)
@@ -268,15 +298,20 @@ class ProxyCore:
                                   "forward_request"))
         return actions
 
-    def _process_ack(self, request: SipRequest, who: str) -> List[SendAction]:
+    def _process_ack(self, request, who: str) -> List[SendAction]:
         # ACK for a 2xx is end-to-end: route it like a new request, no
         # transaction state (RFC 3261 §16.11 last paragraph behaviour).
         try:
             max_forwards = request.max_forwards
         except ValueError:
             return self._malformed()
+        # Max-Forwards (RFC 3261 §16.3 check 2): an ACK gets no 483, so
+        # one that may go no further is dropped, like an unroutable one.
+        if max_forwards is not None and max_forwards <= 0:
+            self.stats.routing_failures += 1
+            return []
         yield Compute(self.costs.route_lookup_us, "lookup_contact")
-        binding = self._resolve_uri(request.uri)
+        binding = self._resolve(request)
         if binding is None:
             self.stats.routing_failures += 1
             return []
@@ -286,35 +321,44 @@ class ProxyCore:
     # ------------------------------------------------------------------
     # responses
     # ------------------------------------------------------------------
-    def _process_response(self, response: SipResponse, source,
+    def _process_response(self, response, source,
                           who: str) -> List[SendAction]:
-        try:
-            top = response.top_via
-        except ValueError:
-            return self._malformed()
-        if top is None or top.host != self.via_host:
+        templated = type(response) is ProxyResponse
+        if templated:
+            top_host, our_branch = response.top_host, response.branch
+        else:
+            try:
+                top = response.top_via
+            except ValueError:
+                return self._malformed()
+            top_host = our_branch = None
+            if top is not None:
+                top_host, our_branch = top.host, top.branch
+        if top_host != self.via_host:
             self.stats.routing_failures += 1
             return []
-        our_branch = top.branch
         yield Compute(self.costs.build_forward_us, "forward_reply")
-        response.remove_first("Via")
+        if templated:
+            forwarded_text, next_via = response.relayed, response.next_via
+        else:
+            response.remove_first("Via")
+            forwarded_text, next_via = response.render(), response.get("Via")
         if not self.config.stateful:
             # Stateless proxying: forward by the next Via (§16.11).
             try:
-                next_via = response.top_via
+                next_via = None if next_via is None else Via.parse(next_via)
             except ValueError:
                 return self._malformed()
             if next_via is None:
                 self.stats.routing_failures += 1
                 return []
-            return [SendAction(response.render(),
+            return [SendAction(forwarded_text,
                                ToVia(next_via.host, next_via.port),
                                "forward_response")]
         txn = yield from self.txn_table.lookup_branch(our_branch, who)
         if txn is None:
             self.stats.routing_failures += 1
             return []
-        forwarded_text = response.render()
         # Only the timer process's retransmission reads the forwarded
         # request, and it skips answered transactions (DESIGN.md §3c).
         yield from self.txn_table.update(
@@ -350,38 +394,46 @@ class ProxyCore:
         self._pending_register_contact = None
         return contact
 
-    def _resolve_uri(self, uri) -> Optional[Binding]:
-        """Next-hop resolution (RFC 3261 §16.5/§16.6).
+    def _resolve(self, request) -> Optional[Binding]:
+        """Next-hop resolution of a request-URI (RFC 3261 §16.5/§16.6).
 
         A request-URI in our domain goes through the location service; any
         other URI (a phone's contact, as in mid-dialog ACK/BYE) is a
         direct next hop at its own host:port.
         """
-        if uri.host == self.config.domain:
-            return self.location.lookup(uri.aor, now=self.engine.now)
+        if type(request) is ProxyRequest:
+            host, aor, port, transport = request.next_hop()
+            uri = None  # nothing reads a binding's contact URI
+        else:
+            uri = request.uri
+            host, aor, port = uri.host, uri.aor, uri.port
+            transport = uri.params.get("transport")
+        if host == self.config.domain:
+            return self.location.lookup(aor, now=self.engine.now)
         return Binding(
-            aor=uri.aor,
+            aor=aor,
             contact=uri,
-            addr=uri.host,
-            port=uri.port or 5060,
-            transport=uri.params.get("transport", self.config.transport),
+            addr=host,
+            port=port or 5060,
+            transport=(transport if transport is not None
+                       else self.config.transport),
         )
 
     def new_branch(self) -> str:
         self._branch_counter += 1
         return f"{BRANCH_MAGIC}-pxy-{self._branch_counter:x}"
 
-    def _build_forward(self, request: SipRequest,
-                       max_forwards: Optional[int]):
+    def _build_forward(self, request, max_forwards: Optional[int]):
         """Generator: clone-and-forward a request with our Via pushed and
         ``max_forwards`` (the request's, already read) decremented."""
         yield Compute(self.costs.build_forward_us, "forward_request")
         our_branch = self.new_branch()
-        via = Via(self.config.transport.split("-")[0], self.via_host,
-                  self.via_port, {"branch": our_branch})
+        via = f"{self._via_head}{our_branch}"
+        if type(request) is ProxyRequest:
+            return request.forward(via, max_forwards - 1), our_branch
         forwarded = SipRequest(request.method, request.uri,
                                list(request.headers), request.body)
-        forwarded.add_first("Via", via.render())
+        forwarded.add_first("Via", via)
         if max_forwards is not None:
             forwarded.set("Max-Forwards", str(max_forwards - 1))
         return forwarded.render(), our_branch
@@ -391,6 +443,16 @@ class ProxyCore:
         parse error, and nothing is sent."""
         self.stats.parse_errors += 1
         return []
+
+    def _reply(self, request, status: int, source) -> List[SendAction]:
+        """Answer ``request`` with ``status``, back where it came from."""
+        return [SendAction(self._reply_text(request, status), ToSource(source),
+                           "reply")]
+
+    def _reply_text(self, request, status: int) -> str:
+        if type(request) is ProxyRequest:
+            return request.reply(status)
+        return self._make_response(request, status).render()
 
     def _make_response(self, request: SipRequest, status: int,
                        reason: Optional[str] = None) -> SipResponse:

@@ -386,16 +386,19 @@ def test_persistent_cell_keeps_no_identifier_stream_or_message_per_phone():
         census[16]["SipResponse"]
 
 
-#: the proxy's message model, which phones never build (DESIGN.md §3c)
+#: the message model, which phones never build and the proxy builds only
+#: for a text no template fits (DESIGN.md §3c)
 MODEL_CLASSES = (SipRequest, SipResponse, Address, SipUri, Via)
 
 
 def test_a_udp_call_builds_no_message_objects_on_the_phone_side(
         monkeypatch):
-    """Phones send and read SIP as wire text: through a whole UDP cell,
-    no ``SipRequest``, ``SipResponse``, ``Address``, ``SipUri`` or ``Via``
-    is constructed under a phone's frame, while the proxy builds them
-    for every message it handles."""
+    """Phones send and read SIP as wire text, and the proxy reads what the
+    phones write by template and sends it on spliced: through a whole UDP
+    cell, no ``SipRequest``, ``SipResponse``, ``Address``, ``SipUri`` or
+    ``Via`` is constructed under a phone's frame or the proxy's.  With the
+    proxy's templates made to miss, its fallback builds them for every
+    message it handles, and the phones still build none."""
     built = collections.Counter()
     phone_code = sys.modules[Phone.__module__].__file__
 
@@ -416,12 +419,19 @@ def test_a_udp_call_builds_no_message_objects_on_the_phone_side(
             init(self, *args, **kwargs)
         return __init__
 
+    def built_in_a_cell():
+        built.clear()
+        result = run_cell(dataclasses.replace(small_cell("udp"), clients=1))
+        assert result.calls_completed >= 1
+        return collections.Counter(built)
+
     for cls in MODEL_CLASSES:
         monkeypatch.setattr(cls, "__init__", counted(cls))
-    result = run_cell(dataclasses.replace(small_cell("udp"), clients=1))
-    assert result.calls_completed >= 1
-    assert not [key for key in built if key[0] == "phone"], built
-    assert built["proxy", "SipRequest"] and built["proxy", "SipResponse"]
+    assert not built_in_a_cell()
+    monkeypatch.setattr("repro.proxy.core.proxy_read", lambda text: None)
+    by_model = built_in_a_cell()
+    assert not [key for key in by_model if key[0] == "phone"], by_model
+    assert by_model["proxy", "SipRequest"] and by_model["proxy", "SipResponse"]
 
 
 def test_names_built_on_demand_keep_their_values():

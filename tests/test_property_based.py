@@ -2,10 +2,12 @@
 protocol invariants."""
 
 import collections
+import contextlib
 import functools
 import random
 import string
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,10 +17,11 @@ from repro.kernel.ipc import IpcChannel, IpcMessage
 from repro.kernel.poller import Poller, TickSource
 from repro.kernel.sockets import PortAllocator, PortExhaustedError, StreamBuffer
 from repro.obs.causal import CausalTracer
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Span, Tracer
 from repro.proxy.config import ProxyConfig
 from repro.proxy.core import ProxyCore
 from repro.proxy.costs import CostModel
+from repro.proxy.routing import ToBinding, ToVia
 from repro.proxy.stats import ProxyStats
 from repro.proxy.txn_table import TimerList, TransactionTable
 from repro.sim.engine import Engine
@@ -34,7 +37,7 @@ from repro.sip.parser import (
     _parse_headers,
     parse_message,
 )
-from repro.sip.reader import PhoneMessage
+from repro.sip.reader import PhoneMessage, proxy_read
 from repro.sip.uri import SipUri
 
 from conftest import drive
@@ -192,12 +195,25 @@ class _Shed:
     def admit(self, now, source):
         return False
 
+    def note_admitted(self, source):
+        pass
+
+    def note_done(self, source, success):
+        pass
+
 
 @functools.lru_cache(maxsize=None)
-def phone_bound_texts():
-    """Every text a proxy sends a phone in one call, REGISTER to the BYE's
-    200 OK, plus a 404 and an overload 503: the proxy's real forward and
-    response paths."""
+def one_call():
+    """One call through a proxy, REGISTER to the BYE's 200 OK, then an
+    INVITE for no one (a 404) and one an overload controller sheds (a
+    503): the proxy's real forward and response paths.
+
+    Returns (what the proxy received, as ``(text, source, prefix,
+    shed)`` steps, where ``prefix`` lists the earlier steps whose state
+    the step needs — bindings, transactions, and the proxy's branch
+    numbering that a response's top Via repeats — and ``shed`` whether
+    the controller sheds it; every text the proxy sent).
+    """
     engine = Engine()
     costs = CostModel()
     core = ProxyCore(engine, ProxyConfig(transport="udp", workers=1),
@@ -207,31 +223,37 @@ def phone_bound_texts():
                            random.Random(1))
     bob = MessageBuilder("bob", "example.com", "client2", 40000, "udp",
                          random.Random(2))
-    sent = []
+    caller, callee = ("client1", 20000), ("client2", 40000)
+    received, sent = [], []
 
-    def relay(text, source):
+    def relay(text, source, prefix=()):
+        received.append((text, source, prefix, core.controller is not None))
         actions = drive(engine, core.process(text, source))
         sent.extend(action.text for action in actions)
         return actions[-1].text
 
-    for builder, source in ((alice, ("client1", 20000)),
-                            (bob, ("client2", 40000))):
-        relay(builder.register_text()[0], source)
+    relay(alice.register_text()[0], caller)
+    relay(bob.register_text()[0], callee)
     invite, __, dialog = alice.invite_text("bob")
-    forwarded = relay(invite, ("client1", 20000))
+    forwarded = relay(invite, caller, (1,))
     ringing, ok = bob.answer_texts(PhoneMessage(forwarded), "b0b")
-    relay(ringing, ("client2", 40000))
-    dialog.confirm(PhoneMessage(relay(ok, ("client2", 40000))))
-    relay(alice.ack_text(dialog), ("client1", 20000))
-    bye = relay(alice.bye_text(dialog)[0], ("client1", 20000))
-    relay(bob.ok_text(PhoneMessage(bye)), ("client2", 40000))
-    relay(alice.invite_text("nobody")[0], ("client1", 20000))
+    relay(ringing, callee, (1, 2))
+    dialog.confirm(PhoneMessage(relay(ok, callee, (1, 2, 3))))
+    relay(alice.ack_text(dialog), caller)
+    bye = relay(alice.bye_text(dialog)[0], caller)
+    relay(bob.ok_text(PhoneMessage(bye)), callee, (1, 2, 5, 6))
+    relay(alice.invite_text("nobody")[0], caller)
     core.controller = _Shed()
-    relay(alice.invite_text("bob")[0], ("client1", 20000))
+    relay(alice.invite_text("bob")[0], caller)
     assert {text.split(" ", 2)[1] if text.startswith("SIP/") else
             text.split(" ", 1)[0] for text in sent} == {
         "100", "180", "200", "404", "503", "INVITE", "ACK", "BYE"}
-    return tuple(sent)
+    return tuple(received), tuple(sent)
+
+
+def phone_bound_texts():
+    """Every text a proxy sends a phone in :func:`one_call`."""
+    return one_call()[1]
 
 
 #: characters a perturbation writes: SIP punctuation and padding
@@ -263,7 +285,14 @@ def perturbed_texts(draw):
     """A phone-bound text with its Via, CSeq, Call-ID or To lines garbled
     or dropped, header names in lower case or compact form, and Via lines
     added; the body and its Content-Length are left alone."""
-    text = draw(st.sampled_from(phone_bound_texts()))
+    return perturbed(draw, draw(st.sampled_from(phone_bound_texts())),
+                     ACTED_ON)
+
+
+def perturbed(draw, text, acted_on):
+    """``text`` with up to three of: a line named in ``acted_on`` garbled
+    or dropped, a name in lower case or compact form, a Via line added;
+    the body and its Content-Length are left alone."""
     head, __, body = text.partition("\r\n\r\n")
     start, *lines = head.split("\r\n")
     for __ in range(draw(st.integers(0, 3))):
@@ -278,7 +307,7 @@ def perturbed_texts(draw):
                          f"Via: {draw(perturbed_value(value))}")
             continue
         targets = [i for i, name in enumerate(names)
-                   if name in (ACTED_ON if edit in ("garble", "drop")
+                   if name in (acted_on if edit in ("garble", "drop")
                                else SPELLINGS)]
         if not targets:
             continue
@@ -404,6 +433,158 @@ class TestPhoneReaderAgreement:
     @settings(max_examples=600, deadline=None)
     def test_reader_agrees_with_the_message_model(self, text):
         assert_reader_agrees(text)
+
+
+# ---------------------------------------------------------------------------
+# the proxy's reader against the message model
+# ---------------------------------------------------------------------------
+#: proxy set-ups the two paths are compared in: (transport, stateful)
+PROXY_CONFIGS = (("udp", True), ("udp", False), ("tcp", True))
+#: the header lines the proxy routes on or repeats in its replies
+ROUTED_ON = ("Via", "Max-Forwards", "To", "Call-ID", "CSeq", "Contact")
+
+
+class _RecordingProbe:
+    """Records, in order, every span the core ends (name, lane,
+    attributes) and every counter it bumps."""
+
+    def __init__(self):
+        self.rows = []
+
+    def begin(self, name, cat="proxy", who="?", **attrs):
+        return Span(name, cat, who, 0.0, attrs or None)
+
+    def end(self, span):
+        self.rows.append((span.name, span.who, span.attrs))
+        return span
+
+    def count(self, name):
+        self.rows.append(("count", name))
+
+
+def _run(gen):
+    """Run a core generator to its end; returns (its value, every
+    simulated charge it yielded)."""
+    charges = []
+    try:
+        while True:
+            effect = gen.send(None)
+            charges.append((type(effect).__name__, getattr(effect, "us", None),
+                            getattr(effect, "label", None)))
+    except StopIteration as stop:
+        return stop.value, charges
+
+
+def _target(target):
+    """A send target as plain values; a binding's contact URI is left
+    out (nothing reads it)."""
+    if isinstance(target, ToBinding):
+        b = target.binding
+        return ("binding", b.aor, b.addr, b.port, b.transport, b.conn,
+                b.assoc, b.registered_at, b.expires_us)
+    if isinstance(target, ToVia):
+        return ("via", target.addr, target.port)
+    return ("source", target.source)
+
+
+def proxy_outcome(step, text, config, templates=True):
+    """What a fresh proxy does with ``text`` in place of step ``step`` of
+    :func:`one_call`, after the steps it needs: its sends, charges, span
+    rows and counters, and the bindings, transactions and timers it
+    leaves.  ``templates=False`` makes every template miss, so the text
+    takes the message model's path."""
+    received = one_call()[0]
+    transport, stateful = config
+    engine = Engine()
+    costs = CostModel()
+    core = ProxyCore(engine, ProxyConfig(transport=transport, workers=1,
+                                         stateful=stateful),
+                     costs, LocationService(), TransactionTable(costs),
+                     TimerList(costs), ProxyStats(), via_host="server")
+    core.probe = probe = _RecordingProbe()
+    __, source, prefix, shed = received[step]
+    with contextlib.ExitStack() as stack:
+        if not templates:
+            stack.enter_context(mock.patch("repro.proxy.core.proxy_read",
+                                           lambda text: None))
+        for i in prefix:
+            _run(core.process(*received[i][:2]))
+        del probe.rows[:]
+        core.controller = _Shed() if shed else None
+        actions, charges = _run(core.process(text, source))
+    return {
+        "actions": [(a.text, _target(a.target), a.kind) for a in actions],
+        "charges": charges,
+        "spans": probe.rows,
+        "stats": dict(vars(core.stats)),
+        "register_contact": core.take_register_contact(),
+        "bindings": {aor: _target(ToBinding(binding)) for aor, binding
+                     in core.location._bindings.items()},
+        "transactions": [
+            (t.upstream_key, t.our_branch, t.method, t.source,
+             t.forwarded_text, t.last_response_text, t.responded,
+             t.completed, t.forward_target and
+             _target(ToBinding(t.forward_target)))
+            for t in core.txn_table._by_branch.values()],
+        "timers": list(core.timer_list._heap),
+    }
+
+
+def assert_proxy_agrees(step, text, config=PROXY_CONFIGS[0]):
+    """The template path and the message model's path do the same with
+    ``text`` at ``step``."""
+    assert proxy_outcome(step, text, config) == \
+        proxy_outcome(step, text, config, templates=False)
+
+
+@st.composite
+def perturbed_proxy_texts(draw):
+    """A step of :func:`one_call` and its text with a routed-on line
+    garbled or dropped, names in lower case or compact form, or Via lines
+    added."""
+    step = draw(st.integers(0, len(one_call()[0]) - 1))
+    return step, perturbed(draw, one_call()[0][step][0], ROUTED_ON)
+
+
+class TestProxyReaderAgreement:
+    @pytest.mark.parametrize("config", PROXY_CONFIGS)
+    def test_every_phone_made_text_reads_by_template(self, config):
+        """What the phones send fits a template, and the splice sends
+        what the model renders."""
+        for step, (text, *__) in enumerate(one_call()[0]):
+            assert proxy_read(text) is not None, text
+            assert_proxy_agrees(step, text, config)
+
+    def test_every_one_character_edit_of_a_field_agrees(self):
+        """The start line, each value the proxy routes on or repeats and
+        the Content-Length, edited in each place, and the CSeq method
+        swapped for another: every near miss of a template takes the
+        model's path to the same outcome."""
+        for step, (text, *__) in enumerate(one_call()[0]):
+            head, __, body = text.partition("\r\n\r\n")
+            lines = head.split("\r\n")
+            edited = set(
+                "\r\n".join([start] + lines[1:]) + "\r\n\r\n" + body
+                for start in one_character_edits(lines[0], " \t/:;@09"))
+            for i, line in enumerate(lines[1:], 1):
+                name, __, value = line.partition(": ")
+                if name not in ROUTED_ON + ("Content-Length",):
+                    continue
+                values = set(one_character_edits(value, " \t;:<>=@/0"))
+                if name == "CSeq":
+                    values.update(f"{value.split()[0]} {method}" for method
+                                  in ("REGISTER", "INVITE", "ACK", "BYE"))
+                edited.update(
+                    "\r\n".join(lines[:i] + [f"{name}: {value_}"]
+                                + lines[i + 1:]) + "\r\n\r\n" + body
+                    for value_ in values)
+            for text_ in sorted(edited):
+                assert_proxy_agrees(step, text_)
+
+    @given(perturbed_proxy_texts(), st.sampled_from(PROXY_CONFIGS))
+    @settings(max_examples=600, deadline=None)
+    def test_proxy_agrees_with_the_message_model(self, step_text, config):
+        assert_proxy_agrees(*step_text, config)
 
 
 class TestFramerProperties:

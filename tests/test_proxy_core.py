@@ -14,7 +14,7 @@ from repro.proxy.txn_table import TimerList, TransactionTable
 from repro.sip.builder import MessageBuilder
 from repro.sip.location import LocationService
 from repro.sip.parser import parse_message
-from repro.sip.reader import PhoneMessage
+from repro.sip.reader import PhoneMessage, proxy_read
 
 from conftest import drive
 
@@ -408,3 +408,24 @@ class TestMandatoryHeaders:
         actions = self.send_without(engine, core, ack, "To")
         assert actions == []
         assert core.stats.parse_errors == 1
+
+
+@pytest.mark.parametrize("path", ["template", "model"])
+def test_ack_with_max_forwards_zero_is_not_forwarded(engine, monkeypatch,
+                                                     path):
+    """RFC 3261 §16.3 step 2: an ACK that may go no further is dropped —
+    an ACK gets no 483 — and counted as unroutable, whichever way the
+    proxy reads it."""
+    core = make_core(engine)
+    register(engine, core, bob(), ("client2", 40000))
+    invite, ack = an_invite_and_its_ack()
+    drive(engine, core.process(invite.render(), ("client1", 20000)))
+    ack.set("Max-Forwards", "0")
+    text = ack.render()
+    assert proxy_read(text) is not None
+    if path == "model":
+        monkeypatch.setattr("repro.proxy.core.proxy_read", lambda text: None)
+    actions = drive(engine, core.process(text, ("client1", 20000)))
+    assert actions == []
+    assert core.stats.routing_failures == 1
+    assert core.stats.parse_errors == 0

@@ -7,12 +7,14 @@ text a phone reads (with the reading phone's name), so a change to how
 either side writes SIP is pinned byte for byte.  A change that means to
 alter the wire updates the values below on purpose and says so.
 
-Phones read what the proxy renders by template, and fall back to the
-message model only for a text no template fits.  None of these cells'
-texts — 100 Trying, relayed responses, forwarded requests and their
-retransmissions — may need the fallback: a change to how the proxy
-renders that the templates miss would otherwise slow the phones back
-down with every number unchanged.
+Phones read what the proxy renders by template, and the proxy reads what
+the phones write by template; each falls back to the message model only
+for a text no template fits.  None of these cells' texts may need the
+fallback — neither what the phones read (100 Trying, relayed responses,
+forwarded requests and their retransmissions) nor what the proxy reads
+(requests and callee responses): a change to how either side writes
+that the other's templates miss would otherwise slow the cell back down
+with every number unchanged.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ import pytest
 
 from repro.analysis.experiments import ExperimentSpec, run_cell
 from repro.clients.phone import Phone
+from repro.proxy import core
 from repro.proxy.core import ProxyCore
 from repro.sip.reader import PhoneMessage
 
@@ -71,6 +74,15 @@ def test_wire_transcript_is_unchanged(series, monkeypatch):
         model_reads.append(text)
         return read_model(self, text)
 
+    proxy_parses = []
+    parse_message = core.parse_message
+
+    def proxy_reads_by_model(text):
+        proxy_parses.append(text)
+        return parse_message(text)
+
     monkeypatch.setattr(PhoneMessage, "_read_model", phone_reads_by_model)
+    monkeypatch.setattr(core, "parse_message", proxy_reads_by_model)
     assert transcript(series, monkeypatch) == GOLDEN_TRANSCRIPT[series]
     assert not model_reads, (len(model_reads), model_reads[0])
+    assert not proxy_parses, (len(proxy_parses), proxy_parses[0])
