@@ -24,8 +24,11 @@ frame outward:
   phone).
 
 It prints the owner shares, the owner × leaf-package shares and the
-phones' own ``sip`` share, each as a percentage of all samples.  It only
-reports: it changes nothing under ``src/`` and asserts no bound.
+phones' own ``sip`` share, each as a percentage of all samples with its
+±2σ binomial interval, 2·sqrt(p(1 − p)/n) for n samples: about ±3 points
+at 10 % with the ≈350 samples of a bench run, the spread seen between
+runs.  One run therefore cannot tell 7 % from 10 %; pool several.  It
+only reports: it changes nothing under ``src/`` and asserts no bound.
 Samples count CPU time, so on an otherwise idle host a share of samples
 is a share of the cell's wall time; the handler's own cost (a few µs per
 sample) is charged to whatever frame it interrupted.
@@ -33,6 +36,7 @@ sample) is charged to whatever frame it interrupted.
 
 import argparse
 import collections
+import math
 import os
 import pathlib
 import signal
@@ -101,6 +105,13 @@ class Sampler:
         signal.signal(signal.SIGPROF, signal.SIG_DFL)
 
 
+def share(count: int, total: int) -> str:
+    """``count`` of ``total`` samples as a percentage ± its 2σ binomial
+    interval, in percentage points."""
+    p = count / total
+    return f"{100.0 * p:5.1f} % ± {200.0 * math.sqrt(p * (1 - p) / total):.1f}"
+
+
 def report(sampler: Sampler, args, wall_s: float, calls: int) -> str:
     total = sum(sampler.counts.values()) or 1
     owners = collections.Counter()
@@ -112,22 +123,22 @@ def report(sampler: Sampler, args, wall_s: float, calls: int) -> str:
         f"{total} samples (timer asked for one per {1000 * INTERVAL_S} ms "
         f"of CPU; the kernel's tick may space them wider)",
         "",
-        "owner            share",
+        "owner            share (± 2σ, points)",
     ]
     for owner, count in owners.most_common():
-        lines.append(f"{owner:<16} {100.0 * count / total:5.1f} %")
-    lines += ["", "owner            leaf package   share"]
+        lines.append(f"{owner:<16} {share(count, total)}")
+    lines += ["", "owner            leaf package   share (± 2σ, points)"]
     for (owner, leaf), count in sorted(
             sampler.counts.items(), key=lambda item: (-owners[item[0][0]],
                                                       -item[1])):
-        lines.append(f"{owner:<16} {leaf:<14} {100.0 * count / total:5.1f} %")
+        lines.append(f"{owner:<16} {leaf:<14} {share(count, total)}")
     phone_sip = sampler.counts.get(("phone", "sip"), 0)
     proxy_sip = sampler.counts.get(("proxy", "sip"), 0)
     lines += ["",
               f"sip self time under a phone frame: "
-              f"{100.0 * phone_sip / total:.1f} % of samples",
+              f"{share(phone_sip, total).lstrip()} of samples",
               f"sip self time under a proxy frame: "
-              f"{100.0 * proxy_sip / total:.1f} % of samples"]
+              f"{share(proxy_sip, total).lstrip()} of samples"]
     return "\n".join(lines)
 
 

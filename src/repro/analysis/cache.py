@@ -150,6 +150,3 @@ class ResultCache:
         if not self.directory.is_dir():
             return 0
         return sum(1 for __ in self.directory.glob("*.json"))
-
-    def __repr__(self) -> str:
-        return f"<ResultCache {self.directory} entries={len(self)}>"

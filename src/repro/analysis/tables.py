@@ -20,8 +20,7 @@ def _fmt(value: Optional[float]) -> str:
 
 
 def render_comparison(figure_key: str,
-                      measured: Dict[str, Dict[int, float]],
-                      clients=CLIENT_COUNTS) -> str:
+                      measured: Dict[str, Dict[int, float]]) -> str:
     """Measured vs paper, with the TCP/UDP ratio that carries the paper's
     claims."""
     paper = PAPER_FIGURES[figure_key]
@@ -31,7 +30,7 @@ def render_comparison(figure_key: str,
     for name in SERIES:
         if name not in measured:
             continue
-        for count in clients:
+        for count in CLIENT_COUNTS:
             got = measured[name].get(count)
             want = paper[name].get(count)
             udp_got = measured.get("udp", {}).get(count)

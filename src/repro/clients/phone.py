@@ -60,7 +60,7 @@ class Phone:
         "machine", "engine", "user", "domain", "port", "transport",
         "proxy_addr", "proxy_port", "role", "peer_user",
         "ops_per_conn", "go_event", "t1_us", "start_delay_us",
-        "think_time_us", "open_loop", "reliable", "builder", "registered",
+        "open_loop", "reliable", "builder", "registered",
         "registration_failures", "running", "ops_completed",
         "calls_attempted", "calls_completed", "calls_failed",
         "retransmissions", "retransmissions_absorbed", "setup_latencies_us",
@@ -86,7 +86,6 @@ class Phone:
         go_event: Optional[Event] = None,
         t1_us: float = T1_US,
         start_delay_us: float = 0.0,
-        think_time_us: float = 0.0,
         open_loop: bool = False,
     ) -> None:
         if role not in ("caller", "callee"):
@@ -107,8 +106,6 @@ class Phone:
         self.go_event = go_event
         self.t1_us = t1_us
         self.start_delay_us = start_delay_us
-        #: caller pause between calls (the paper's load has none)
-        self.think_time_us = think_time_us
         self.open_loop = open_loop
         self.reliable = transport in ("tcp", "sctp")
         self.builder = MessageBuilder(user, domain, machine.name, port,
@@ -199,8 +196,6 @@ class Phone:
             yield Wait(self.go_event)
         while self.running:
             yield from self._do_call()
-            if self.think_time_us > 0:
-                yield Sleep(self.think_time_us)
 
     def start_call(self) -> None:
         """Launch one call as its own process (open-loop arrival).
@@ -529,10 +524,6 @@ class Phone:
             self._reconnect_wanted = False
             yield from self._open_conn()
             yield from self._register(attempts=1)
-
-    def __repr__(self) -> str:
-        return (f"<Phone {self.user} {self.role}/{self.transport} "
-                f"ops={self.ops_completed or self.handled_ops}>")
 
 
 class _ConnReader:

@@ -4,6 +4,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.obs.histogram import PERCENTILE_POINTS
+
 
 @dataclass
 class Workload:
@@ -109,14 +111,10 @@ class BenchmarkResult:
     #: of each wait state {network, sockq, runq, lock, ipc, cpu, other}
     attribution: Dict = field(default_factory=dict)
 
-    def __repr__(self) -> str:
-        return (f"<BenchmarkResult {self.throughput_ops_s:.0f} ops/s "
-                f"({self.ops} ops / {self.duration_us / 1e6:.2f}s, "
-                f"util={self.cpu_utilization:.2f})>")
 
-
-def percentiles(samples, points=(50, 95, 99, 99.9)) -> Dict[str, float]:
-    """Nearest-rank percentiles plus ``mean`` (empty dict if no samples).
+def percentiles(samples) -> Dict[str, float]:
+    """Nearest-rank :data:`PERCENTILE_POINTS` plus ``mean`` (empty dict if
+    no samples).
 
     Keys render compactly (``p99.9``, not ``p99.90``); the shape matches
     :meth:`repro.obs.StreamingHistogram.percentiles` so exact and
@@ -126,7 +124,7 @@ def percentiles(samples, points=(50, 95, 99, 99.9)) -> Dict[str, float]:
         return {}
     ordered = sorted(samples)
     out = {}
-    for point in points:
+    for point in PERCENTILE_POINTS:
         rank = max(0, min(len(ordered) - 1,
                           math.ceil(point / 100.0 * len(ordered)) - 1))
         out[f"p{point:g}"] = ordered[rank]

@@ -172,7 +172,3 @@ class DeadlockDetector:
             "deadlock_cycles": lambda: float(len(self.active)),
             "deadlocks_detected": lambda: float(len(self.detections)),
         }
-
-    def __repr__(self) -> str:
-        return (f"<DeadlockDetector endpoints={len(self._watched)} "
-                f"active={len(self.active)} total={len(self.detections)}>")

@@ -51,8 +51,3 @@ class FaultInjector:
         if self.proxy.probe is not None:
             self.proxy.probe.instant("fault_apply", cat="faults",
                                      who="injector", kind=event.kind)
-
-    def __repr__(self) -> str:
-        state = (f"armed@{self.armed_at:.0f}us"
-                 if self.armed_at is not None else "unarmed")
-        return f"<FaultInjector {len(self.plan)} events {state}>"

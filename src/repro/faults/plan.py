@@ -85,7 +85,3 @@ class FaultPlan:
                     f"{kind}: unknown fields {sorted(unknown)}")
             events.append(WorkerCrash(**entry))
         return cls(events)
-
-    def __repr__(self) -> str:
-        kinds = [event.kind for event in self.events]
-        return f"<FaultPlan {kinds}>"

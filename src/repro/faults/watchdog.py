@@ -83,7 +83,3 @@ class Watchdog:
     def gauge_probes(self) -> Dict[str, object]:
         """Sampler probes (see :mod:`repro.obs.metrics`)."""
         return {"workers_restarted": lambda: float(len(self.restarts))}
-
-    def __repr__(self) -> str:
-        return (f"<Watchdog period={PERIOD_US}us "
-                f"restarts={len(self.restarts)}>")

@@ -103,6 +103,3 @@ class FdTable:
 
     def __contains__(self, fd: int) -> bool:
         return fd in self._slots
-
-    def __repr__(self) -> str:
-        return f"<FdTable {self.owner} open={len(self._slots)}/{self.limit}>"

@@ -31,9 +31,6 @@ class FdPayload:
     def __init__(self, description) -> None:
         self.description = description
 
-    def __repr__(self) -> str:
-        return f"FdPayload({self.description!r})"
-
 
 class IpcMessage:
     """One message on a channel: a kind tag, payload, optional fd."""
@@ -45,10 +42,6 @@ class IpcMessage:
         self.kind = kind
         self.payload = payload
         self.fd = fd
-
-    def __repr__(self) -> str:
-        fd = " +fd" if self.fd is not None else ""
-        return f"<IpcMessage {self.kind}{fd}>"
 
 
 class _Direction:
@@ -153,10 +146,6 @@ class IpcEndpoint:
         """Messages waiting to be received on this endpoint."""
         return len(self._in.queue)
 
-    def __repr__(self) -> str:
-        return (f"<IpcEndpoint {self.name} in={len(self._in.queue)} "
-                f"out={len(self._out.queue)}>")
-
 
 class IpcChannel:
     """A duplex bounded channel between two processes.
@@ -197,9 +186,6 @@ class IpcChannel:
                 dropped += 1
             direction.writable_signal.fire()
         return dropped
-
-    def __repr__(self) -> str:
-        return f"<IpcChannel {self.name}>"
 
 
 def receive_fd(msg: IpcMessage, fdtable) -> int:

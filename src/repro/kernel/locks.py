@@ -90,7 +90,3 @@ class SpinLock:
             raise RuntimeError(f"lock {self.name!r} released while not held")
         self.held = False
         self.owner = None
-
-    def __repr__(self) -> str:
-        state = f"held by {self.owner!r}" if self.held else "free"
-        return f"<SpinLock {self.name!r} {state} acq={self.acquisitions}>"

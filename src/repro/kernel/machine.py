@@ -70,6 +70,3 @@ class Machine:
             return 0.0
         busy = self.scheduler.total_busy_us() - since_busy_us
         return busy / (window_us * len(self.scheduler.cores))
-
-    def __repr__(self) -> str:
-        return f"<Machine {self.name} cores={len(self.scheduler.cores)}>"

@@ -92,9 +92,6 @@ class Poller:
             # between messages) attributes as socket-queue time.
             yield Wait(waker, "sockq")
 
-    def __repr__(self) -> str:
-        return f"<Poller {self.name} sources={len(self.sources)}>"
-
 
 class TickSource:
     """A poller source that becomes readable every ``period_us``.
@@ -128,6 +125,3 @@ class TickSource:
     def consume(self) -> None:
         """Acknowledge the tick (call when the housekeeping ran)."""
         self.pending = False
-
-    def __repr__(self) -> str:
-        return f"<TickSource {self.name} every {self.period_us}us>"

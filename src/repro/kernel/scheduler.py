@@ -460,10 +460,6 @@ class Scheduler:
         running = sum(1 for core in self.cores if core.current is not None)
         return ready + running
 
-    def __repr__(self) -> str:
-        return (f"<Scheduler cores={len(self.cores)} runnable={self.runnable()}"
-                f" quantum={self.quantum_us}us>")
-
 
 class KernelProcess(SimProcess):
     """A process whose CPU effects contend for the scheduler's cores."""

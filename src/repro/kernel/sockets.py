@@ -55,9 +55,6 @@ class DatagramBuffer:
     def __len__(self) -> int:
         return len(self.queue)
 
-    def __repr__(self) -> str:
-        return f"<DatagramBuffer {self.name} {len(self.queue)}/{self.capacity}>"
-
 
 #: suffix of a stream buffer's readable-signal name
 _READABLE = ".readable"
@@ -153,10 +150,6 @@ class StreamBuffer:
             self._writable_signal.fire()
         return data
 
-    def __repr__(self) -> str:
-        eof = " EOF" if self.eof else ""
-        return f"<StreamBuffer {self.name} {self._size}/{self.capacity}{eof}>"
-
 
 class PortAllocator:
     """Ephemeral port pool with TIME_WAIT holding.
@@ -183,14 +176,6 @@ class PortAllocator:
         self._next = lo
         self._free: Deque[int] = collections.deque()
         self.exhaustions = 0
-
-    @property
-    def available(self) -> int:
-        return self.hi - self._next + len(self._free)
-
-    @property
-    def in_time_wait(self) -> int:
-        return len(self._time_wait)
 
     def allocate(self) -> int:
         if self._next < self.hi:
@@ -220,7 +205,3 @@ class PortAllocator:
         if port in self._time_wait:
             self._time_wait.remove(port)
             self._free.append(port)
-
-    def __repr__(self) -> str:
-        return (f"<PortAllocator {self.name} free={self.available} "
-                f"in_use={len(self._in_use)} tw={len(self._time_wait)}>")

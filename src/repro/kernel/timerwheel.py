@@ -53,7 +53,3 @@ class PeriodicTimer:
         # callbacks run at a fixed instant, so firing cadence is unchanged.
         if self.running:
             self._handle = self.engine.schedule(self.period_us, self._tick)
-
-    def __repr__(self) -> str:
-        state = "running" if self.running else "stopped"
-        return f"<PeriodicTimer {self.period_us}us {state}>"

@@ -27,7 +27,3 @@ class Datagram:
     @property
     def source(self) -> tuple:
         return (self.src_addr, self.src_port)
-
-    def __repr__(self) -> str:
-        return (f"<Datagram {self.src_addr}:{self.src_port} -> "
-                f"{self.dst_addr}:{self.dst_port} {self.size}B>")

@@ -43,10 +43,6 @@ class SctpAssociation:
     def key(self) -> Tuple[str, int]:
         return (self.remote_addr, self.remote_port)
 
-    def __repr__(self) -> str:
-        state = "established" if self.established else "pending"
-        return f"<SctpAssociation -> {self.remote_addr}:{self.remote_port} {state}>"
-
 
 class SctpEndpoint:
     """A bound one-to-many SCTP socket."""
@@ -154,7 +150,3 @@ class SctpEndpoint:
         for assoc in self.associations.values():
             assoc.alive = False
         self.machine.sctp_binds.pop(self.port, None)
-
-    def __repr__(self) -> str:
-        return (f"<SctpEndpoint {self.machine.name}:{self.port} "
-                f"assocs={len(self.associations)}>")

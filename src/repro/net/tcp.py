@@ -96,10 +96,6 @@ class TcpListener:
     def close(self) -> None:
         self.machine.tcp_listeners.pop(self.port, None)
 
-    def __repr__(self) -> str:
-        return (f"<TcpListener {self.machine.name}:{self.port} "
-                f"queued={len(self.accept_queue)}>")
-
 
 class TcpConn:
     """One endpoint of an established (or in-progress) connection."""
@@ -318,10 +314,6 @@ class TcpConn:
         if self.initiated:
             self.machine.tcp_ports.release(self.local_port, time_wait=False)
         self.connected.fire(False)
-
-    def __repr__(self) -> str:
-        return (f"<TcpConn {self.machine.name}:{self.local_port} -> "
-                f"{self.remote_addr}:{self.remote_port} {self.state.value}>")
 
 
 def connect(machine, dst_addr: str, dst_port: int):

@@ -108,6 +108,3 @@ class UdpEndpoint:
 
     def close(self) -> None:
         self.machine.udp_binds.pop(self.port, None)
-
-    def __repr__(self) -> str:
-        return f"<UdpEndpoint {self.machine.name}:{self.port}>"

@@ -61,14 +61,18 @@ def aggregate_journeys(journeys: List[Journey]) -> Dict:
 # ----------------------------------------------------------------------
 # single-call waterfall
 # ----------------------------------------------------------------------
-def render_waterfall(causal: CausalTracer, call_id: str,
-                     width: int = 48) -> str:
+#: bar columns per journey
+WATERFALL_WIDTH = 48
+
+
+def render_waterfall(causal: CausalTracer, call_id: str) -> str:
     """Text waterfall for every journey whose trace id contains call_id.
 
     One bar row per segment, offset/scaled to the journey window, so a
     single INVITE's trip — network, socket queue, run queue, IPC round
     trip, CPU service — reads top to bottom like a waterfall view.
     """
+    width = WATERFALL_WIDTH
     rows_by_tid = causal.rows_by_tid()
     lines = []
     for tid, who, t0, t1 in journey_windows(causal):

@@ -79,10 +79,6 @@ class Segment:
     def duration_us(self) -> float:
         return self.end_us - self.start_us
 
-    def __repr__(self) -> str:
-        return (f"<Segment {self.kind} {self.tid!r} "
-                f"[{self.start_us:.1f},{self.end_us:.1f}] by {self.who}>")
-
 
 class CausalTracer:
     """Ring-buffered wait-state transition recorder for one simulation.
@@ -300,8 +296,3 @@ class CausalTracer:
 
     def __len__(self) -> int:
         return len(self._tid)
-
-    def __repr__(self) -> str:
-        return (f"<CausalTracer segments={len(self)}"
-                f"/{self.capacity} marks={len(self.marks)} "
-                f"dropped={self.dropped}>")

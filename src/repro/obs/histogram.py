@@ -12,6 +12,8 @@ from typing import Dict, Optional
 
 #: relative bucket width (5% ⇒ percentile error ≤ ~5%)
 RESOLUTION = 0.05
+#: the percentiles every latency summary reports, exact or streaming
+PERCENTILE_POINTS = (50, 95, 99, 99.9)
 _BASE = 1.0 + RESOLUTION
 _INV_LOG_BASE = 1.0 / math.log(_BASE)
 
@@ -96,13 +98,9 @@ class StreamingHistogram:
         if not self.count:
             return {}
         out = {f"p{point:g}": self.percentile(point)
-               for point in (50, 95, 99, 99.9)}
+               for point in PERCENTILE_POINTS}
         out["mean"] = self.mean
         return out
 
     def __len__(self) -> int:
         return self.count
-
-    def __repr__(self) -> str:
-        return (f"<StreamingHistogram n={self.count} "
-                f"mean={self.mean:.1f} buckets={len(self.buckets)}>")

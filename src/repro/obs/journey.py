@@ -47,10 +47,6 @@ class Journey:
                 "start_us": self.start_us, "end_us": self.end_us,
                 "total_us": self.total_us, "components": self.components}
 
-    def __repr__(self) -> str:
-        return (f"<Journey {self.tid!r} {self.total_us:.0f}us "
-                f"{self.components}>")
-
 
 def decompose(segments, start_us: float, end_us: float) -> Dict[str, float]:
     """Clip ``segments`` to the window and decompose it by kind.

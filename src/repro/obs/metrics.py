@@ -172,10 +172,6 @@ class MetricSampler:
                        for name, values in self.series.items()},
         }
 
-    def __repr__(self) -> str:
-        return (f"<MetricSampler interval={self.interval_us}us "
-                f"series={len(self.series)} samples={self.samples}>")
-
 
 def register_standard_probes(sampler: MetricSampler, testbed,
                              proxy) -> MetricSampler:

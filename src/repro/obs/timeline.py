@@ -85,6 +85,3 @@ class TimelineReport:
                 f"{sparkline(floats)}"
             )
         return "\n".join(lines)
-
-    def __str__(self) -> str:
-        return self.render()

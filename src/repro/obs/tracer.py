@@ -24,7 +24,7 @@ load and a branch.
 
 from array import array
 from itertools import chain
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 #: default ring-buffer capacity (events); ≈ 111 bytes/event allocated
 #: here: five list slots, two doubles and a values tuple per row, list
@@ -75,11 +75,6 @@ class Span:
                                 other.start_us, other.end_us, other.attrs)
 
     __hash__ = None
-
-    def __repr__(self) -> str:
-        state = ("open" if self.end_us is None
-                 else f"{self.duration_us:.1f}us")
-        return f"<Span {self.cat}:{self.name} @{self.start_us:.1f} {state}>"
 
 
 class Tracer:
@@ -175,13 +170,6 @@ class Tracer:
         """The buffered events, oldest first (views built per call)."""
         return [self._span(row) for row in self._rows()]
 
-    def spans(self, name: Optional[str] = None) -> Iterator[Span]:
-        """Buffered events, filtered by name."""
-        names = self._name
-        for row in self._rows():
-            if name is None or names[row] == name:
-                yield self._span(row)
-
     def clear(self) -> None:
         # The ring store: row r of these parallel columns is one event.
         # _append() adds rows until ``capacity`` exist, then overwrites
@@ -198,7 +186,3 @@ class Tracer:
         self._key_sets: Dict[tuple, tuple] = {}
         #: completed events ever recorded (≥ len(self) once evicting)
         self.emitted = 0
-
-    def __repr__(self) -> str:
-        return (f"<Tracer events={len(self)}/{self.capacity} "
-                f"dropped={self.dropped}>")

@@ -101,6 +101,3 @@ class OverloadController:
     def gauge_probes(self) -> Dict[str, Callable[[], float]]:
         """Named zero-cost gauges for the metric sampler (read-only)."""
         return {}
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name}>"

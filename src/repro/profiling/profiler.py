@@ -29,21 +29,9 @@ class Profiler:
         return dict(self.by_label)
 
     def delta(self, earlier: Dict[str, float]) -> Dict[str, float]:
-        """Positive growth per label since ``earlier``.
-
-        Totals only ever grow, so a decrease means the snapshot predates
-        a :meth:`reset` — a silent zero there would corrupt any windowed
-        share computation, so it raises instead.
-        """
-        current = self.by_label
-        stale = [key for key, total in earlier.items()
-                 if current.get(key, 0.0) < total]
-        if stale:
-            raise ValueError(
-                f"stale profiler snapshot: label totals decreased for "
-                f"{sorted(stale)[:3]} (profiler was reset after the snapshot)")
+        """Positive growth per label since ``earlier`` (totals only grow)."""
         return {key: total - earlier.get(key, 0.0)
-                for key, total in current.items()
+                for key, total in self.by_label.items()
                 if total - earlier.get(key, 0.0) > 0.0}
 
     def share(self, label: str) -> float:
@@ -51,11 +39,3 @@ class Profiler:
         if self.total_us == 0.0:
             return 0.0
         return self.by_label.get(label, 0.0) / self.total_us
-
-    def reset(self) -> None:
-        self.by_label.clear()
-        self.total_us = 0.0
-
-    def __repr__(self) -> str:
-        return (f"<Profiler labels={len(self.by_label)} "
-                f"total={self.total_us / 1e6:.3f}s>")

@@ -34,6 +34,3 @@ class ProfileReport:
             lines.append(f"{label:<{width}}  {us / 1000.0:>10.2f}  "
                          f"{share * 100.0:>6.1f}%")
         return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"<ProfileReport {self.title} labels={len(self.samples)}>"

@@ -177,7 +177,3 @@ class BaseProxyServer:
         "superfluous"), so nothing should reach this default."""
         self.stats.send_failures += 1
         yield from ()
-
-    def __repr__(self) -> str:
-        return (f"<{type(self).__name__} {self.config.transport} "
-                f"workers={self.config.workers}>")

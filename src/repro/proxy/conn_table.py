@@ -53,11 +53,6 @@ class ConnRecord:
             return self.released_at + timeout_us
         return self.last_activity + timeout_us
 
-    def __repr__(self) -> str:
-        state = "closed" if self.closed else (
-            "released" if self.released else f"owner={self.owner}")
-        return f"<ConnRecord #{self.conn_id} {state} alias={self.alias}>"
-
 
 class ConnTable:
     """Shared hash table of connection records."""

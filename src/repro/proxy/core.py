@@ -193,9 +193,6 @@ class ProxyCore:
 
     def _process_register(self, request, source) -> List[SendAction]:
         yield Compute(self.costs.registrar_update_us, "save_usrloc")
-        # Nothing reads a binding's contact URI, so a template read keeps
-        # none.
-        contact = None
         if type(request) is ProxyRequest:
             registration = request.registration
         else:
@@ -205,16 +202,15 @@ class ProxyCore:
                 contact = to_addr = None
             registration = None
             if contact is not None and to_addr is not None:
-                contact = contact.uri
-                registration = (to_addr.uri.aor, contact.host, contact.port,
-                                contact.params.get("transport"))
+                uri = contact.uri
+                registration = (to_addr.uri.aor, uri.host, uri.port,
+                                uri.params.get("transport"))
         if registration is None:
             self.stats.parse_errors += 1
             return self._reply(request, 400, source)
         aor, host, port, transport = registration
         binding = Binding(
             aor=aor,
-            contact=contact,
             addr=host,
             port=port or 5060,
             transport=(transport if transport is not None
@@ -403,7 +399,6 @@ class ProxyCore:
         """
         if type(request) is ProxyRequest:
             host, aor, port, transport = request.next_hop()
-            uri = None  # nothing reads a binding's contact URI
         else:
             uri = request.uri
             host, aor, port = uri.host, uri.aor, uri.port
@@ -412,7 +407,6 @@ class ProxyCore:
             return self.location.lookup(aor, now=self.engine.now)
         return Binding(
             aor=aor,
-            contact=uri,
             addr=host,
             port=port or 5060,
             transport=(transport if transport is not None

@@ -116,6 +116,3 @@ class CostModel:
         """Supervisor-side cost of honouring one descriptor request."""
         return (self.fd_request_handle_us
                 + self.fd_request_per_kconn_us * table_entries / 1000.0)
-
-    def __repr__(self) -> str:
-        return f"<CostModel parse={self.parse_msg_us}us udp={self.udp_recv_us}us tcp={self.tcp_recv_us}us>"

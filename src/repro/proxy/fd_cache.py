@@ -80,7 +80,3 @@ class FdCache:
                                    who=self.who, conn=conn_id)
         if fd in self.fdtable:
             self.fdtable.close(fd)
-
-    def __repr__(self) -> str:
-        return (f"<FdCache {self.who} entries={len(self._entries)} "
-                f"hit_rate={self.hits}/{self.hits + self.misses}>")

@@ -22,9 +22,6 @@ class ToSource(Target):
     def __init__(self, source) -> None:
         self.source = source
 
-    def __repr__(self) -> str:
-        return f"ToSource({self.source!r})"
-
 
 class ToBinding(Target):
     """To a registered contact (request forwarding)."""
@@ -33,9 +30,6 @@ class ToBinding(Target):
 
     def __init__(self, binding: Binding) -> None:
         self.binding = binding
-
-    def __repr__(self) -> str:
-        return f"ToBinding({self.binding!r})"
 
 
 class ToVia(Target):
@@ -48,9 +42,6 @@ class ToVia(Target):
         self.addr = addr
         self.port = port
 
-    def __repr__(self) -> str:
-        return f"ToVia({self.addr}:{self.port})"
-
 
 class SendAction:
     """One message the worker must transmit."""
@@ -62,6 +53,3 @@ class SendAction:
         self.target = target
         #: "reply" | "forward_request" | "forward_response" | "retransmit"
         self.kind = kind
-
-    def __repr__(self) -> str:
-        return f"<SendAction {self.kind} {len(self.text)}B -> {self.target!r}>"

@@ -65,8 +65,3 @@ class ProxyStats:
         current = self.snapshot()
         return {name: current[name] - earlier.get(name, 0)
                 for name in current}
-
-    def __repr__(self) -> str:
-        return (f"<ProxyStats rx={self.messages_received} "
-                f"tx={self.messages_sent} "
-                f"completed={self.transactions_completed}>")

@@ -49,11 +49,6 @@ class ProxyTransaction:
         self.rtx_attempts = 0
         self.rtx_interval_us = 0.0
 
-    def __repr__(self) -> str:
-        state = "completed" if self.completed else (
-            "responded" if self.responded else "pending")
-        return f"<ProxyTransaction {self.method} {state}>"
-
 
 class TransactionTable:
     """The shared transaction hash table."""

@@ -51,10 +51,6 @@ class Scheduled:
     def __lt__(self, other: "Scheduled") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
 
-    def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        return f"<Scheduled t={self.time:.1f} fn={getattr(self.fn, '__name__', self.fn)} {state}>"
-
 
 class Engine:
     """Event loop holding the simulated clock.
@@ -215,6 +211,3 @@ class Engine:
         """Events ever scheduled (O(1); exact even mid-run, unlike
         :attr:`events_fired` which flushes when :meth:`run` exits)."""
         return self._seq
-
-    def __repr__(self) -> str:
-        return f"<Engine now={self.now:.1f}us pending={self.pending}>"

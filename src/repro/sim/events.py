@@ -47,10 +47,6 @@ class Event:
         for callback in callbacks:
             self.engine.schedule(0.0, callback, value)
 
-    def __repr__(self) -> str:
-        state = f"fired={self.value!r}" if self.fired else "pending"
-        return f"<Event {self.name!r} {state}>"
-
 
 class Signal:
     """A repeatable wake-up source.
@@ -98,6 +94,3 @@ class Signal:
         """Wake only the longest-waiting subscriber, if any."""
         if self._callbacks:
             self.engine.schedule(0.0, self._callbacks.pop(0), None)
-
-    def __repr__(self) -> str:
-        return f"<Signal {self.name!r} waiters={len(self._callbacks)}>"

@@ -39,9 +39,6 @@ class Compute(Effect):
         self.us = float(us)
         self.label = label
 
-    def __repr__(self) -> str:
-        return f"Compute({self.us:.2f}us, {self.label!r})"
-
 
 class Sleep(Effect):
     """Block off-CPU for ``us`` microseconds (a timer, not CPU burn)."""
@@ -52,9 +49,6 @@ class Sleep(Effect):
         if us < 0:
             raise ValueError(f"negative sleep time: {us}")
         self.us = float(us)
-
-    def __repr__(self) -> str:
-        return f"Sleep({self.us:.2f}us)"
 
 
 class Wait(Effect):
@@ -72,9 +66,6 @@ class Wait(Effect):
         self.source = source
         self.why = why
 
-    def __repr__(self) -> str:
-        return f"Wait({self.source!r})"
-
 
 class YieldCPU(Effect):
     """Relinquish the CPU voluntarily (``sched_yield``).
@@ -86,9 +77,6 @@ class YieldCPU(Effect):
     """
 
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "YieldCPU()"
 
 
 class Fork(Effect):
@@ -103,9 +91,6 @@ class Fork(Effect):
         self.body = body
         self.name = name
 
-    def __repr__(self) -> str:
-        return f"Fork({self.name!r})"
-
 
 class Exit(Effect):
     """Terminate the process with ``value`` as its result."""
@@ -114,6 +99,3 @@ class Exit(Effect):
 
     def __init__(self, value: Any = None) -> None:
         self.value = value
-
-    def __repr__(self) -> str:
-        return f"Exit({self.value!r})"

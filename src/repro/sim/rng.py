@@ -1,7 +1,7 @@
 """Deterministic named random streams.
 
-Every stochastic choice in the simulation (network jitter, workload
-think times, hash placement, ...) draws from a stream obtained via
+Every stochastic choice in the simulation (the phones' start stagger, the
+open-loop arrivals, phone identifiers) draws from a stream obtained via
 ``RngStreams.stream(name)``.  Streams are independent and derived from the
 master seed, so a run is reproducible and adding a new consumer does not
 perturb existing streams.
@@ -34,6 +34,3 @@ class RngStreams:
             rng = random.Random(int.from_bytes(digest[:8], "big"))
             self._streams[name] = rng
         return rng
-
-    def __repr__(self) -> str:
-        return f"<RngStreams seed={self.seed} streams={sorted(self._streams)}>"

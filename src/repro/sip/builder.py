@@ -193,6 +193,3 @@ class MessageBuilder:
     def _next_seq(self) -> int:
         self._seq += 1
         return self._seq
-
-    def __repr__(self) -> str:
-        return f"<MessageBuilder {self.user}@{self.domain} via {self.host}:{self.port}>"

@@ -27,6 +27,3 @@ class Dialog:
         contact = response.contact_uri()
         if contact is not None:
             self.target = contact
-
-    def __repr__(self) -> str:
-        return f"<Dialog {self.local} -> {self.remote} call={self.call_id}>"

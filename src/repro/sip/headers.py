@@ -58,9 +58,6 @@ class Via:
             out += f";{key}={value}" if value else f";{key}"
         return out
 
-    def __repr__(self) -> str:
-        return f"Via({self.render()!r})"
-
 
 class CSeq:
     """A CSeq header value: ``<sequence> <METHOD>``."""
@@ -92,9 +89,6 @@ class CSeq:
 
     def __hash__(self) -> int:
         return hash((self.number, self.method))
-
-    def __repr__(self) -> str:
-        return f"CSeq({self.render()!r})"
 
 
 class Address:
@@ -160,6 +154,3 @@ class Address:
         for key, value in self.params.items():
             out += f";{key}={value}" if value else f";{key}"
         return out
-
-    def __repr__(self) -> str:
-        return f"Address({self.render()!r})"

@@ -8,21 +8,19 @@ an existing connection rather than dialing out.
 
 from typing import Dict, Optional
 
-from repro.sip.uri import SipUri
+#: how long a registration stays bound: the usual REGISTER Expires, 3600 s
+BINDING_LIFETIME_US = 3_600_000_000.0
 
 
 class Binding:
     """One registered contact for an address-of-record."""
 
-    __slots__ = ("aor", "contact", "addr", "port", "transport", "conn",
-                 "assoc", "registered_at", "expires_us")
+    __slots__ = ("aor", "addr", "port", "transport", "conn", "assoc",
+                 "registered_at")
 
-    def __init__(self, aor: str, contact: SipUri, addr: str, port: int,
-                 transport: str, conn=None, assoc=None,
-                 registered_at: float = 0.0,
-                 expires_us: float = 3_600_000_000.0) -> None:
+    def __init__(self, aor: str, addr: str, port: int, transport: str,
+                 conn=None, assoc=None, registered_at: float = 0.0) -> None:
         self.aor = aor
-        self.contact = contact
         self.addr = addr
         self.port = port
         self.transport = transport.upper()
@@ -31,14 +29,9 @@ class Binding:
         #: SCTP association, for the §6 architecture
         self.assoc = assoc
         self.registered_at = registered_at
-        self.expires_us = expires_us
 
     def expired(self, now: float) -> bool:
-        return now > self.registered_at + self.expires_us
-
-    def __repr__(self) -> str:
-        return (f"<Binding {self.aor} -> {self.addr}:{self.port} "
-                f"({self.transport})>")
+        return now > self.registered_at + BINDING_LIFETIME_US
 
 
 class LocationService:
@@ -70,6 +63,3 @@ class LocationService:
 
     def __len__(self) -> int:
         return len(self._bindings)
-
-    def __repr__(self) -> str:
-        return f"<LocationService bindings={len(self._bindings)}>"

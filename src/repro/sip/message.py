@@ -89,10 +89,6 @@ class SipMessage:
 
     # -- structured accessors ----------------------------------------------
     @property
-    def vias(self) -> List[Via]:
-        return [Via.parse(value) for value in self.get_all("Via")]
-
-    @property
     def top_via(self) -> Optional[Via]:
         value = self.get("Via")
         return Via.parse(value) if value is not None else None
@@ -115,11 +111,6 @@ class SipMessage:
     def contact(self) -> Optional[Address]:
         value = self.get("Contact")
         return Address.parse(value) if value is not None else None
-
-    @property
-    def content_length(self) -> int:
-        value = self.get("Content-Length")
-        return int(value) if value is not None else 0
 
     @property
     def max_forwards(self) -> Optional[int]:
@@ -154,10 +145,6 @@ class SipMessage:
             lines.append(f"Content-Length: {len(self.body)}")
         return "\r\n".join(lines) + "\r\n\r\n" + self.body
 
-    @property
-    def wire_size(self) -> int:
-        return len(self.render())
-
 
 class SipRequest(SipMessage):
     """A SIP request: ``METHOD sip:uri SIP/2.0``."""
@@ -177,9 +164,6 @@ class SipRequest(SipMessage):
 
     def start_line(self) -> str:
         return f"{self.method} {self.uri.render()} {SIP_VERSION}"
-
-    def __repr__(self) -> str:
-        return f"<SipRequest {self.method} {self.uri.render()}>"
 
 
 class SipResponse(SipMessage):
@@ -205,6 +189,3 @@ class SipResponse(SipMessage):
 
     def start_line(self) -> str:
         return f"{SIP_VERSION} {self.status} {self.reason}"
-
-    def __repr__(self) -> str:
-        return f"<SipResponse {self.status} {self.reason}>"

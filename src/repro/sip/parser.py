@@ -140,10 +140,6 @@ class StreamFramer:
         self.max_message_bytes = max_message_bytes
         self.messages_framed = 0
 
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buffer)
-
     def feed(self, data: str) -> List[str]:
         """Append ``data`` and extract every complete message."""
         self._buffer += data

@@ -192,10 +192,6 @@ class PhoneMessage:
             return None
         return name_addr(self.contact)[0]
 
-    def __repr__(self) -> str:
-        kind = self.method or self.status
-        return f"<PhoneMessage {kind} call={self.call_id}>"
-
 
 def proxy_read(text: str):
     """A :class:`ProxyRequest` or :class:`ProxyResponse` of ``text`` when
@@ -281,9 +277,6 @@ class ProxyRequest:
         return (f"{text[:match.start(6)]}\r\nVia: {via}{match[6]}"
                 f"\r\nMax-Forwards: {max_forwards}{text[match.end(8):]}")
 
-    def __repr__(self) -> str:
-        return f"<ProxyRequest {self.method} call={self.call_id}>"
-
 
 class ProxyResponse:
     """What the proxy relays a callee's response on, read by template.
@@ -304,6 +297,3 @@ class ProxyResponse:
         self.status = int(status)
         self.is_final = self.status >= 200
         self.relayed = text[:match.start(2)] + text[match.end(2):]
-
-    def __repr__(self) -> str:
-        return f"<ProxyResponse {self.status} call={self.call_id}>"

@@ -144,10 +144,6 @@ class ClientTransaction:
         self._timeout_handle = None  # fired
         self.abort()
 
-    def __repr__(self) -> str:
-        return (f"<ClientTransaction {self.method} "
-                f"{self.state.value} rtx={self.retransmissions}>")
-
 
 class ServerTransaction:
     """INVITE UAS transaction: absorb request retransmissions, repeat the
@@ -217,6 +213,3 @@ class ServerTransaction:
         """Timer H: no ACK within 64×T1; stop as if it had come."""
         self._give_up_handle = None  # fired
         self.handle_ack()
-
-    def __repr__(self) -> str:
-        return f"<ServerTransaction INVITE {self.state.value}>"

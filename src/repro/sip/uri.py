@@ -76,6 +76,3 @@ class SipUri:
 
     def __hash__(self) -> int:
         return hash((self.user, self.host, self.port))
-
-    def __repr__(self) -> str:
-        return f"SipUri({self.render()!r})"

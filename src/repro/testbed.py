@@ -42,7 +42,7 @@ class Testbed:
         self.tracer = probe.tracer if probe is not None else None
         self.causal = probe.causal if probe is not None else None
         # Fabric defaults: the gigabit switch (50 µs one way, 125 bytes/µs).
-        self.fabric = Fabric(self.engine, rng=self.rng.stream("net"))
+        self.fabric = Fabric(self.engine)
         self.fabric.probe = probe
         # Machine defaults: 4 cores, 2 ms quantum, 60 s TIME_WAIT.
         self.server = Machine(self.engine, SERVER_NAME, probe=probe,
@@ -60,7 +60,3 @@ class Testbed:
 
     def run(self, until_us: float) -> float:
         return self.engine.run(until=until_us)
-
-    def __repr__(self) -> str:
-        return (f"<Testbed server={self.server.name} "
-                f"clients={[c.name for c in self.clients]}>")

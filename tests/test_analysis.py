@@ -94,7 +94,15 @@ class TestTables:
         return {"udp": {100: 30000.0, 1000: 28000.0},
                 "tcp-persistent": {100: 15000.0, 1000: 10000.0}}
 
+    def test_render_comparison_has_a_row_per_client_count(self):
+        rows = render_comparison("fig3", self.grid()).split("\n")[2:]
+        assert [row.split()[-5] for row in rows] == \
+            [str(count) for count in CLIENT_COUNTS] * 2
+        # no measurement at 500 clients: dashes, not a ratio
+        measured, __, ratio, __ = rows[1].split()[-4:]
+        assert measured == ratio == "-"
+
     def test_render_comparison_shows_ratios(self):
-        text = render_comparison("fig3", self.grid(), clients=(100, 1000))
+        text = render_comparison("fig3", self.grid())
         assert "0.50" in text  # measured tcp/udp at 100
         assert "0.43" in text  # paper ratio at 100

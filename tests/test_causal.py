@@ -227,21 +227,27 @@ class TestAggregate:
 
 
 class TestWaterfall:
-    #: render_waterfall(causal, "c9", width=20) for the tracer below, as the
+    #: render_waterfall(causal, "c9") for the tracer below, as the
     #: segment-object implementation printed it
     EXPECTED = (
         "journey c9/INVITE  caller=caller0  total=90.0us\n"
-        "   network ..####                   20.0us  fabric\n"
-        "     sockq ......##                 12.0us  server:udp\n"
-        "       cpu ..........###            15.0us  server/w1 (parse_msg)\n"
-        "   network .............#####       25.0us  fabric\n"
+        "   network .....##########                                 "
+        "     20.0us  fabric\n"
+        "     sockq ................######                          "
+        "     12.0us  server:udp\n"
+        "       cpu ........................########                "
+        "     15.0us  server/w1 (parse_msg)\n"
+        "   network ................................#############   "
+        "     25.0us  fabric\n"
         "       sum network=45.0  sockq=12.0  cpu=15.0  other=18.0\n"
         "\n"
         "journey c9/BYE  caller=caller0  total=50.0us\n"
-        "   network #                         4.0us  fabric\n"
-        "      lock ..#                       1.0us  server/w0 "
-        "(lock.txn_table.spin)\n"
-        "       cpu ..#################      44.0us  server/w0 (t_unref)\n"
+        "   network ###                                             "
+        "      4.0us  fabric\n"
+        "      lock ....#                                           "
+        "      1.0us  server/w0 (lock.txn_table.spin)\n"
+        "       cpu .....########################################## "
+        "     44.0us  server/w0 (t_unref)\n"
         "       sum network=4.0  lock=1.0  cpu=44.0  other=1.0")
 
     def test_output_is_unchanged(self, engine):
@@ -267,7 +273,7 @@ class TestWaterfall:
                         ("x1/INVITE", "uac_final", "caller1", 31.0),
                         ("c9/BYE", "uac_send", "caller0", 200.0),
                         ("c9/BYE", "uac_final", "caller0", 250.0)]
-        assert render_waterfall(causal, "c9", width=20) == self.EXPECTED
+        assert render_waterfall(causal, "c9") == self.EXPECTED
         assert render_waterfall(causal, "zz") == \
             "no completed journey matches call-id 'zz'"
 

@@ -100,10 +100,26 @@ def test_phones_register_then_call(engine):
     assert caller.calls_failed == 0
 
 
-def test_call_message_sequence(engine):
-    proxy, go, caller, callee = make_pair(engine, think_time_us=1e9)
+def test_open_loop_caller_calls_only_when_told(engine):
+    """An open-loop caller registers, then makes exactly the calls
+    ``start_call()`` gives it, even after the go event fires."""
+    proxy, go, caller, callee = make_pair(engine, open_loop=True)
     engine.run(until=1_000_000.0)
     go.fire(None)
+    engine.run(until=1_500_000.0)
+    assert caller.registered and caller.calls_attempted == 0
+    caller.start_call()
+    engine.run(until=2_500_000.0)
+    assert caller.calls_attempted == caller.calls_completed == 1
+    assert [m.method for m in proxy.seen
+            if m.is_request and m.method != "REGISTER"] == \
+        ["INVITE", "ACK", "BYE"]
+
+
+def test_call_message_sequence(engine):
+    proxy, __, caller, callee = make_pair(engine, open_loop=True)
+    engine.run(until=1_000_000.0)
+    caller.start_call()
     engine.run(until=2_000_000.0)
     methods = [m.method for m in proxy.seen
                if m.is_request and m.method != "REGISTER"]
@@ -124,8 +140,8 @@ def test_caller_times_out_when_callee_unreachable(engine):
 def test_caller_retransmits_over_udp(engine):
     """Drop the first INVITE: the caller's timer A resends and the call
     still completes."""
-    proxy, go, caller, callee = make_pair(engine, t1_us=50_000.0,
-                                          think_time_us=1e9)
+    proxy, __, caller, callee = make_pair(engine, t1_us=50_000.0,
+                                          open_loop=True)
     original_handle = proxy._handle
     dropped = []
 
@@ -138,7 +154,7 @@ def test_caller_retransmits_over_udp(engine):
 
     proxy._handle = drop_first_invite
     engine.run(until=1_000_000.0)
-    go.fire(None)
+    caller.start_call()
     engine.run(until=2_000_000.0)
     assert dropped
     assert caller.calls_completed >= 1
@@ -147,9 +163,9 @@ def test_caller_retransmits_over_udp(engine):
 def test_callee_absorbs_invite_retransmission(engine):
     """Over UDP the answered INVITE lingers for 64×T1 after the ACK, and
     a repeat of it gets the stored 200 OK, not a second call."""
-    proxy, go, caller, callee = make_pair(engine, think_time_us=1e9)
+    proxy, __, caller, callee = make_pair(engine, open_loop=True)
     engine.run(until=1_000_000.0)
-    go.fire(None)
+    caller.start_call()
     engine.run(until=1_200_000.0)
     invites = [m for m in proxy.seen
                if m.is_request and m.method == "INVITE"]
@@ -305,10 +321,10 @@ def test_stop_kills_processes(engine):
 def test_unparsable_response_header_is_ignored(engine, name, value):
     """A response whose Via or CSeq does not parse is dropped like one
     that does not parse at all; the call it names carries on."""
-    proxy, go, caller, callee = make_pair(engine, think_time_us=1e9)
+    proxy, __, caller, callee = make_pair(engine, open_loop=True)
     proxy.drop_methods.add("INVITE")
     engine.run(until=1_000_000.0)
-    go.fire(None)
+    caller.start_call()
     engine.run(until=engine.now + 1_000.0)
     ((branch, txn),) = caller._client_txns.items()
     ringing = MessageBuilder("bob", "example.com", "client2", 30000, "udp",

@@ -56,8 +56,6 @@ ALLOWED = {
     "WorkerCrash.*": _FAULT,
     "SipMessage.headers": "message data; SipRequest/SipResponse pass it on",
     "SipMessage.body": "message data; SipRequest/SipResponse pass it on",
-    "Binding.expires_us": "location-service record field; tests age "
-                          "bindings with it",
     # -- values tests use to steer behaviour -----------------------------
     "Scheduler.quantum_us": "tests shorten the CFS quantum",
     "Scheduler.ctx_switch_us": "tests zero the context-switch charge",
@@ -67,11 +65,8 @@ ALLOWED = {
     "SpinLock.spin_us": "tests set the spin batch",
     "SpinLock.spins_before_yield": "tests set the spin/yield backoff",
     "Fabric.latency_us": "tests set the LAN's one-way latency",
-    "Fabric.jitter_us": "tests check jitter never reorders a path",
-    "Fabric.loss_rate": "tests check loss at the switch",
     "Machine.ephemeral_ports": "tests exhaust the ephemeral port range",
     "PortAllocator.lo": "tests build small port ranges",
-    "Phone.think_time_us": "tests hold the caller to observe one call",
     "CausalTracer.capacity": "tests shrink the ring to exercise eviction",
     "Tracer.capacity": "tests shrink the ring to exercise eviction",
     "TransactionTable.buckets": "tests shrink the table to force collisions",
@@ -81,9 +76,6 @@ ALLOWED = {
                                         "to force drops",
     "capacity_spec(*)": "tests shorten the spec builder's windows",
     "overload_spec(*)": "tests shorten the spec builder's windows",
-    "render_comparison(clients)": "tests render a subset of the grid",
-    "render_waterfall(width)": "tests pin a narrow waterfall",
-    "percentiles(points)": "tests ask for a single percentile",
     "Fork.name": "the scheduler timeline digest forks named children",
     "Exit.value": "the scheduler timeline digest exits with values",
     # -- reached in ways the audit cannot see ----------------------------
@@ -91,23 +83,12 @@ ALLOWED = {
                                 "on_measure_start",
     "Poller._on_data(value)": "signal listener: Signal.fire passes the "
                               "value",
-    # -- definitions kept on purpose (ROADMAP item 6) --------------------
+    # -- definitions kept on purpose (ROADMAP items 6 and 10) -------------
     "Engine.step": "steps the engine one event at a time (run_until_done)",
-    "PortAllocator.in_time_wait": "tests observe TIME_WAIT occupancy",
     "Scheduler.suspend": "the burst-path timeline digest drives a "
                          "synchronous wake from inside a burst",
     "Scheduler.resume": "the burst-path timeline digest drives a "
                         "synchronous wake from inside a burst",
-    "Profiler.reset": "tests rewind a profiler (delta's stale-snapshot "
-                      "guard)",
-    "SipMessage.content_length": "tests observe parsed messages",
-    "SipMessage.vias": "tests observe parsed messages",
-    "SipMessage.wire_size": "tests observe parsed messages",
-    "StreamFramer.buffered_bytes": "tests observe the framer's partial "
-                                   "buffer",
-    "Tracer.spans": "tests read recorded spans",
-    "Tracer.spans(name)": "tests filter recorded spans by name",
-    "validate_chrome_trace": "CI's trace-validation steps call it",
 }
 
 
@@ -171,6 +152,37 @@ def test_the_audit_sees_through_a_forwarding_wrapper():
     allowed = {"Knobs.allowed": "reason", "Knobs.forwarded": "reason"}
     assert unexplained(found, allowed) == ["Knobs.never"]
     assert stale(found, allowed) == ["Knobs.forwarded"]
+
+
+def test_the_audit_reads_the_workflow_heredocs():
+    workflow = (
+        "jobs:\n"
+        "  check:\n"
+        "    steps:\n"
+        "      - name: Validate\n"
+        "        run: |\n"
+        "          PYTHONPATH=src python - <<'EOF'\n"
+        "          from repro.checks import Checker, validate\n"
+        "          assert validate('out.json', Checker(strict=True))\n"
+        "          EOF\n"
+        "      - name: Not Python\n"
+        "        run: echo orphan\n")
+    src = ("src/repro/checks.py", "src", ast.parse(
+        "class Checker:\n"
+        "    def __init__(self, strict=False):\n"
+        "        pass\n"
+        "def validate(path, checker):\n"
+        "    return path\n"
+        "def orphan():\n"
+        "    pass\n"))
+    ci = audit.workflow_modules(workflow)
+    assert [(rel, area) for rel, area, __ in ci] == \
+        [(".github/workflows/ci.yml:7", "ci")]
+    assert audit.findings([src] + ci) == {"orphan": "NOWHERE"}
+    assert audit.findings([src]) == {"orphan": "NOWHERE",
+                                     "validate": "NOWHERE",
+                                     "Checker": "NOWHERE",
+                                     "Checker.strict": "NEVER"}
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Unit tests for the LAN fabric."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Engine
-from repro.sim.rng import RngStreams
-from repro.net.fabric import Fabric
 
 from conftest import make_lan
 
@@ -30,6 +29,17 @@ def test_egress_serialization_queues_packets(engine):
                      pytest.approx(30.0)]
 
 
+def test_one_sender_serializes_across_destinations(engine):
+    """Egress is per source, not per pair: frames to two destinations
+    queue behind each other on the sender's one NIC."""
+    fabric, __ = make_lan(engine, ["a", "b", "c"], latency_us=0.0)
+    times = []
+    fabric.deliver("a", "b", 1250, lambda: times.append(("b", engine.now)))
+    fabric.deliver("a", "c", 1250, lambda: times.append(("c", engine.now)))
+    engine.run()
+    assert dict(times) == {"b": pytest.approx(10.0), "c": pytest.approx(20.0)}
+
+
 def test_different_senders_do_not_serialize(engine):
     fabric, __ = make_lan(engine, ["a", "b", "c"], latency_us=0.0)
     times = []
@@ -51,20 +61,6 @@ def test_duplicate_machine_name_rejected(engine):
         fabric.attach(machines["a"])
 
 
-def test_loss_rate_drops_packets(engine):
-    rng = RngStreams(seed=7).stream("net")
-    fabric = Fabric(engine, latency_us=0.0, loss_rate=0.5, rng=rng)
-    from repro.kernel.machine import Machine
-    for name in ("a", "b"):
-        fabric.attach(Machine(engine, name))
-    delivered = []
-    for __ in range(200):
-        fabric.deliver("a", "b", 100, delivered.append, 1)
-    engine.run()
-    assert fabric.packets_lost > 50
-    assert len(delivered) == 200 - fabric.packets_lost
-
-
 def test_statistics(engine):
     fabric, __ = make_lan(engine, ["a", "b"])
     fabric.deliver("a", "b", 100, lambda: None)
@@ -73,56 +69,53 @@ def test_statistics(engine):
     assert fabric.bytes_sent == 300
 
 
-def test_lost_packets_still_consume_egress(engine):
-    """Loss happens at the switch, after the NIC: a dropped frame still
-    serialized, so the next packet departs later and the sent counters
-    include it."""
-    rng = RngStreams(seed=7).stream("net")
-    fabric = Fabric(engine, latency_us=0.0, loss_rate=1.0, rng=rng)
-    from repro.kernel.machine import Machine
-    for name in ("a", "b"):
-        fabric.attach(Machine(engine, name))
+def test_a_queued_frame_departs_behind_earlier_ones(engine):
+    """Egress is a FIFO: a frame sent while three are still serializing
+    departs after them, and the counters include every frame."""
+    fabric, __ = make_lan(engine, ["a", "b"], latency_us=0.0)
     for __ in range(3):
-        fabric.deliver("a", "b", 1250, lambda: None)  # 10us each, all lost
-    assert fabric.packets_lost == 3
-    assert fabric.packets_sent == 3
-    assert fabric.bytes_sent == 3750
-    fabric.loss_rate = 0.0
+        fabric.deliver("a", "b", 1250, lambda: None)  # 10us each
     times = []
     fabric.deliver("a", "b", 1250, lambda: times.append(engine.now))
+    assert fabric.packets_sent == 4
+    assert fabric.bytes_sent == 5000
+    assert fabric.packets_lost == 0
     engine.run()
-    # 4th frame queued behind the three lost ones: departs at 40us.
     assert times == [pytest.approx(40.0)]
 
 
-def test_jitter_never_reorders_a_pair(engine):
-    rng = RngStreams(seed=3).stream("net")
-    fabric = Fabric(engine, latency_us=50.0, jitter_us=500.0, rng=rng)
-    from repro.kernel.machine import Machine
-    for name in ("a", "b"):
-        fabric.attach(Machine(engine, name))
-    arrivals = []
-    for i in range(100):
-        fabric.deliver("a", "b", 1, lambda i=i: arrivals.append(
-            (i, engine.now)))
+frames = st.lists(
+    st.tuples(st.sampled_from(["a", "b"]),              # source
+              st.sampled_from(["a", "b", "c"]),         # destination
+              st.integers(min_value=1, max_value=9000),  # size, bytes
+              st.floats(min_value=0.0, max_value=500.0)),  # send time, us
+    max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frames)
+def test_every_pair_stays_fifo(sent):
+    """Without any per-pair state, each (src, dst) pair's frames arrive in
+    send order and at non-decreasing times: a source's departures never
+    decrease and the latency is constant.  TCP bytestreams, SCTP ordered
+    streams and the proxy's in-order reads rest on this."""
+    engine = Engine()
+    fabric, __ = make_lan(engine, ["a", "b", "c"], latency_us=50.0)
+    arrivals = {}   # (src, dst) -> [(send index, arrival time)]
+
+    def send(index, src, dst, size):
+        fabric.deliver(src, dst, size, lambda: arrivals.setdefault(
+            (src, dst), []).append((index, engine.now)))
+
+    sent_order = {}
+    for index, (src, dst, size, at) in sorted(
+            enumerate(sent), key=lambda item: item[1][3]):
+        sent_order.setdefault((src, dst), []).append(index)
+        engine.schedule_at(at, send, index, src, dst, size)
     engine.run()
-    assert [i for i, __ in arrivals] == list(range(100))
-    times = [t for __, t in arrivals]
-    assert times == sorted(times)
-
-
-def test_jitter_floor_is_per_pair(engine):
-    """One pair's jittered arrival must not delay another pair."""
-    rng = RngStreams(seed=3).stream("net")
-    fabric = Fabric(engine, latency_us=10.0, rng=rng)
-    from repro.kernel.machine import Machine
-    for name in ("a", "b", "c"):
-        fabric.attach(Machine(engine, name))
-    fabric.jitter_us = 10_000.0
-    fabric.deliver("a", "b", 1, lambda: None)  # raises a->b floor only
-    fabric.jitter_us = 0.0
-    times = []
-    fabric.deliver("a", "c", 1, lambda: times.append(engine.now))
-    engine.run()
-    assert times[0] < 100.0
-
+    assert fabric.packets_sent == len(sent)
+    assert {pair: [index for index, __ in got]
+            for pair, got in arrivals.items()} == sent_order
+    for got in arrivals.values():
+        times = [t for __, t in got]
+        assert times == sorted(times)

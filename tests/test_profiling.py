@@ -35,27 +35,12 @@ def test_zero_and_negative_ignored(profiler):
 
 def test_snapshot_delta(profiler):
     profiler.record("a", 10.0)
+    profiler.record("idle", 4.0)
     snap = profiler.snapshot()
     profiler.record("a", 7.0)
     profiler.record("b", 3.0)
     delta = profiler.delta(snap)
-    assert delta == {"a": 7.0, "b": 3.0}
-
-
-def test_delta_raises_on_stale_snapshot(profiler):
-    profiler.record("a", 10.0, "w0")
-    labels = profiler.snapshot()
-    profiler.reset()
-    profiler.record("a", 2.0, "w0")
-    with pytest.raises(ValueError, match="stale"):
-        profiler.delta(labels)
-
-
-def test_reset(profiler):
-    profiler.record("a", 10.0)
-    profiler.reset()
-    assert profiler.total_us == 0.0
-    assert profiler.by_label == {}
+    assert delta == {"a": 7.0, "b": 3.0}  # "idle" did not grow
 
 
 def test_top_functions_ordering():

@@ -12,6 +12,7 @@ from repro.proxy.routing import ToBinding, ToSource
 from repro.proxy.stats import ProxyStats
 from repro.proxy.txn_table import TimerList, TransactionTable
 from repro.sip.builder import MessageBuilder
+from repro.sip.headers import Via
 from repro.sip.location import LocationService
 from repro.sip.parser import parse_message
 from repro.sip.reader import PhoneMessage, proxy_read
@@ -104,7 +105,7 @@ class TestInvite:
         core = make_core(engine)
         invite, actions = self.setup_call(engine, core)
         forwarded = parse_message(actions[1].text)
-        vias = forwarded.vias
+        vias = [Via.parse(value) for value in forwarded.get_all("Via")]
         assert len(vias) == 2
         assert vias[0].host == "server"
         assert vias[1].host == "client1"
@@ -201,7 +202,7 @@ class TestResponseRelay:
         assert len(actions) == 1
         relayed = parse_message(actions[0].text)
         assert relayed.status == 200
-        assert len(relayed.vias) == 1
+        assert len(relayed.get_all("Via")) == 1
         assert relayed.top_via.host == "client1"
         assert isinstance(actions[0].target, ToSource)
         assert actions[0].target.source == ("client1", 20000)

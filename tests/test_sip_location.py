@@ -1,14 +1,11 @@
 """Unit tests for the registrar / location service."""
 
-from repro.sip.location import Binding, LocationService
-from repro.sip.uri import SipUri
+from repro.sip.location import BINDING_LIFETIME_US, Binding, LocationService
 
 
 def make_binding(aor="alice@example.com", addr="client1", port=40000,
-                 registered_at=0.0, expires_us=3_600_000_000.0):
-    return Binding(aor, SipUri.parse(f"sip:{aor.split('@')[0]}@{addr}:{port}"),
-                   addr, port, "udp", registered_at=registered_at,
-                   expires_us=expires_us)
+                 registered_at=0.0):
+    return Binding(aor, addr, port, "udp", registered_at=registered_at)
 
 
 def test_register_and_lookup():
@@ -37,14 +34,14 @@ def test_reregistration_replaces():
 
 def test_expired_binding_is_a_miss():
     service = LocationService()
-    service.register(make_binding(registered_at=0.0, expires_us=1_000_000.0))
-    assert service.lookup("alice@example.com", now=500_000.0) is not None
-    assert service.lookup("alice@example.com", now=2_000_000.0) is None
+    service.register(make_binding(registered_at=1_000_000.0))
+    end = 1_000_000.0 + BINDING_LIFETIME_US
+    assert service.lookup("alice@example.com", now=end) is not None
+    assert service.lookup("alice@example.com", now=end + 1.0) is None
 
 
 def test_binding_carries_transport_and_conn():
     conn = object()
-    binding = Binding("bob@example.com", SipUri.parse("sip:bob@client2"),
-                      "client2", 40001, "tcp", conn=conn)
+    binding = Binding("bob@example.com", "client2", 40001, "tcp", conn=conn)
     assert binding.transport == "TCP"
     assert binding.conn is conn

@@ -68,7 +68,7 @@ def test_compact_header_forms():
     msg = parse_message(text)
     assert msg.call_id == "call-9"
     assert msg.top_via.host == "client1"
-    assert msg.content_length == 0
+    assert msg.get("Content-Length") == "0"
 
 
 def test_header_name_canonicalization():
@@ -123,7 +123,8 @@ class TestStreamFramer:
         framer = StreamFramer()
         out = framer.feed(INVITE_TEXT)
         assert out == [INVITE_TEXT]
-        assert framer.buffered_bytes == 0
+        # nothing is left over to prefix the next message
+        assert framer.feed(INVITE_TEXT) == [INVITE_TEXT]
 
     def test_message_split_across_feeds(self):
         framer = StreamFramer()
