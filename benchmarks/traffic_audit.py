@@ -14,8 +14,12 @@ dynamic report:
    ``dict(...)`` calls, ``a if c else b`` and ``d["key"] = ...`` writes
    of the enclosing function or module; a function that passes its own
    ``**kwargs`` on (``make_lan(engine, names, **machine_kwargs)``) is
-   followed to its call sites.  What cannot be resolved is listed as
-   opaque.
+   followed to its call sites.  A subclass constructor that passes its
+   ``**kwargs`` to ``super().__init__`` (or has no ``__init__``) passes
+   the keywords it does not take to its base's, and a call through a
+   name read from a dispatch table (a module-level dict of classes, as
+   ``phone_class = PHONES[transport]``) reaches every class in it.  What
+   cannot be resolved is listed as opaque.
 2. **Method and function parameters** that only tests, or nobody, give a
    non-default value (matched by name, so a method name shared by several
    definitions pools their call sites — conservative).
@@ -127,6 +131,14 @@ class Target:
         self.defaults = defaults        # name -> default expression
         self.sites = defaultdict(list)  # name -> [Site]
         self.opaque = []                # [Site] for unresolvable splats
+        self.base = None                # gets the keywords this one lacks
+
+    def owner(self, param):
+        """The constructor up the base chain that takes ``param``."""
+        target = self
+        while target is not None and param not in target.defaults:
+            target = target.base
+        return target
 
 
 def _params(fn, drop_first: bool):
@@ -149,27 +161,47 @@ def _decorated(node, name: str) -> bool:
     return False
 
 
+def _forwards_to_super(init) -> bool:
+    """Does ``__init__`` pass its own ``**kwargs`` to ``super().__init__``?"""
+    kwarg = init.args.kwarg
+    return kwarg is not None and any(
+        isinstance(node, ast.Call) and
+        getattr(node.func, "attr", None) == "__init__" and
+        any(kw.arg is None and getattr(kw.value, "id", None) == kwarg.arg
+            for kw in node.keywords)
+        for node in ast.walk(init))
+
+
 def collect_targets(modules):
     ctors = defaultdict(list)   # class name -> [Target]
     funcs = defaultdict(list)   # function/method name -> [Target]
-    bases = {}
+    tables = {}                 # dispatch table name -> [class name]
+    bases = {}                  # class name -> (base names, __init__ node)
     for rel, __, tree in modules:
         if not _is_src(rel):
             continue
         for node in tree.body:
+            if isinstance(node, ast.Assign) and \
+                    isinstance(node.value, ast.Dict) and node.value.values \
+                    and all(isinstance(v, ast.Name)
+                            for v in node.value.values):
+                for tgt in node.targets:
+                    tables[getattr(tgt, "id", None)] = \
+                        [v.id for v in node.value.values]
             if isinstance(node, ast.FunctionDef):
                 positional, defaults = _params(node, False)
                 funcs[node.name].append(Target(
                     node.name, rel, node.lineno, "function", positional,
                     defaults))
             elif isinstance(node, ast.ClassDef):
-                ctor = None
+                ctor = init = None
                 fields, field_defaults = [], {}
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
                         positional, defaults = _params(
                             item, not _decorated(item, "staticmethod"))
                         if item.name == "__init__":
+                            init = item
                             ctor = Target(node.name, rel, node.lineno,
                                           "__init__", positional, defaults)
                         elif not item.name.startswith("__"):
@@ -187,19 +219,23 @@ def collect_targets(modules):
                                   fields, field_defaults)
                 if ctor is not None:
                     ctors[node.name].append(ctor)
-                else:
-                    bases[node.name] = [getattr(b, "id", None)
-                                        for b in node.bases]
-    # A class without its own __init__ is constructed through its base's.
-    for name, names in bases.items():
-        for base in names:
-            if base in ctors:
-                inherited = ctors[base][0]
-                ctors[name].append(Target(
-                    name, inherited.rel, inherited.lineno, "inherited",
-                    inherited.positional, inherited.defaults))
-                break
-    return ctors, funcs
+                bases[node.name] = ([getattr(b, "id", None)
+                                     for b in node.bases], init)
+    # A class without its own __init__ is constructed through its base's;
+    # one whose __init__ forwards **kwargs to it, partly so.
+    for name, (names, init) in bases.items():
+        base = next((ctors[b][0] for b in names if b in ctors), None)
+        if base is None:
+            continue
+        if init is None:
+            ctors[name].append(Target(name, base.rel, base.lineno,
+                                      "inherited", base.positional, {}))
+        elif not _forwards_to_super(init):
+            continue
+        elif init.args.vararg is not None:
+            ctors[name][0].positional = base.positional
+        ctors[name][0].base = base
+    return ctors, funcs, tables
 
 
 def _literal(node):
@@ -275,6 +311,18 @@ class Scope:
                 return None
         return out
 
+    def dispatched(self, name, tables):
+        """The classes ``name`` may be when the enclosing function reads
+        it from a dispatch table (``name = TABLE[key]``)."""
+        for node in ast.walk(self.function) if self.function else ():
+            if isinstance(node, ast.Assign) and \
+                    isinstance(node.value, ast.Subscript) and \
+                    getattr(node.value.value, "id", None) in tables and \
+                    any(getattr(t, "id", None) == name
+                        for t in node.targets):
+                return tables[node.value.value.id]
+        return []
+
     def _writes(self, statements, name):
         out, seen = [], False
         for stmt in statements:
@@ -302,16 +350,20 @@ class Scope:
         return out if seen else None
 
 
-def bind(target, call, scope, forwards, absorbed=None):
-    """Record ``call``'s arguments as sites of ``target``'s parameters.
+def bind(target, call, scope, forwards, absorbed=None, bound=None):
+    """Record ``call``'s arguments as sites of ``target``'s parameters
+    (a parameter ``target`` lacks, as a site of its base's).
 
     ``absorbed`` is given when ``call`` reaches ``target`` only through
     wrappers that forward their ``**kwargs``: then positional arguments
     and the wrappers' own named parameters (``absorbed``) never reach it.
     A ``**`` splat of the enclosing function's own ``**kwargs`` is queued
-    on ``forwards`` for :func:`follow_forwards`.
+    on ``forwards`` for :func:`follow_forwards`.  ``bound`` collects the
+    (constructor, parameter) pairs ``call`` has set through another
+    target, so a dispatch table's shared base counts the call once.
     """
     skip = absorbed or frozenset()
+    bound = set() if bound is None else bound
     pairs = []
     if absorbed is None:
         for index, arg in enumerate(call.args):
@@ -331,10 +383,15 @@ def bind(target, call, scope, forwards, absorbed=None):
             forwards.append((scope.function, scope.rel, target, skip))
         else:
             target.opaque.append(scope.site(kw.value))
+    seen = set()
     for param, value in pairs:
-        if param in target.defaults and param not in skip:
-            target.sites[param].append(scope.site(
-                value, is_default(value, target.defaults[param])))
+        owner = target.owner(param)
+        if owner is None or param in skip or (id(owner), param) in bound:
+            continue
+        seen.add((id(owner), param))
+        owner.sites[param].append(scope.site(
+            value, is_default(value, owner.defaults[param])))
+    bound |= seen
 
 
 class CallVisitor(ast.NodeVisitor):
@@ -342,13 +399,14 @@ class CallVisitor(ast.NodeVisitor):
     indexes ``name(...)`` and ``self.name(...)`` calls for
     :func:`follow_forwards`."""
 
-    def __init__(self, rel, area, tree, ctors, funcs, calls, forwards):
+    def __init__(self, rel, area, tree, ctors, funcs, tables, calls,
+                 forwards):
         self.rel, self.area, self.module = rel, area, tree
         self.imported = {alias.asname or alias.name
                          for node in ast.walk(tree)
                          if isinstance(node, ast.ImportFrom)
                          for alias in node.names}
-        self.ctors, self.funcs = ctors, funcs
+        self.ctors, self.funcs, self.tables = ctors, funcs, tables
         self.calls, self.forwards = calls, forwards
         self.classes, self.scopes = [], []
 
@@ -379,13 +437,18 @@ class CallVisitor(ast.NodeVisitor):
                 name = self.classes[-1]
             targets = self.ctors.get(name, []) + [
                 t for t in self.funcs.get(name, ()) if t.kind == "function"]
+            if not targets:
+                targets = list({id(t): t for cls in scope.dispatched(
+                    name, self.tables) for t in self.ctors.get(cls, ())
+                }.values())
         elif isinstance(func, ast.Attribute) and func.attr != "__init__":
             targets = (self.ctors.get(func.attr, [])
                        + self.funcs.get(func.attr, []))
         else:
             return
+        bound = set()
         for target in targets:
-            bind(target, node, scope, self.forwards)
+            bind(target, node, scope, self.forwards, bound=bound)
 
 
 def follow_forwards(forwards, calls):
@@ -412,10 +475,11 @@ def settables(modules):
     """``(classes, funcs)``: the constructors with defaulted parameters in
     source order, and every function/method target by name, with each
     call site bound to the parameters it sets."""
-    ctors, funcs = collect_targets(modules)
+    ctors, funcs, tables = collect_targets(modules)
     calls, forwards = defaultdict(list), []
     for rel, area, tree in modules:
-        CallVisitor(rel, area, tree, ctors, funcs, calls, forwards).visit(tree)
+        CallVisitor(rel, area, tree, ctors, funcs, tables, calls,
+                    forwards).visit(tree)
     follow_forwards(forwards, calls)
     classes = sorted((t for ts in ctors.values() for t in ts
                       if t.defaults), key=lambda t: (t.rel, t.lineno))

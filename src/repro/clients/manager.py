@@ -9,7 +9,7 @@ over a window of the call phase (phase 2).
 from typing import List, Optional
 
 from repro.clients.openloop import OpenLoopDriver
-from repro.clients.phone import Phone
+from repro.clients.phone import PHONES, Phone
 from repro.clients.workload import BenchmarkResult, Workload, percentiles
 from repro.sim.events import Event
 
@@ -40,41 +40,38 @@ class BenchmarkManager:
     def setup_phones(self) -> None:
         """Create and start caller/callee pairs across the client machines."""
         workload = self.workload
-        transport = self.proxy.config.transport
-        phone_transport = "tcp" if transport == "tcp-threaded" else transport
+        phone_class = PHONES[self.proxy.config.transport]
         rng = self.testbed.rng.stream("phones")
         # every phone draws its branches, tags and Call-IDs from one
         # stream: they are fixed-width hex that no result reads
         ids = self.testbed.rng.stream("phone-ids")
+        common = dict(
+            domain=self.proxy.config.domain,
+            proxy_addr=self.testbed.server.address,
+            proxy_port=self.proxy.config.port,
+            rng=ids,
+            # the phones run the proxy's T1
+            t1_us=self.proxy.config.sip_t1_us,
+            open_loop=workload.offered_cps > 0,
+        )
+        if workload.ops_per_conn is not None:
+            # only connection phones take it: a datagram phone refuses it
+            common["ops_per_conn"] = workload.ops_per_conn
         for index in range(workload.clients):
             stagger = rng.uniform(0.0, REGISTER_STAGGER_US)
-            common = dict(
-                domain=self.proxy.config.domain,
-                transport=phone_transport,
-                proxy_addr=self.testbed.server.address,
-                proxy_port=self.proxy.config.port,
-                ops_per_conn=workload.ops_per_conn,
-                # the phones run the proxy's T1
-                t1_us=self.proxy.config.sip_t1_us,
-                open_loop=workload.offered_cps > 0,
-            )
-            caller = Phone(
+            caller = phone_class(
                 machine=self.testbed.client_for(index),
                 user=f"caller{index}",
                 port=CALLER_PORT_BASE + index,
-                rng=ids,
-                role="caller",
                 peer_user=f"callee{index}",
                 go_event=self.go_event,
                 start_delay_us=stagger,
                 **common,
             )
-            callee = Phone(
+            callee = phone_class(
                 machine=self.testbed.client_for(index + 1),
                 user=f"callee{index}",
                 port=CALLEE_PORT_BASE + index,
-                rng=ids,
-                role="callee",
                 start_delay_us=stagger,
                 **common,
             )

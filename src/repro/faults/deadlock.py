@@ -24,7 +24,7 @@ reported once when it forms; if it dissolves (e.g. the watchdog restarts
 a member) and later re-forms, it is reported again.
 """
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.kernel.timerwheel import PeriodicTimer
 

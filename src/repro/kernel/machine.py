@@ -7,7 +7,7 @@ clients "were never the bottleneck", so client-side actors may instead be
 spawned uncontended via :meth:`Machine.spawn_light`.
 """
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.kernel.fdtable import FdTable
 from repro.kernel.scheduler import KernelProcess, Scheduler

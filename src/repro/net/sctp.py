@@ -12,7 +12,7 @@ association, with associations auto-created on first contact (implicit
 association setup, as RFC 4960 one-to-many sockets do).
 """
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.kernel.sockets import DatagramBuffer
 from repro.sim.events import Event, Signal

@@ -9,7 +9,7 @@ The two properties the paper leans on (§3.2):
   as receive-buffer drops that SIP-level timers must repair.
 """
 
-from typing import Optional, Tuple
+from typing import Optional
 
 from repro.kernel.sockets import DatagramBuffer
 from repro.net.packet import Datagram

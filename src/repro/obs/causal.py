@@ -289,10 +289,5 @@ class CausalTracer:
         """Segments evicted by the ring buffer (oldest-first)."""
         return self.emitted - len(self._tid)
 
-    def tids(self) -> List[str]:
-        """Distinct trace ids present in the buffer, insertion order."""
-        tids = self._tid
-        return list(dict.fromkeys(tids[row] for row in self._rows()))
-
     def __len__(self) -> int:
         return len(self._tid)

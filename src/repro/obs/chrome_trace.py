@@ -13,7 +13,7 @@ the unit the format expects.
 """
 
 import json
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 #: pid used for `who` strings without a "/" separator
 DEFAULT_PID_NAME = "sim"

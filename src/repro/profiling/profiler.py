@@ -33,9 +33,3 @@ class Profiler:
         return {key: total - earlier.get(key, 0.0)
                 for key, total in self.by_label.items()
                 if total - earlier.get(key, 0.0) > 0.0}
-
-    def share(self, label: str) -> float:
-        """Fraction of all profiled CPU time spent in ``label``."""
-        if self.total_us == 0.0:
-            return 0.0
-        return self.by_label.get(label, 0.0) / self.total_us

@@ -16,7 +16,7 @@ retransmission under TCP, §3.1).
 """
 
 import heapq
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.locks import SpinLock
 from repro.sim.primitives import Compute

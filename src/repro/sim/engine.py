@@ -73,7 +73,6 @@ class Engine:
         self._heap: List[tuple] = []
         self._seq: int = 0
         self._running = False
-        self._stopped = False
         #: exact number of cancelled entries still sitting in the heap
         self._cancelled = 0
         #: events executed so far (observability gauge; updated from a
@@ -163,7 +162,6 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
-        self._stopped = False
         # Local bindings: this loop dominates every simulation's profile.
         # compact() rewrites the heap in place, so the alias stays valid.
         # The fired counter stays local for the same reason and is flushed
@@ -172,7 +170,7 @@ class Engine:
         pop = heapq.heappop
         fired = 0
         try:
-            while heap and not self._stopped:
+            while heap:
                 time, __, item = heap[0]
                 if item.cancelled:
                     pop(heap)
@@ -190,16 +188,12 @@ class Engine:
                 fn, args = item.fn, item.args
                 item.fn = item.args = None
                 fn(*args)
-            if until is not None and self.now < until and not self._stopped:
+            if until is not None and self.now < until:
                 self.now = until
         finally:
             self._running = False
             self.events_fired += fired
         return self.now
-
-    def stop(self) -> None:
-        """Stop an in-progress :meth:`run` after the current event."""
-        self._stopped = True
 
     @property
     def pending(self) -> int:

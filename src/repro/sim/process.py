@@ -13,7 +13,7 @@ effects through the simulated multi-core scheduler.
 
 import enum
 from functools import partial
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event

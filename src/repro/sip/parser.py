@@ -12,7 +12,6 @@ from typing import List, Optional, Tuple, Union
 from repro.sip.message import (
     COMPACT_FORMS,
     SIP_VERSION,
-    SipMessage,
     SipRequest,
     SipResponse,
 )

@@ -57,6 +57,3 @@ class Testbed:
     def client_for(self, index: int) -> Machine:
         """Round-robin phones across the client machines (§4.2)."""
         return self.clients[index % len(self.clients)]
-
-    def run(self, until_us: float) -> float:
-        return self.engine.run(until=until_us)

@@ -83,7 +83,7 @@ class TestCausalTracer:
         assert len(causal) == 4
         assert causal.emitted == 10
         assert causal.dropped == 6
-        assert causal.tids() == ["t6", "t7", "t8", "t9"]
+        assert [s.tid for s in causal.segments] == ["t6", "t7", "t8", "t9"]
 
     def test_block_hint_handshake(self, engine):
         causal = CausalTracer(engine)

@@ -72,6 +72,13 @@ class TestManager:
         assert [c.start_delay_us for c in manager.callers] == \
             [stagger.uniform(0.0, REGISTER_STAGGER_US) for __ in range(3)]
 
+    def test_datagram_phones_refuse_ops_per_conn(self):
+        """Connection reuse means nothing to a UDP phone: a UDP cell given
+        ``ops_per_conn`` fails at setup instead of ignoring it."""
+        __, __, manager = self.make(ops_per_conn=5)
+        with pytest.raises(TypeError, match="ops_per_conn"):
+            manager.setup_phones()
+
     def test_caller_and_callee_on_different_machines(self):
         bed, __, manager = self.make(clients=3)
         manager.setup_phones()
@@ -119,7 +126,7 @@ class TestManager:
         for phone in manager.callers + manager.callees:
             assert phone.t1_us == 20_000.0
         proxy.start()
-        bed.run(until_us=12_000.0)
+        bed.engine.run(until=12_000.0)
         # The timer process sleeps one tick between passes: two passes
         # fit in 12 ms at 5 ms (none at the uncompressed 100 ms).
         ticks = [span.start_us for span in bed.tracer.events()

@@ -4,10 +4,11 @@ import gc
 
 import pytest
 
-from repro.clients.phone import Phone
+from repro.clients.phone import PHONES, SctpPhone, TcpPhone, UdpPhone
+from repro.net.sctp import SctpEndpoint
 from repro.net.tcp import TcpListener, connect
 from repro.net.udp import UdpEndpoint
-from repro.sim.engine import Engine
+from repro.proxy.config import VALID_TRANSPORTS
 from repro.sim.events import Event
 from repro.sim.process import SimProcess
 from repro.sip.builder import MessageBuilder
@@ -23,7 +24,7 @@ class ScriptedProxy:
 
     def __init__(self, machine, port=5060):
         self.machine = machine
-        self.socket = UdpEndpoint(machine, port)
+        self.socket = self._bind(machine, port)
         self.bindings = {}
         self.seen = []
         self.drop_methods = set()
@@ -38,27 +39,33 @@ class ScriptedProxy:
             dgram = self.socket.try_recvfrom()
             if dgram is None:
                 return
-            self._handle(dgram)
+            self._handle(dgram.payload, (dgram.src_addr, dgram.src_port))
 
-    def _handle(self, dgram):
-        msg = parse_message(dgram.payload)
+    def _handle(self, text, source):
+        msg = parse_message(text)
         self.seen.append(msg)
         if msg.is_request and msg.method == "REGISTER":
             contact = msg.contact.uri
             self.bindings[msg.to_addr.uri.aor] = (contact.host,
                                                   contact.port or 5060)
-            reply = self._response(msg, 200)
-            self.socket.sendto(reply, dgram.src_addr, dgram.src_port)
+            self._send(self._response(msg, 200), *source)
             return
         if msg.is_request:
             if msg.method in self.drop_methods:
                 return
             target = self.bindings.get(msg.uri.aor) or \
                 (msg.uri.host, msg.uri.port or 5060)
-            self.socket.sendto(dgram.payload, target[0], target[1])
+            self._send(text, *target)
         else:
             via = msg.top_via
-            self.socket.sendto(dgram.payload, via.host, via.port)
+            self._send(text, via.host, via.port)
+
+    @staticmethod
+    def _bind(machine, port):
+        return UdpEndpoint(machine, port)
+
+    def _send(self, text, host, port):
+        self.socket.sendto(text, host, port)
 
     @staticmethod
     def _response(request, status):
@@ -72,19 +79,35 @@ class ScriptedProxy:
         return response.render()
 
 
-def make_pair(engine, t1_us=T1_US, **phone_kwargs):
+class ScriptedSctpProxy(ScriptedProxy):
+    """The same relay on an SCTP endpoint: it sends to each phone over
+    the association the phone set up."""
+
+    @staticmethod
+    def _bind(machine, port):
+        return SctpEndpoint(machine, port)
+
+    def _pump(self, _value=None):
+        queue = self.socket.buffer.queue
+        while queue:
+            assoc, text = queue.popleft()
+            self._handle(text, assoc.key)
+
+    def _send(self, text, host, port):
+        self.socket.sendmsg(self.socket.associations[host, port], text)
+
+
+def make_pair(engine, t1_us=T1_US, phone_class=UdpPhone, **phone_kwargs):
     __, machines = make_lan(engine, ["server", "client1", "client2"])
-    proxy = ScriptedProxy(machines["server"])
+    proxy = RELAYS[phone_class](machines["server"])
     go = Event(engine, "go")
-    caller = Phone(machines["client1"], "alice", "example.com", 20000,
-                   "udp", "server", 5060,
-                   rng=__import__("random").Random(1), role="caller",
-                   peer_user="bob", go_event=go, t1_us=t1_us,
-                   **phone_kwargs)
-    callee = Phone(machines["client2"], "bob", "example.com", 30000,
-                   "udp", "server", 5060,
-                   rng=__import__("random").Random(2), role="callee",
-                   t1_us=t1_us)
+    caller = phone_class(machines["client1"], "alice", "example.com", 20000,
+                         "server", 5060, rng=__import__("random").Random(1),
+                         peer_user="bob", go_event=go, t1_us=t1_us,
+                         **phone_kwargs)
+    callee = phone_class(machines["client2"], "bob", "example.com", 30000,
+                         "server", 5060, rng=__import__("random").Random(2),
+                         t1_us=t1_us)
     return proxy, go, caller.start(), callee.start()
 
 
@@ -145,12 +168,12 @@ def test_caller_retransmits_over_udp(engine):
     original_handle = proxy._handle
     dropped = []
 
-    def drop_first_invite(dgram):
-        msg = parse_message(dgram.payload)
+    def drop_first_invite(text, source):
+        msg = parse_message(text)
         if msg.is_request and msg.method == "INVITE" and not dropped:
             dropped.append(True)
             return
-        original_handle(dgram)
+        original_handle(text, source)
 
     proxy._handle = drop_first_invite
     engine.run(until=1_000_000.0)
@@ -158,6 +181,26 @@ def test_caller_retransmits_over_udp(engine):
     engine.run(until=2_000_000.0)
     assert dropped
     assert caller.calls_completed >= 1
+
+
+def test_sctp_phones_complete_a_call_and_keep_no_linger(engine):
+    """Over SCTP a call completes through the relay, and the callee keeps
+    nothing of it past the ACK: timer I is zero on a reliable transport,
+    so no answered-call linger exists."""
+    proxy, __, caller, callee = make_pair(engine, phone_class=SctpPhone,
+                                          open_loop=True)
+    engine.run(until=1_000_000.0)
+    assert caller.registered and callee.registered
+    caller.start_call()
+    engine.run(until=2_000_000.0)
+    assert (caller.calls_attempted, caller.calls_completed) == (1, 1)
+    assert [m.method for m in proxy.seen
+            if m.is_request and m.method != "REGISTER"] == \
+        ["INVITE", "ACK", "BYE"]
+    assert callee.handled_ops == 2 and callee._uas_invites == {}
+    assert not hasattr(callee, "_answered")
+    assert not [obj for obj in gc.get_objects()
+                if type(obj) is ServerTransaction and obj.engine is engine]
 
 
 def test_callee_absorbs_invite_retransmission(engine):
@@ -196,9 +239,8 @@ def udp_callee(engine):
     instants they choose."""
     __, machines = make_lan(engine, ["server", "client2"])
     proxy = UdpEndpoint(machines["server"], 5060)
-    callee = Phone(machines["client2"], "bob", "example.com", 30000, "udp",
-                   "server", 5060, rng=__import__("random").Random(2),
-                   role="callee")
+    callee = UdpPhone(machines["client2"], "bob", "example.com", 30000,
+                      "server", 5060, rng=__import__("random").Random(2))
     return proxy, callee
 
 
@@ -227,7 +269,7 @@ def test_udp_callee_answers_bye_without_a_transaction(engine, monkeypatch):
     could reach one: the callee sends the 200 OK and keeps nothing, not
     even a give-up timer."""
     sent = []
-    monkeypatch.setattr(Phone, "_send_text",
+    monkeypatch.setattr(UdpPhone, "_send_text",
                         lambda self, text: sent.append(text))
     __, callee = udp_callee(engine)
     __, __, bye = a_call("udp")
@@ -245,7 +287,7 @@ def test_callee_drops_a_bye_it_cannot_answer(engine, monkeypatch):
     """A BYE without a Call-ID gets no 200 OK with an invented one, and
     counts as no handled operation."""
     sent = []
-    monkeypatch.setattr(Phone, "_send_text",
+    monkeypatch.setattr(UdpPhone, "_send_text",
                         lambda self, text: sent.append(text))
     __, callee = udp_callee(engine)
     __, __, bye = a_call("udp")
@@ -297,18 +339,6 @@ def test_duplicate_ack_changes_nothing(engine):
     assert callee.handled_ops == 2           # linger ends
 
 
-def test_phone_rejects_bad_role():
-    engine = Engine()
-    __, machines = make_lan(engine, ["client1"])
-    import random
-    with pytest.raises(ValueError):
-        Phone(machines["client1"], "x", "d", 1000, "udp", "server", 5060,
-              rng=random.Random(1), role="listener")
-    with pytest.raises(ValueError):
-        Phone(machines["client1"], "x", "d", 1001, "udp", "server", 5060,
-              rng=random.Random(1), role="caller")  # no peer
-
-
 def test_stop_kills_processes(engine):
     proxy, go, caller, callee = make_pair(engine)
     engine.run(until=500_000.0)
@@ -350,9 +380,9 @@ def test_port_exhaustion_counts_as_registration_failure(engine):
             conn.close()
 
     machines["server"].spawn_light(refuse_all(), "refuse").start()
-    phone = Phone(machines["client1"], "bob", "example.com", 30000, "tcp",
-                  "server", 5060, rng=__import__("random").Random(2),
-                  role="callee").start()
+    phone = TcpPhone(machines["client1"], "bob", "example.com", 30000,
+                     "server", 5060,
+                     rng=__import__("random").Random(2)).start()
     engine.run(until=1_000_000.0)
     assert machines["client1"].tcp_ports.exhaustions > 0
     assert phone.registration_failures > 0
@@ -389,13 +419,18 @@ class TcpRegistrar:
                     conn.try_send(ScriptedProxy._response(msg, 200))
 
 
+#: the scripted proxy each phone class registers with
+RELAYS = {UdpPhone: ScriptedProxy, SctpPhone: ScriptedSctpProxy,
+          TcpPhone: TcpRegistrar}
+
+
 def registered_tcp_phone(engine):
     """A TCP callee registered over its first connection."""
     __, machines = make_lan(engine, ["server", "client1"])
     registrar = TcpRegistrar(machines["server"])
-    phone = Phone(machines["client1"], "bob", "example.com", 30000, "tcp",
-                  "server", 5060, rng=__import__("random").Random(2),
-                  role="callee").start()
+    phone = TcpPhone(machines["client1"], "bob", "example.com", 30000,
+                     "server", 5060,
+                     rng=__import__("random").Random(2)).start()
     engine.run(until=100_000.0)
     assert phone.registered and len(registrar.conns) == 1
     assert phone.conn.peer is registrar.conns[0]
@@ -436,7 +471,7 @@ def test_stopped_phone_reads_nothing_more(engine, monkeypatch):
     connections."""
     registrar, phone = registered_tcp_phone(engine)
     seen = []
-    monkeypatch.setattr(Phone, "_dispatch",
+    monkeypatch.setattr(TcpPhone, "_dispatch",
                         lambda self, text: seen.append(text))
     registrar.conns[0].try_send(an_invite())
     engine.run(until=engine.now + 10_000.0)
@@ -493,25 +528,38 @@ def test_framing_error_acts_like_eof(engine):
     assert not first.readable_signal._callbacks
 
 
-def test_registered_tcp_phones_park_no_accept_or_reconnect_process(engine):
-    """A registered TCP callee has nothing left to run until a message
-    arrives: no live process and no reconnect signal.  A caller keeps
-    only its main process, waiting for the go event."""
+def test_every_proxy_transport_has_a_phone():
+    assert set(PHONES) == set(VALID_TRANSPORTS)
+
+
+@pytest.mark.parametrize("transport", sorted(PHONES))
+def test_registered_phones_park_only_their_receive_loop(engine, transport):
+    """A registered callee has nothing left to run until a message
+    arrives but a datagram phone's receive loop: a TCP callee parks no
+    process at all, neither an accept nor a reconnect one.  A caller
+    keeps its main process too, waiting for the go event."""
+    phone_class = PHONES[transport]
     __, machines = make_lan(engine, ["server", "client1", "client2"])
-    TcpRegistrar(machines["server"])
-    callee = Phone(machines["client1"], "bob", "example.com", 30000, "tcp",
-                   "server", 5060, rng=__import__("random").Random(2),
-                   role="callee").start()
-    caller = Phone(machines["client2"], "alice", "example.com", 20000, "tcp",
-                   "server", 5060, rng=__import__("random").Random(1),
-                   role="caller", peer_user="bob",
-                   go_event=Event(engine, "go")).start()
+    RELAYS[phone_class](machines["server"])
+    callee = phone_class(machines["client1"], "bob", "example.com", 30000,
+                         "server", 5060,
+                         rng=__import__("random").Random(2)).start()
+    caller = phone_class(machines["client2"], "alice", "example.com", 20000,
+                         "server", 5060, rng=__import__("random").Random(1),
+                         peer_user="bob", go_event=Event(engine, "go")).start()
     engine.run(until=100_000.0)
     assert callee.registered and caller.registered
-    assert phone_processes(engine, "client1") == []
-    assert phone_processes(engine, "client2") == caller.processes[:1]
-    assert callee._reconnect_signal is None
-    assert caller._reconnect_signal is None
+    rx = [] if phone_class is TcpPhone else ["rx"]
+
+    def parked(machine_name):
+        return sorted(proc.name
+                      for proc in phone_processes(engine, machine_name))
+
+    assert parked("client1") == [f"client1/bob-{name}" for name in rx]
+    assert parked("client2") == [f"client2/alice-{name}"
+                                 for name in ["main"] + rx]
+    assert getattr(callee, "_reconnect_signal", None) is None
+    assert getattr(caller, "_reconnect_signal", None) is None
 
 
 def test_reliable_callee_forgets_the_invite_at_the_ack(engine):

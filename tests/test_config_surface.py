@@ -1,6 +1,6 @@
 """Every option has a caller, and every configuration field is read.
 
-Two rules keep the configuration surface from growing back:
+Three rules keep the configuration surface from growing back:
 
 - **No option without a caller.**  ``benchmarks/traffic_audit.py``'s static
   reports 1, 2 and 3a list the constructor and config values, function
@@ -17,6 +17,9 @@ Two rules keep the configuration surface from growing back:
   ``validate()``.  Matching is by name, so it cannot tell a read of this
   field from a read of a namesake elsewhere; it catches the field nobody
   reads at all.
+- **No import without a use.**  Every name a module under ``src/repro``
+  imports is used in it; a package's ``__init__.py`` imports to
+  re-export, so it is exempt.
 """
 
 import ast
@@ -233,3 +236,51 @@ def test_the_scan_sees_an_unread_field():
         "def run(knobs):\n"
         "    return knobs.used\n")]
     assert _unread(trees, "Knobs") == ["validated_only"]
+
+
+# ----------------------------------------------------------------------
+# no import without a use
+# ----------------------------------------------------------------------
+def _unused_imports(tree):
+    """The names ``tree`` imports and never uses; a name inside a string
+    annotation (a forward reference) counts as used."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = \
+                    node.lineno
+        elif isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "annotation", None) or \
+            getattr(node, "returns", None)
+        for sub in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                used.update(name.id for name in ast.walk(
+                    ast.parse(sub.value, mode="eval"))
+                    if isinstance(name, ast.Name))
+    return sorted(name for name in imported if name not in used)
+
+
+def test_no_unused_imports():
+    unused = [f"{path.relative_to(SRC)}: {name}"
+              for path in sorted(SRC.rglob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unused_imports(ast.parse(path.read_text()))]
+    assert not unused, "imported but never used:\n  " + "\n  ".join(unused)
+
+
+def test_the_import_scan_sees_an_unused_import():
+    tree = ast.parse(
+        "import os.path\n"
+        "from typing import List, Optional, Tuple\n"
+        "from repro.sip.message import SipMessage\n"
+        "def first(items: List[int]) -> \"Optional[SipMessage]\":\n"
+        "    return os.path.join(*items)\n")
+    assert _unused_imports(tree) == ["Tuple"]

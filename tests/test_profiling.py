@@ -23,8 +23,8 @@ def test_record_accumulates(profiler):
 def test_share(profiler):
     profiler.record("a", 30.0)
     profiler.record("b", 70.0)
-    assert profiler.share("a") == pytest.approx(0.3)
-    assert profiler.share("missing") == 0.0
+    assert profiler.by_label["a"] / profiler.total_us == pytest.approx(0.3)
+    assert "missing" not in profiler.by_label
 
 
 def test_zero_and_negative_ignored(profiler):

@@ -813,7 +813,6 @@ class TestCausalRingProperties:
             assert len(causal) == len(model)
         assert causal.emitted == recorded
         assert causal.dropped == recorded - len(model)
-        assert causal.tids() == list(dict.fromkeys(row[0] for row in model))
         assert [(s.tid, s.kind, s.who, s.start_us, s.end_us, s.detail)
                 for s in causal.segments] == list(model)
 

@@ -87,17 +87,6 @@ def test_events_can_schedule_more_events(engine):
     assert engine.now == 6.0
 
 
-def test_stop_halts_run(engine):
-    fired = []
-    engine.schedule(1.0, fired.append, "a")
-    engine.schedule(2.0, engine.stop)
-    engine.schedule(3.0, fired.append, "b")
-    engine.run()
-    assert fired == ["a"]
-    engine.run()
-    assert fired == ["a", "b"]
-
-
 def test_step_returns_false_when_empty(engine):
     assert engine.step() is False
 
